@@ -32,8 +32,15 @@ from repro.workflow.nfcore import build_workflow_trace
 from tests.sim.test_golden_regression import SCENARIOS, run_scenario
 
 #: Golden scenarios driven through pause/resume: flat with kills, DAG
-#: with tenanted Poisson arrivals (mid-release pauses), DAG linear.
-NAMES = ("flat_event_pr2", "dag_engine_pr3", "dag_engine_linear")
+#: with tenanted Poisson arrivals (mid-release pauses), DAG linear, and
+#: incremental Sizey (model pools, offset trackers and MLP optimiser
+#: state must survive the pickle round-trip).
+NAMES = (
+    "flat_event_pr2",
+    "dag_engine_pr3",
+    "dag_engine_linear",
+    "sizey_incremental_event",
+)
 #: Pause points as fractions of each scenario's makespan.
 FRACTIONS = (0.25, 0.6, 0.9)
 
