@@ -4,12 +4,13 @@ Every benchmark regenerates one paper artifact end-to-end, so a single
 round is the meaningful unit of measurement (these are throughput
 benchmarks of the full experiment pipeline, not micro-benchmarks).
 
-Each session also emits a machine-readable ``BENCH_10.json`` next to the
-repo root — wall-clock seconds per benchmark cell keyed by the pytest
-node id — so the perf trajectory across PRs can be tracked by diffing
-the committed snapshots (see ``docs/BENCH.md`` for the key reference).
-Override the output path with the ``REPRO_BENCH_JSON`` environment
-variable; set it empty to disable.
+A session can also record a machine-readable snapshot — wall-clock
+seconds per benchmark cell keyed by the pytest node id, plus named
+metrics — so the perf trajectory across PRs can be tracked by diffing
+the committed ``BENCH_<pr>.json`` files (see ``docs/BENCH.md`` for the
+key reference).  The snapshot is written only when the
+``REPRO_BENCH_JSON`` environment variable names a path: a plain test
+run (which collects ``benchmarks/``) must never rewrite a tracked file.
 """
 
 import json
@@ -22,7 +23,8 @@ import pytest
 
 from _bench_utils import check_headline_sanity, record_peak_rss
 
-#: PR-numbered snapshot written at session end: {nodeid: seconds}.
+#: The committed snapshot fresh headline metrics are sanity-checked
+#: against.
 _BENCH_FILE = "BENCH_10.json"
 
 _cells: dict[str, float] = {}
@@ -85,20 +87,20 @@ def bench_headline():
 
 
 def _bench_json_path() -> Path | None:
-    override = os.environ.get("REPRO_BENCH_JSON")
-    if override is not None:
-        return Path(override) if override else None
-    return Path(__file__).resolve().parent.parent / _BENCH_FILE
+    """The snapshot path ``REPRO_BENCH_JSON`` names, or None (no write)."""
+    target = os.environ.get("REPRO_BENCH_JSON")
+    return Path(target) if target else None
 
 
 def pytest_sessionfinish(session, exitstatus):
     """Persist per-cell wall-clock when any benchmark actually ran.
 
-    Collection-only runs and failed sessions write nothing.  A green
-    partial run (e.g. a ``-k`` smoke subset) *merges* its cells into the
-    existing snapshot instead of replacing it, so selecting a subset can
-    refresh measurements but never silently drops the other cells from
-    the committed perf trajectory.
+    Nothing is written unless ``REPRO_BENCH_JSON`` names a path, and
+    collection-only runs and failed sessions write nothing either.  A
+    green partial run (e.g. a ``-k`` smoke subset) *merges* its cells
+    into an existing snapshot at that path instead of replacing it, so
+    selecting a subset can refresh measurements but never silently drops
+    the other cells of a recording.
     """
     if not _cells or exitstatus != 0:
         return
@@ -137,11 +139,11 @@ def pytest_sessionfinish(session, exitstatus):
         "metrics": dict(sorted(metrics.items())),
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")
-    _warn_suspect_headlines(payload, path)
+    _warn_suspect_headlines(payload)
 
 
-def _warn_suspect_headlines(payload, path: Path) -> None:
-    """Sanity-check fresh headline metrics against the prior PR snapshot.
+def _warn_suspect_headlines(payload) -> None:
+    """Sanity-check fresh headline metrics against the committed snapshot.
 
     A >10% drop in a bare headline key, or the profiled flat cell
     outrunning the unprofiled one, marks the session as measured in a
@@ -149,7 +151,7 @@ def _warn_suspect_headlines(payload, path: Path) -> None:
     as the perf trajectory (see docs/BENCH.md "Caveats").  Warnings
     only; the session never fails over this.
     """
-    prior_path = path.parent / f"BENCH_{payload['pr'] - 1}.json"
+    prior_path = Path(__file__).resolve().parent.parent / _BENCH_FILE
     try:
         prior = json.loads(prior_path.read_text())
     except (OSError, ValueError):

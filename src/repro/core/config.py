@@ -67,7 +67,10 @@ class SizeyConfig:
         replays hypothetical wastage.
     mlp_window / rf_window:
         Incremental mode: sliding-window sizes for the MLP partial fits
-        and the periodic random-forest refits.
+        and the periodic random-forest refits.  The pool hands every
+        slot the last ``mlp_window`` points, so the forest refits on
+        ``min(mlp_window, rf_window)`` points: with the defaults, 64,
+        and ``rf_window`` only matters when it is the smaller one.
     rf_refit_interval:
         Incremental mode: refit the forest every N-th update.
     random_state:

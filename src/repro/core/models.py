@@ -245,7 +245,12 @@ class MLPSlot(ModelSlot):
 
 
 class RandomForestSlot(ModelSlot):
-    """Random forest; full refits each update, incremental refits on a cadence."""
+    """Random forest; full refits each update, incremental refits on a cadence.
+
+    Incremental refits use the last ``window`` points of the window the
+    pool passes in, which holds the last ``mlp_window`` points; the
+    effective refit window is therefore ``min(mlp_window, window)``.
+    """
 
     class_name = "random_forest"
 

@@ -44,7 +44,11 @@ def compute_offset(
     if preds.size == 0:
         return 0.0
     errors = acts - preds  # positive = underprediction
-    under = errors[errors > 0]
+    return _statistic(strategy, errors, errors[errors > 0])
+
+
+def _statistic(strategy: str, errors: np.ndarray, under: np.ndarray) -> float:
+    """One strategy's offset from the errors and their positive part."""
     if strategy == "std":
         return float(np.std(errors))
     if strategy == "std_under":
@@ -66,6 +70,9 @@ class OffsetTracker:
     (large transient errors while models warm up) would keep the standard
     deviation inflated for the rest of the workflow, padding thousands of
     later predictions for a spread that no longer exists.
+
+    The selected offset only changes when a triple is recorded, so
+    :meth:`current_offset` computes it once per :meth:`record`.
     """
 
     def __init__(
@@ -92,6 +99,7 @@ class OffsetTracker:
         self._preds: list[float] = []
         self._acts: list[float] = []
         self._runtimes: list[float] = []
+        self._current: tuple[float, str] | None = None
 
     def __len__(self) -> int:
         return len(self._preds)
@@ -105,23 +113,7 @@ class OffsetTracker:
         self._runtimes.append(float(runtime_hours))
         if len(self._preds) > self.window:
             del self._preds[0], self._acts[0], self._runtimes[0]
-
-    def _hypothetical_wastage(self, offset: float) -> float:
-        """Wastage (MB-hours) this offset would have produced historically."""
-        preds = np.asarray(self._preds)
-        acts = np.asarray(self._acts)
-        rts = np.asarray(self._runtimes)
-        alloc = preds + offset
-        ok = alloc >= acts
-        waste = np.where(
-            ok,
-            (alloc - acts) * rts,
-            # Failure: whole allocation held until the kill, then a retry
-            # at the maximum observed peak (the paper's failure handler),
-            # which over-allocates by (max_peak - actual).
-            alloc * rts * self.time_to_failure + (acts.max() - acts) * rts,
-        )
-        return float(waste.sum())
+        self._current = None
 
     def current_offset(self) -> tuple[float, str]:
         """Return ``(offset_mb, strategy_used)`` for the next prediction.
@@ -131,20 +123,44 @@ class OffsetTracker:
         scaled-up variants; cheap-failure pools the plain ones) and keeps
         whichever candidate would have wasted the least historically.
         """
+        if self._current is None:
+            self._current = self._select()
+        return self._current
+
+    def _select(self) -> tuple[float, str]:
         if self.strategy == "none" or not self._preds:
             return 0.0, "none"
         preds = np.asarray(self._preds)
         acts = np.asarray(self._acts)
         if self.strategy != "dynamic":
             return compute_offset(self.strategy, preds, acts), self.strategy
-        best_name = OFFSET_STRATEGIES[0]
-        best_offset = 0.0
-        best_waste = np.inf
-        for name in OFFSET_STRATEGIES:
-            base = compute_offset(name, preds, acts)
-            for scale in self.scales:
-                off = base * scale
-                waste = self._hypothetical_wastage(off)
-                if waste < best_waste:
-                    best_name, best_offset, best_waste = name, off, waste
-        return best_offset, best_name
+        errors = acts - preds
+        under = errors[errors > 0]
+        bases = np.array(
+            [_statistic(name, errors, under) for name in OFFSET_STRATEGIES]
+        )
+        # One row per (strategy, scale) candidate, strategy-major.
+        offsets = (bases[:, None] * np.asarray(self.scales)[None, :]).reshape(-1, 1)
+        waste = self._hypothetical_wastage(offsets, preds, acts)
+        # First minimum wins; a NaN or infinite wastage never does.
+        best = int(np.argmin(np.where(np.isnan(waste), np.inf, waste)))
+        if not waste[best] < np.inf:
+            return 0.0, OFFSET_STRATEGIES[0]
+        return float(offsets[best, 0]), OFFSET_STRATEGIES[best // len(self.scales)]
+
+    def _hypothetical_wastage(
+        self, offsets: np.ndarray, preds: np.ndarray, acts: np.ndarray
+    ) -> np.ndarray:
+        """Wastage (MB-hours) each offset row would have produced historically."""
+        rts = np.asarray(self._runtimes)
+        alloc = preds + offsets
+        ok = alloc >= acts
+        waste = np.where(
+            ok,
+            (alloc - acts) * rts,
+            # Failure: whole allocation held until the kill, then a retry
+            # at the maximum observed peak (the paper's failure handler),
+            # which over-allocates by (max_peak - actual).
+            alloc * rts * self.time_to_failure + (acts.max() - acts) * rts,
+        )
+        return waste.sum(axis=1)

@@ -91,7 +91,7 @@ def check_array(
             raise ValueError(f"{name} must be 2-dimensional; got ndim={arr.ndim}")
     if not allow_empty and arr.size == 0:
         raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite values")
     return np.ascontiguousarray(arr)
 
@@ -102,7 +102,7 @@ def check_X_y(X: Any, y: Any) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         y = y.reshape(-1)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("y contains NaN or infinite values")
     if X.shape[0] != y.shape[0]:
         raise ValueError(

@@ -9,6 +9,11 @@ Trees are independent, so fitting can optionally fan out over a thread
 pool: each tree's hot loops are NumPy reductions that release the GIL,
 mirroring the paper's "trains a set of diverse machine learning models in
 parallel".
+
+After fitting, the trees' node arrays are concatenated into one node
+table, so ``predict`` walks every (tree, row) pair down together — one
+vectorised step per level of the deepest tree — instead of querying the
+trees one by one.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro.ml.base import (
     check_random_state,
     check_X_y,
 )
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, _descend, _descent_table
 
 __all__ = ["RandomForestRegressor"]
 
@@ -83,22 +88,29 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
         seeds = rng.integers(0, 2**31 - 1, size=self.n_estimators)
         sample_sets: list[np.ndarray] = []
         for s in range(self.n_estimators):
-            if self.bootstrap:
+            # A bootstrap sample of one row can only draw that row.
+            if self.bootstrap and n > 1:
                 tree_rng = np.random.default_rng(int(seeds[s]))
                 sample_sets.append(tree_rng.integers(0, n, size=n))
             else:
                 sample_sets.append(np.arange(n))
-
-        def fit_one(s: int) -> DecisionTreeRegressor:
-            tree = DecisionTreeRegressor(
+        trees = [
+            DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
-                random_state=int(seeds[s]),
+                random_state=int(seed),
             )
+            for seed in seeds
+        ]
+        # The trees share their hyper-parameters and the validated X and
+        # y, so both are checked once here rather than once per tree.
+        trees[0]._check_params()
+
+        def fit_one(s: int) -> DecisionTreeRegressor:
             idx = sample_sets[s]
-            return tree.fit(X[idx], y[idx])
+            return trees[s]._grow(X[idx], y[idx])
 
         if self.n_jobs == 1 or self.n_estimators == 1:
             self.estimators_ = [fit_one(s) for s in range(self.n_estimators)]
@@ -107,9 +119,24 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
                 self.estimators_ = list(pool.map(fit_one, range(self.n_estimators)))
 
         self.n_features_in_ = X.shape[1]
+        self._build_node_table()
         if self.oob_score and self.bootstrap:
             self._compute_oob(X, y, sample_sets)
         return self
+
+    def _build_node_table(self) -> None:
+        """Concatenate the trees into one descent table (see ``predict``)."""
+        trees = self.estimators_
+        sizes = [tree.value_.shape[0] for tree in trees]
+        self._roots = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
+        self._child, self._feature, self._threshold = _descent_table(
+            np.concatenate([tree.feature_ for tree in trees]),
+            np.concatenate([tree.threshold_ for tree in trees]),
+            np.concatenate([tree.left_ for tree in trees]),
+            np.repeat(self._roots, sizes),
+        )
+        self._value = np.concatenate([tree.value_ for tree in trees])
+        self._depth = max(tree.depth_ for tree in trees)
 
     def _compute_oob(
         self, X: np.ndarray, y: np.ndarray, sample_sets: list[np.ndarray]
@@ -140,8 +167,13 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
                 f"X has {X.shape[1]} features, model was fitted with "
                 f"{self.n_features_in_}"
             )
-        out = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.estimators_:
-            out += tree.predict(X)
-        out /= len(self.estimators_)
-        return out
+        n_trees = len(self.estimators_)
+        leaves = _descend(
+            X, self._roots, self._child, self._feature, self._threshold, self._depth
+        )
+        per_tree = self._value[leaves].reshape(n_trees, X.shape[0])
+        # Sum tree by tree in order (a pairwise sum would round
+        # differently); + 0.0 gives the 0.0 that summing into zeros gives
+        # when every tree predicts -0.0.
+        total = np.add.accumulate(per_tree, axis=0)[-1] + 0.0
+        return total / n_trees

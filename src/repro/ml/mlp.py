@@ -13,8 +13,11 @@ Implementation notes
 - ``partial_fit`` performs a small number of Adam steps on the given
   batch from the *current* weights — this is the "lightweight ... online
   learning step" of the paper's Phase 3.
-- All tensor work is vectorised float64 NumPy; weights are stored as
-  lists of (W, b) per layer.
+- All tensor work is vectorised float64 NumPy.  Every weight and bias
+  lives in one flat parameter buffer (``coefs_`` and ``intercepts_``
+  are per-layer views into it), and gradients land in views of one flat
+  gradient buffer, so an Adam step is a handful of ufunc calls over one
+  array however many layers the network has.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
 def _act_grad(name: str, a: np.ndarray) -> np.ndarray:
     """Derivative expressed in terms of the activation output ``a``."""
     if name == "relu":
-        return (a > 0.0).astype(np.float64)
+        # A 0/1 mask; multiplying by it equals multiplying by 0.0/1.0.
+        return a > 0.0
     if name == "tanh":
         return 1.0 - a * a
     if name == "logistic":
@@ -117,22 +121,56 @@ class MLPRegressor(BaseEstimator, RegressorMixin):
         sizes = [n_features, *self.hidden_layer_sizes, 1]
         if any(s < 1 for s in sizes):
             raise ValueError(f"invalid layer sizes {sizes}")
-        self.coefs_: list[np.ndarray] = []
-        self.intercepts_: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        self._shapes = list(zip(sizes[:-1], sizes[1:]))
+        self._n_weights = sum(fan_in * fan_out for fan_in, fan_out in self._shapes)
+        n_params = self._n_weights + sum(sizes[1:])
+        self._theta = np.zeros(n_params)
+        self._grad = np.zeros(n_params)
+        self._bind_views()
+        for W, (fan_in, fan_out) in zip(self.coefs_, self._shapes):
             # Glorot-uniform initialisation.
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            self.coefs_.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.intercepts_.append(np.zeros(fan_out))
+            W[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         # Adam state.
-        self._m = [np.zeros_like(w) for w in self.coefs_] + [
-            np.zeros_like(b) for b in self.intercepts_
-        ]
-        self._v = [np.zeros_like(w) for w in self.coefs_] + [
-            np.zeros_like(b) for b in self.intercepts_
-        ]
+        self._m = np.zeros(n_params)
+        self._v = np.zeros(n_params)
         self._adam_t = 0
         self.n_features_in_ = n_features
+
+    def _bind_views(self) -> None:
+        """Point the per-layer weights and gradients into the flat buffers.
+
+        Layout: every layer's weight matrix, then every layer's bias.
+        """
+        self.coefs_: list[np.ndarray] = []
+        self.intercepts_: list[np.ndarray] = []
+        self._grad_w: list[np.ndarray] = []
+        self._grad_b: list[np.ndarray] = []
+        start = 0
+        for fan_in, fan_out in self._shapes:
+            stop = start + fan_in * fan_out
+            self.coefs_.append(self._theta[start:stop].reshape(fan_in, fan_out))
+            self._grad_w.append(self._grad[start:stop].reshape(fan_in, fan_out))
+            start = stop
+        for _, fan_out in self._shapes:
+            stop = start + fan_out
+            self.intercepts_.append(self._theta[start:stop])
+            self._grad_b.append(self._grad[start:stop])
+            start = stop
+
+    def __getstate__(self) -> dict:
+        # Views pickle as independent copies, so drop them and rebind on
+        # load; otherwise a restored model would train a buffer its
+        # predictions never read.
+        state = self.__dict__.copy()
+        for name in ("coefs_", "intercepts_", "_grad_w", "_grad_b"):
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "_theta" in state:
+            self._bind_views()
 
     # ------------------------------------------------------------------
     # forward / backward
@@ -148,38 +186,35 @@ class MLPRegressor(BaseEstimator, RegressorMixin):
             acts.append(a)
         return acts
 
-    def _backward(
-        self, acts: list[np.ndarray], y: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        n = y.shape[0]
-        grads_w: list[np.ndarray] = [np.empty(0)] * len(self.coefs_)
-        grads_b: list[np.ndarray] = [np.empty(0)] * len(self.intercepts_)
+    def _backward(self, acts: list[np.ndarray], y_col: np.ndarray) -> None:
+        """Write the loss gradient for targets ``y_col`` (shape ``(n, 1)``)
+        into the flat ``_grad`` buffer."""
+        n = y_col.shape[0]
         # d(MSE)/d(output) with the 1/2 absorbed into the 2/n factor.
-        delta = (acts[-1].reshape(-1) - y).reshape(-1, 1) * (2.0 / n)
+        delta = (acts[-1] - y_col) * (2.0 / n)
         for li in range(len(self.coefs_) - 1, -1, -1):
-            grads_w[li] = acts[li].T @ delta + self.alpha * self.coefs_[li]
-            grads_b[li] = delta.sum(axis=0)
+            np.matmul(acts[li].T, delta, out=self._grad_w[li])
+            np.add.reduce(delta, axis=0, out=self._grad_b[li])
             if li > 0:
                 delta = (delta @ self.coefs_[li].T) * _act_grad(
                     self.activation, acts[li]
                 )
-        return grads_w, grads_b
+        # L2 penalty on the weights (the leading block of the buffer).
+        k = self._n_weights
+        self._grad[:k] += self.alpha * self._theta[:k]
 
-    def _adam_step(
-        self, grads_w: list[np.ndarray], grads_b: list[np.ndarray]
-    ) -> None:
+    def _adam_step(self) -> None:
+        """One Adam update of the flat parameter buffer from ``_grad``."""
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         self._adam_t += 1
         t = self._adam_t
-        params = self.coefs_ + self.intercepts_
-        grads = grads_w + grads_b
+        g = self._grad
         lr = self.learning_rate_init
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self._m[i] = beta1 * self._m[i] + (1 - beta1) * g
-            self._v[i] = beta2 * self._v[i] + (1 - beta2) * (g * g)
-            m_hat = self._m[i] / (1 - beta1**t)
-            v_hat = self._v[i] / (1 - beta2**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        self._m = beta1 * self._m + (1 - beta1) * g
+        self._v = beta2 * self._v + (1 - beta2) * (g * g)
+        m_hat = self._m / (1 - beta1**t)
+        v_hat = self._v / (1 - beta2**t)
+        self._theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
     # ------------------------------------------------------------------
     # public API
@@ -197,9 +232,8 @@ class MLPRegressor(BaseEstimator, RegressorMixin):
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
-                acts = self._forward(X[idx])
-                gw, gb = self._backward(acts, y[idx])
-                self._adam_step(gw, gb)
+                self._backward(self._forward(X[idx]), y[idx, None])
+                self._adam_step()
             pred = self._forward(X)[-1].reshape(-1)
             loss = float(np.mean((pred - y) ** 2))
             self.loss_curve_.append(loss)
@@ -221,10 +255,10 @@ class MLPRegressor(BaseEstimator, RegressorMixin):
             self._init_net(X.shape[1], rng)
         elif X.shape[1] != self.n_features_in_:
             raise ValueError("feature dimension changed between updates")
+        y_col = y[:, None]
         for _ in range(max(1, self.partial_fit_steps)):
-            acts = self._forward(X)
-            gw, gb = self._backward(acts, y)
-            self._adam_step(gw, gb)
+            self._backward(self._forward(X), y_col)
+            self._adam_step()
         return self
 
     def predict(self, X) -> np.ndarray:

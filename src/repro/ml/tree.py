@@ -10,11 +10,16 @@ search is fully vectorised per (node, feature): candidate thresholds are
 midpoints between consecutive sorted unique values, and the sum of child
 variances is computed with cumulative sums in O(n) per feature, no Python
 inner loop — the hot path the HPC guide tells us to vectorise.
+
+A fitted tree is a set of flat node arrays (``feature_``, ``threshold_``,
+``left_``, ``right_``, ``value_``, ``n_node_samples_``; leaves have
+``left_ == right_ == -1``).  The children of a split are allocated as a
+pair, so ``right_ == left_ + 1``.  Prediction descends all rows at once,
+one vectorised step per tree level (:func:`_descend`); the random forest
+runs the same descent over all of its trees together.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,20 +35,49 @@ from repro.ml.base import (
 __all__ = ["DecisionTreeRegressor"]
 
 
-@dataclass
-class _Node:
-    """A tree node; leaves carry a value, internal nodes a split."""
+def _descent_table(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    offset: np.ndarray | int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(child, feature, threshold)`` arrays for :func:`_descend`.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    value: float = 0.0
-    n_samples: int = 0
+    ``offset`` shifts child indices when several trees' nodes are
+    concatenated into one table.  Leaves point to themselves with an
+    infinite threshold, so a row that reached its leaf stays there.
+    """
+    leaf = left < 0
+    child = np.where(leaf, np.arange(left.shape[0]), left + offset)
+    return child, np.where(leaf, 0, feature), np.where(leaf, np.inf, threshold)
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left < 0
+
+def _descend(
+    X: np.ndarray,
+    roots: np.ndarray,
+    child: np.ndarray,
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    depth: int,
+) -> np.ndarray:
+    """Node index reached by every (root, row) pair after ``depth`` levels.
+
+    The result is root-major: entry ``r * n + i`` is row ``i`` under root
+    ``r``.  Splits send ``x <= threshold`` to ``child`` and the rest to
+    ``child + 1``.
+    """
+    n, d = X.shape
+    node = np.repeat(roots, n)
+    if d == 1:
+        x = np.tile(X[:, 0], roots.shape[0])
+    else:
+        flat = X.ravel()
+        base = np.tile(np.arange(0, n * d, d), roots.shape[0])
+    for _ in range(depth):
+        if d > 1:
+            x = flat[base + feature[node]]
+        node = child[node] + (x > threshold[node])
+    return node
 
 
 def _best_split(
@@ -51,37 +85,35 @@ def _best_split(
     y: np.ndarray,
     feature_idx: np.ndarray,
     min_samples_leaf: int,
+    total_sum: float | None = None,
 ) -> tuple[int, float, float]:
     """Return (feature, threshold, score_gain) of the best split.
 
     ``score_gain`` is the reduction in total squared error; returns
-    feature == -1 when no valid split exists.
+    feature == -1 when no valid split exists.  ``total_sum`` is
+    ``y.sum()`` when the caller already has it.
     """
     n = y.shape[0]
     total_sq = float(y @ y)
-    total_sum = float(y.sum())
+    if total_sum is None:
+        total_sum = float(y.sum())
     parent_sse = total_sq - total_sum**2 / n
+    # Cut i separates sorted positions i and i + 1 (left child size
+    # i + 1); min_samples_leaf on both sides bounds the cuts to a slice.
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    if lo >= hi:
+        return -1, 0.0, 0.0
+    left_n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    right_n = n - left_n
 
     best_feat, best_thr, best_gain = -1, 0.0, 0.0
     for f in feature_idx:
         col = X[:, f]
-        order = np.argsort(col, kind="stable")
+        order = col.argsort(kind="stable")
         xs = col[order]
         ys = y[order]
-        # Candidate split positions: between distinct consecutive values,
-        # respecting min_samples_leaf on both sides.
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        pos = np.arange(1, n)  # left child size at candidate i
-        valid = (xs[1:] != xs[:-1]) & (pos >= min_samples_leaf) & (
-            n - pos >= min_samples_leaf
-        )
-        if not np.any(valid):
-            continue
-        left_n = pos[valid].astype(np.float64)
-        right_n = n - left_n
-        left_sum = csum[:-1][valid]
-        left_sq = csq[:-1][valid]
+        left_sum = ys.cumsum()[lo:hi]
+        left_sq = (ys * ys).cumsum()[lo:hi]
         right_sum = total_sum - left_sum
         right_sq = total_sq - left_sq
         sse = (
@@ -90,12 +122,14 @@ def _best_split(
             + right_sq
             - right_sum**2 / right_n
         )
-        i = int(np.argmin(sse))
+        # Only cuts between distinct values are candidates; the others
+        # can never be the (first) minimum.
+        sse = np.where(xs[lo + 1 : hi + 1] != xs[lo:hi], sse, np.inf)
+        i = int(sse.argmin())
         gain = parent_sse - float(sse[i])
         if gain > best_gain:
-            where = np.flatnonzero(valid)[i]
             best_feat = int(f)
-            best_thr = float(0.5 * (xs[where] + xs[where + 1]))
+            best_thr = float(0.5 * (xs[lo + i] + xs[lo + i + 1]))
             best_gain = gain
     return best_feat, best_thr, best_gain
 
@@ -153,90 +187,95 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
             return mf
         raise ValueError(f"invalid max_features {mf!r}")
 
-    def fit(self, X, y) -> "DecisionTreeRegressor":
+    def _check_params(self) -> None:
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
+
+    def fit(self, X, y) -> "DecisionTreeRegressor":
+        self._check_params()
         X, y = check_X_y(X, y)
-        rng = check_random_state(self.random_state)
+        return self._grow(X, y)
+
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
+        """Fit on validated float64 inputs (``_check_params`` already ran)."""
         d = X.shape[1]
         k = self._n_features_to_use(d)
+        # Only feature subsampling draws random numbers.
+        rng = check_random_state(self.random_state) if k < d else None
+        min_split, min_leaf = self.min_samples_split, self.min_samples_leaf
+        max_depth = self.max_depth
+        all_features = np.arange(d)
+        feature, threshold, left, value, n_samples = [-1], [0.0], [-1], [0.0], [0]
+        deepest = 0
 
-        nodes: list[_Node] = []
-
-        def grow(sample_idx: np.ndarray, depth: int) -> int:
-            node_id = len(nodes)
+        def grow(node: int, sample_idx: np.ndarray, depth: int) -> None:
+            nonlocal deepest
+            deepest = max(deepest, depth)
+            n = sample_idx.shape[0]
+            n_samples[node] = n
+            if n == 1:  # the mean of one sample is that sample
+                value[node] = float(y[sample_idx[0]])
+                return
             ys = y[sample_idx]
-            node = _Node(value=float(ys.mean()), n_samples=sample_idx.shape[0])
-            nodes.append(node)
+            total = ys.sum()
+            value[node] = float(total / n)
             if (
-                sample_idx.shape[0] < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or np.all(ys == ys[0])
+                n < min_split
+                or (max_depth is not None and depth >= max_depth)
+                or (ys == ys[0]).all()
             ):
-                return node_id
-            feats = (
-                np.arange(d)
-                if k == d
-                else rng.choice(d, size=k, replace=False)
-            )
-            f, thr, gain = _best_split(
-                X[sample_idx], ys, feats, self.min_samples_leaf
-            )
+                return
+            feats = all_features if rng is None else rng.choice(d, size=k, replace=False)
+            Xs = X[sample_idx]
+            f, thr, gain = _best_split(Xs, ys, feats, min_leaf, float(total))
             if f < 0 or gain <= 0.0:
-                return node_id
-            mask = X[sample_idx, f] <= thr
-            node.feature = f
-            node.threshold = thr
-            node.left = grow(sample_idx[mask], depth + 1)
-            node.right = grow(sample_idx[~mask], depth + 1)
-            return node_id
+                return
+            mask = Xs[:, f] <= thr
+            pair = len(value)
+            feature[node], threshold[node], left[node] = f, thr, pair
+            feature.extend((-1, -1))
+            threshold.extend((0.0, 0.0))
+            left.extend((-1, -1))
+            value.extend((0.0, 0.0))
+            n_samples.extend((0, 0))
+            grow(pair, sample_idx[mask], depth + 1)
+            grow(pair + 1, sample_idx[~mask], depth + 1)
 
-        grow(np.arange(X.shape[0]), 0)
-        self.nodes_ = nodes
+        grow(0, np.arange(X.shape[0]), 0)
+        self.feature_ = np.array(feature, dtype=np.intp)
+        self.threshold_ = np.array(threshold, dtype=np.float64)
+        self.left_ = np.array(left, dtype=np.intp)
+        self.right_ = np.where(self.left_ < 0, -1, self.left_ + 1)
+        self.value_ = np.array(value, dtype=np.float64)
+        self.n_node_samples_ = np.array(n_samples, dtype=np.intp)
+        self._depth = deepest
         self.n_features_in_ = d
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, ["nodes_"])
+        check_is_fitted(self, ["value_"])
         X = check_array(X)
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"X has {X.shape[1]} features, model was fitted with "
                 f"{self.n_features_in_}"
             )
-        nodes = self.nodes_
-        out = np.empty(X.shape[0], dtype=np.float64)
-        # Iterative descent; trees from workflow histories are shallow so
-        # this loop is cheap, and level-order vectorisation would not pay
-        # for itself at these sizes (profile before optimising).
-        for i in range(X.shape[0]):
-            nid = 0
-            node = nodes[0]
-            while not node.is_leaf:
-                nid = node.left if X[i, node.feature] <= node.threshold else node.right
-                node = nodes[nid]
-            out[i] = node.value
-        return out
+        table = _descent_table(self.feature_, self.threshold_, self.left_)
+        root = np.zeros(1, dtype=np.intp)
+        return self.value_[_descend(X, root, *table, self._depth)]
 
     @property
     def depth_(self) -> int:
         """Depth of the fitted tree (root = depth 0)."""
-        check_is_fitted(self, ["nodes_"])
-
-        def walk(nid: int) -> int:
-            node = self.nodes_[nid]
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(0)
+        check_is_fitted(self, ["value_"])
+        return self._depth
 
     @property
     def n_leaves_(self) -> int:
         """Number of leaves of the fitted tree."""
-        check_is_fitted(self, ["nodes_"])
-        return sum(1 for n in self.nodes_ if n.is_leaf)
+        check_is_fitted(self, ["value_"])
+        return int((self.left_ < 0).sum())

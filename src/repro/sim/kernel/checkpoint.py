@@ -51,7 +51,9 @@ __all__ = [
 CHECKPOINT_FORMAT = "repro-checkpoint"
 # Version 2 (PR 10): the pickled kernel carries EventCalendar state
 # (columnar scheduled lane + dynamic heap) instead of a single EventHeap.
-CHECKPOINT_VERSION = 2
+# Version 3: learned predictor state changed layout (flat MLP
+# parameter buffers, array-encoded trees and forests, cached offsets).
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(kernel: "SimulationKernel", path: str) -> None:

@@ -139,3 +139,65 @@ class TestOffsetTracker:
             tr.record(500.0, 500.0, 0.5)
         off, _ = tr.current_offset()
         assert off == pytest.approx(0.0)
+
+
+def reference_offset(tr: OffsetTracker) -> tuple[float, str]:
+    """The per-candidate loop the (8, n) evaluation replaced."""
+    if tr.strategy == "none" or not tr._preds:
+        return 0.0, "none"
+    preds, acts = np.asarray(tr._preds), np.asarray(tr._acts)
+    rts = np.asarray(tr._runtimes)
+    if tr.strategy != "dynamic":
+        return compute_offset(tr.strategy, preds, acts), tr.strategy
+    best_name, best_offset, best_waste = OFFSET_STRATEGIES[0], 0.0, np.inf
+    for name in OFFSET_STRATEGIES:
+        base = compute_offset(name, preds, acts)
+        for scale in tr.scales:
+            off = base * scale
+            alloc = preds + off
+            waste = float(
+                np.where(
+                    alloc >= acts,
+                    (alloc - acts) * rts,
+                    alloc * rts * tr.time_to_failure + (acts.max() - acts) * rts,
+                ).sum()
+            )
+            if waste < best_waste:
+                best_name, best_offset, best_waste = name, off, waste
+    return best_offset, best_name
+
+
+class TestVectorisedSelection:
+    @given(
+        st.integers(min_value=1, max_value=150),
+        st.sampled_from([(1.0, 2.0), (1.0,), (0.5, 1.0, 3.0)]),
+        st.sampled_from([1.0, 0.5, 0.1]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_candidate_loop(self, n, scales, ttf, seed):
+        rng = np.random.default_rng(seed)
+        tr = OffsetTracker("dynamic", time_to_failure=ttf, window=64, scales=scales)
+        for _ in range(n):
+            # Integer-valued histories produce tied candidate offsets and
+            # tied wastages; the first minimum must still win.
+            pred = float(rng.integers(90, 110))
+            tr.record(pred, float(rng.integers(80, 120)), float(rng.integers(0, 3)))
+            assert tr.current_offset() == reference_offset(tr)
+
+    def test_tied_wastage_keeps_first_candidate(self):
+        tr = OffsetTracker("dynamic")
+        for _ in range(5):
+            tr.record(100.0, 100.0, 0.0)  # zero runtime: every candidate wastes 0
+        assert tr.current_offset() == (0.0, "std")
+        assert reference_offset(tr) == (0.0, "std")
+
+    @pytest.mark.parametrize("strategy", ["dynamic", "std", "median_under", "none"])
+    def test_selection_is_cached_until_the_next_record(self, strategy):
+        tr = OffsetTracker(strategy)
+        tr.record(100.0, 130.0, 1.0)
+        tr.record(100.0, 90.0, 1.0)
+        first = tr.current_offset()
+        assert tr.current_offset() is first
+        tr.record(100.0, 160.0, 1.0)
+        assert tr.current_offset() == reference_offset(tr)

@@ -263,3 +263,24 @@ class TestModelPool:
         assert hist.X.shape == (100, 2)
         assert hist.X[97].tolist() == [97.0, 194.0]
         assert hist.y[97] == 97.0
+
+
+class TestForestRefitWindow:
+    """``rf_window`` only narrows the window the pool already cut to
+    ``mlp_window`` points: the effective refit window is their minimum."""
+
+    @pytest.mark.parametrize(
+        "mlp_window, rf_window, expected", [(8, 512, 8), (8, 5, 5), (64, 512, 12)]
+    )
+    def test_refit_uses_min_of_both_windows(self, mlp_window, rf_window, expected):
+        pool = ModelPool(
+            ("random_forest",),
+            training_mode="incremental",
+            mlp_window=mlp_window,
+            rf_window=rf_window,
+            rf_refit_interval=4,
+        )
+        feed_linear(pool, n=12)  # the 12th update is a refit
+        forest = pool.slots[0]._model
+        # Every bootstrap sample is as large as the refit window.
+        assert {int(t.n_node_samples_[0]) for t in forest.estimators_} == {expected}

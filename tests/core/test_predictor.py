@@ -1,5 +1,7 @@
 """Tests for the SizeyPredictor end-to-end behaviour."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,38 @@ class TestFailureHandling:
         s.observe(rec(iid=0, y=2000.0))
         got = s.on_failure(sub(iid=1), failed_allocation_mb=3000.0, attempt=2)
         assert got == 6000.0
+
+
+class TestPickleMidRun:
+    """A predictor pickled mid-run must continue exactly like the original.
+
+    Model state that does not survive pickling (e.g. parameter views that
+    come back as detached copies) would let the copy train one thing and
+    predict from another; the two runs' estimates would then drift.
+    """
+
+    @staticmethod
+    def drive(s, start, stop):
+        rng = np.random.default_rng(21)
+        xs = rng.uniform(100.0, 4000.0, size=stop)
+        ys = 300.0 + 0.5 * xs + 1e-4 * xs * xs + rng.normal(0.0, 80.0, size=stop)
+        out = []
+        for i in range(start, stop):
+            task = "align" if i % 4 else "sort"
+            batch = [sub(task, iid=i, x=xs[i], ts=i), sub(task, iid=-1 - i, x=2 * xs[i], ts=i)]
+            out.append(s.predict_batch(batch).tolist())
+            s.observe(rec(task, ts=i, iid=i, x=xs[i], y=ys[i], rt=0.05 + i % 3 * 0.1))
+        return out
+
+    @pytest.mark.parametrize(
+        # Incremental: the busy pool slides its MLP window and refits the
+        # forest after the pickle; full: an HPO round (update 25) follows.
+        "mode, mid, stop", [("incremental", 70, 100), ("full", 20, 36)]
+    )
+    def test_copy_continues_identically(self, mode, mid, stop):
+        s = SizeyPredictor(SizeyConfig(training_mode=mode))
+        self.drive(s, 0, mid)
+        copy = pickle.loads(pickle.dumps(s))
+        resumed = self.drive(copy, mid, stop)
+        assert resumed == self.drive(s, mid, stop)
+        assert all(len(pool._active) == 4 for pool in copy.pools.values())

@@ -87,3 +87,65 @@ class TestRandomForest:
             for s in range(5)
         ]
         assert np.var(scores_big) < np.var(scores_small)
+
+
+def reference_tree_predict(tree, X):
+    """Row-by-row descent of one tree's node arrays."""
+    out = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        node = 0
+        while tree.left_[node] >= 0:
+            go_left = X[i, tree.feature_[node]] <= tree.threshold_[node]
+            node = tree.left_[node] if go_left else tree.right_[node]
+        out[i] = tree.value_[node]
+    return out
+
+
+def reference_forest_predict(forest, X):
+    """The per-tree loop the single vectorised descent replaced."""
+    out = np.zeros(X.shape[0], dtype=np.float64)
+    for tree in forest.estimators_:
+        out += reference_tree_predict(tree, X)
+    out /= len(forest.estimators_)
+    return out
+
+
+class TestSingleDescentMatchesPerTreeLoop:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(),
+            dict(max_depth=1),
+            dict(max_depth=3),
+            dict(max_features=0.5),
+            dict(max_features="sqrt", max_depth=4),
+            dict(min_samples_leaf=3, bootstrap=False),
+        ],
+    )
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bit_for_bit(self, params, d):
+        rng = np.random.default_rng(d)
+        # A coarse grid gives tied feature values (and ties on the queries).
+        X = np.round(rng.uniform(0, 4, size=(70, d)), 1)
+        y = np.sin(X[:, 0]) * 3 + X[:, -1] ** 2 + rng.normal(0, 0.2, 70)
+        m = RandomForestRegressor(n_estimators=9, random_state=7, **params).fit(X, y)
+        queries = np.vstack([X[:25], np.round(rng.uniform(-1, 5, size=(25, d)), 1)])
+        assert np.array_equal(m.predict(queries), reference_forest_predict(m, queries))
+        for tree in m.estimators_:
+            assert np.array_equal(tree.predict(queries), reference_tree_predict(tree, queries))
+
+    @pytest.mark.parametrize("n_train", [1, 2, 5])
+    def test_tiny_training_sets_and_one_row_queries(self, n_train):
+        rng = np.random.default_rng(n_train)
+        X = rng.uniform(0, 10, size=(n_train, 1))
+        y = rng.uniform(100, 200, size=n_train)
+        m = RandomForestRegressor(n_estimators=20, random_state=1).fit(X, y)
+        for q in ([[X[0, 0]]], [[-1.0]], [[11.0]]):
+            q = np.array(q)
+            assert np.array_equal(m.predict(q), reference_forest_predict(m, q))
+
+    def test_constant_targets_give_single_leaves(self):
+        X = np.arange(12, dtype=float).reshape(-1, 1)
+        m = RandomForestRegressor(n_estimators=5, random_state=0).fit(X, np.full(12, 3.5))
+        assert all(t.n_leaves_ == 1 for t in m.estimators_)
+        assert np.array_equal(m.predict(X), np.full(12, 3.5))

@@ -98,3 +98,79 @@ class TestMLPRegressor:
         m = MLPRegressor(hidden_layer_sizes=(16,), max_iter=300, random_state=0)
         m.fit(Xs, y)
         assert m.score(Xs, y) > 0.95
+
+
+def reference_partial_fit(m, X, y, steps):
+    """The per-layer (W, b) lists and Adam loop the flat buffer replaced.
+
+    Trains deep copies of ``m``'s weights and Adam state and returns the
+    resulting (coefs, intercepts)."""
+    from repro.ml.mlp import _act, _act_grad
+
+    coefs = [w.copy() for w in m.coefs_]
+    intercepts = [b.copy() for b in m.intercepts_]
+    sizes = [w.size for w in coefs] + [b.size for b in intercepts]
+    cuts = np.cumsum(sizes)[:-1]
+    adam_m = [a.reshape(p.shape) for a, p in zip(np.split(m._m, cuts), coefs + intercepts)]
+    adam_v = [a.reshape(p.shape) for a, p in zip(np.split(m._v, cuts), coefs + intercepts)]
+    t = m._adam_t
+    for _ in range(steps):
+        acts = [X]
+        for li, (W, b) in enumerate(zip(coefs, intercepts)):
+            z = acts[-1] @ W + b
+            acts.append(z if li == len(coefs) - 1 else _act(m.activation, z))
+        n = y.shape[0]
+        delta = (acts[-1].reshape(-1) - y).reshape(-1, 1) * (2.0 / n)
+        grads_w, grads_b = [None] * len(coefs), [None] * len(coefs)
+        for li in range(len(coefs) - 1, -1, -1):
+            grads_w[li] = acts[li].T @ delta + m.alpha * coefs[li]
+            grads_b[li] = delta.sum(axis=0)
+            if li > 0:
+                delta = (delta @ coefs[li].T) * np.asarray(
+                    _act_grad(m.activation, acts[li]), dtype=np.float64
+                )
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        t += 1
+        for i, (p, g) in enumerate(zip(coefs + intercepts, grads_w + grads_b)):
+            adam_m[i] = beta1 * adam_m[i] + (1 - beta1) * g
+            adam_v[i] = beta2 * adam_v[i] + (1 - beta2) * (g * g)
+            m_hat = adam_m[i] / (1 - beta1**t)
+            v_hat = adam_v[i] / (1 - beta2**t)
+            p -= m.learning_rate_init * m_hat / (np.sqrt(v_hat) + eps)
+    return coefs, intercepts
+
+
+class TestFlatParameterBuffer:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "logistic", "identity"])
+    @pytest.mark.parametrize("hidden", [(16,), (8, 4)])
+    def test_adam_matches_per_layer_reference_bit_for_bit(self, activation, hidden):
+        X, y = make_quadratic(n=48, seed=2)
+        m = MLPRegressor(
+            hidden_layer_sizes=hidden, activation=activation, alpha=1e-3,
+            partial_fit_steps=5, random_state=3,
+        ).partial_fit(X, y)
+        coefs, intercepts = reference_partial_fit(m, X[:20], y[:20], steps=5)
+        m.partial_fit(X[:20], y[:20])
+        for got, want in zip(m.coefs_ + m.intercepts_, coefs + intercepts):
+            assert np.array_equal(got, want)
+
+    def test_layers_are_views_of_one_buffer(self):
+        X, y = make_quadratic(n=30)
+        m = MLPRegressor(hidden_layer_sizes=(8, 4), max_iter=5).fit(X, y)
+        for p in m.coefs_ + m.intercepts_:
+            assert np.shares_memory(p, m._theta)
+        assert m._theta.size == sum(p.size for p in m.coefs_ + m.intercepts_)
+
+    def test_pickled_model_trains_what_it_predicts(self):
+        import pickle
+
+        X, y = make_quadratic(n=64, seed=4)
+        m = MLPRegressor(hidden_layer_sizes=(16,), random_state=0).partial_fit(X, y)
+        copy = pickle.loads(pickle.dumps(m))
+        for p in copy.coefs_ + copy.intercepts_:
+            assert np.shares_memory(p, copy._theta)
+        before = copy.predict(X[:5])
+        for model in (m, copy):
+            model.partial_fit(X[::-1], y[::-1])
+        assert not np.array_equal(copy.predict(X[:5]), before)
+        assert np.array_equal(copy.predict(X), m.predict(X))

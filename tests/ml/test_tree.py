@@ -74,7 +74,7 @@ class TestDecisionTree:
         X = rng.uniform(size=(64, 2))
         y = rng.normal(size=64)
         m = DecisionTreeRegressor(min_samples_leaf=8).fit(X, y)
-        leaf_sizes = [n.n_samples for n in m.nodes_ if n.is_leaf]
+        leaf_sizes = m.n_node_samples_[m.left_ < 0]
         assert min(leaf_sizes) >= 8
 
     def test_predictions_are_leaf_means(self):
@@ -133,3 +133,91 @@ class TestDecisionTree:
             m = DecisionTreeRegressor(max_depth=depth).fit(X, y)
             errs.append(float(np.mean((m.predict(X) - y) ** 2)))
         assert errs == sorted(errs, reverse=True)
+
+
+def reference_best_split(X, y, feature_idx, min_samples_leaf):
+    """The mask-based split search the slice-based one replaced."""
+    n = y.shape[0]
+    total_sq = float(y @ y)
+    total_sum = float(y.sum())
+    parent_sse = total_sq - total_sum**2 / n
+    best_feat, best_thr, best_gain = -1, 0.0, 0.0
+    for f in feature_idx:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        xs, ys = col[order], y[order]
+        csum, csq = np.cumsum(ys), np.cumsum(ys * ys)
+        pos = np.arange(1, n)
+        valid = (xs[1:] != xs[:-1]) & (pos >= min_samples_leaf) & (
+            n - pos >= min_samples_leaf
+        )
+        if not np.any(valid):
+            continue
+        left_n = pos[valid].astype(np.float64)
+        right_n = n - left_n
+        left_sum, left_sq = csum[:-1][valid], csq[:-1][valid]
+        right_sum, right_sq = total_sum - left_sum, total_sq - left_sq
+        sse = left_sq - left_sum**2 / left_n + right_sq - right_sum**2 / right_n
+        i = int(np.argmin(sse))
+        gain = parent_sse - float(sse[i])
+        if gain > best_gain:
+            where = np.flatnonzero(valid)[i]
+            best_feat = int(f)
+            best_thr = float(0.5 * (xs[where] + xs[where + 1]))
+            best_gain = gain
+    return best_feat, best_thr, best_gain
+
+
+def walk_depth(tree, node=0):
+    if tree.left_[node] < 0:
+        return 0
+    return 1 + max(walk_depth(tree, tree.left_[node]), walk_depth(tree, tree.right_[node]))
+
+
+class TestArrayLayout:
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_search_matches_mask_reference(self, n, d, min_leaf, seed):
+        rng = np.random.default_rng(seed)
+        # Few distinct values: ties between neighbours and whole columns.
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+        y = rng.normal(size=n)
+        feats = np.arange(d)
+        assert _best_split(X, y, feats, min_leaf) == reference_best_split(
+            X, y, feats, min_leaf
+        )
+
+    @pytest.mark.parametrize("max_depth", [None, 1, 3])
+    def test_arrays_describe_a_binary_tree(self, max_depth):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(size=(90, 2))
+        y = rng.normal(size=90)
+        m = DecisionTreeRegressor(max_depth=max_depth).fit(X, y)
+        internal = m.left_ >= 0
+        assert np.array_equal(m.right_[internal], m.left_[internal] + 1)
+        assert np.all(m.right_[~internal] == -1) and np.all(m.feature_[~internal] == -1)
+        # Children hold their parent's samples between them.
+        kids = m.n_node_samples_[m.left_[internal]] + m.n_node_samples_[m.right_[internal]]
+        assert np.array_equal(kids, m.n_node_samples_[internal])
+        assert m.n_node_samples_[0] == 90
+        assert m.depth_ == walk_depth(m)
+        if max_depth is not None:
+            assert m.depth_ <= max_depth
+        assert m.n_leaves_ == int((~internal).sum())
+
+    def test_one_row_fit_and_predict(self):
+        m = DecisionTreeRegressor().fit([[2.0]], [5.0])
+        assert m.depth_ == 0 and m.n_leaves_ == 1
+        assert m.predict([[-3.0]]).tolist() == [5.0]
+        assert m.predict([[2.0], [9.0]]).tolist() == [5.0, 5.0]
+
+    def test_ties_go_left_of_the_threshold(self):
+        X = np.array([[1.0], [1.0], [2.0], [2.0]])
+        m = DecisionTreeRegressor().fit(X, [1.0, 1.0, 9.0, 9.0])
+        assert m.threshold_[0] == 1.5
+        assert m.predict([[1.5], [1.5000001]]).tolist() == [1.0, 9.0]
