@@ -68,7 +68,7 @@ def _descend(
     """
     n, d = X.shape
     node = np.repeat(roots, n)
-    if d == 1:
+    if d == 1:  # every split tests column 0: fetch the values once
         x = np.tile(X[:, 0], roots.shape[0])
     else:
         flat = X.ravel()

@@ -169,15 +169,16 @@ def reference_offset(tr: OffsetTracker) -> tuple[float, str]:
 
 class TestVectorisedSelection:
     @given(
-        st.integers(min_value=1, max_value=150),
+        st.integers(min_value=1, max_value=320),
+        st.sampled_from([16, 128, 300]),
         st.sampled_from([(1.0, 2.0), (1.0,), (0.5, 1.0, 3.0)]),
         st.sampled_from([1.0, 0.5, 0.1]),
         st.integers(min_value=0, max_value=10_000),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_per_candidate_loop(self, n, scales, ttf, seed):
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_candidate_loop(self, n, window, scales, ttf, seed):
         rng = np.random.default_rng(seed)
-        tr = OffsetTracker("dynamic", time_to_failure=ttf, window=64, scales=scales)
+        tr = OffsetTracker("dynamic", time_to_failure=ttf, window=window, scales=scales)
         for _ in range(n):
             # Integer-valued histories produce tied candidate offsets and
             # tied wastages; the first minimum must still win.

@@ -143,14 +143,15 @@ def reference_partial_fit(m, X, y, steps):
 class TestFlatParameterBuffer:
     @pytest.mark.parametrize("activation", ["relu", "tanh", "logistic", "identity"])
     @pytest.mark.parametrize("hidden", [(16,), (8, 4)])
-    def test_adam_matches_per_layer_reference_bit_for_bit(self, activation, hidden):
-        X, y = make_quadratic(n=48, seed=2)
+    @pytest.mark.parametrize("n", [20, 300])  # 300 > numpy's pairwise-sum block
+    def test_adam_matches_per_layer_reference_bit_for_bit(self, activation, hidden, n):
+        X, y = make_quadratic(n=n + 28, seed=2)
         m = MLPRegressor(
             hidden_layer_sizes=hidden, activation=activation, alpha=1e-3,
             partial_fit_steps=5, random_state=3,
         ).partial_fit(X, y)
-        coefs, intercepts = reference_partial_fit(m, X[:20], y[:20], steps=5)
-        m.partial_fit(X[:20], y[:20])
+        coefs, intercepts = reference_partial_fit(m, X[:n], y[:n], steps=5)
+        m.partial_fit(X[:n], y[:n])
         for got, want in zip(m.coefs_ + m.intercepts_, coefs + intercepts):
             assert np.array_equal(got, want)
 
