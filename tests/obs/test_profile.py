@@ -8,6 +8,7 @@ re-run with ``profile=True``), and pairwise profile-off vs profile-on
 across the structurally different kernel modes.
 """
 
+import importlib.util
 import json
 import pickle
 from pathlib import Path
@@ -189,6 +190,38 @@ MODES = {
     ),
 }
 
+#: Lap count per phase, plus popped events, of one profiled run per
+#: mode.  Laps follow control flow, not the clock, so these repeat
+#: exactly from run to run; a lap dropped from the loop, or moved to a
+#: statement that runs a different number of times, changes them.
+LAP_COUNTS = {
+    "dag": dict(
+        n_events=260, seed=1, heap=260, wave=260, arrival=3, size=11,
+        place=492, dispatch=514, success=249, kill=8, collect=517,
+        finalize=1,
+    ),
+    "dag-firstfit": dict(
+        n_events=260, seed=1, heap=260, wave=260, arrival=3, size=11,
+        place=492, dispatch=514, success=249, kill=8, collect=517,
+        finalize=1,
+    ),
+    "flat-firstfit": dict(
+        n_events=188, seed=1, heap=188, wave=188, arrival=83, size=28,
+        place=274, dispatch=210, success=83, kill=22, collect=293,
+        finalize=1,
+    ),
+    "flat-kills": dict(
+        n_events=187, seed=1, heap=187, wave=187, arrival=83, size=16,
+        place=287, dispatch=208, success=83, kill=21, collect=291,
+        finalize=1,
+    ),
+    "flat-outage": dict(
+        n_events=180, seed=1, heap=180, wave=180, arrival=83, size=32,
+        place=238, dispatch=190, success=83, kill=11, outage=2,
+        collect=272, finalize=1,
+    ),
+}
+
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_profiling_is_bit_for_bit_invisible(mode, tmp_path):
@@ -211,26 +244,28 @@ def test_profiling_is_bit_for_bit_invisible(mode, tmp_path):
     # And never exceed it (beyond float noise).
     assert profile.total_phase_seconds <= profile.wall_seconds * 1.001
     assert set(profile.phases) <= set(PHASE_ORDER)
+    calls = {name: stat.calls for name, stat in profile.phases.items()}
+    assert dict(calls, n_events=profile.n_events) == LAP_COUNTS[mode]
 
 
-@pytest.mark.parametrize(
-    "name", ["flat_event_pr2", "dag_engine_pr3", "dag_engine_linear"]
-)
-def test_profiling_preserves_committed_goldens(name):
-    """Profile-on runs must reproduce the committed golden outputs."""
-    import importlib.util
-
-    golden_module = (
-        Path(__file__).resolve().parent.parent
-        / "sim"
-        / "test_golden_regression.py"
-    )
+def _golden_scenarios() -> dict:
+    """The engine-regression suite's scenarios (its module is not a package)."""
+    path = GOLDEN_DIR.parent / "sim" / "test_golden_regression.py"
     module_spec = importlib.util.spec_from_file_location(
-        "golden_scenarios", golden_module
+        "golden_scenarios", path
     )
     mod = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(mod)
-    spec = mod.SCENARIOS[name]
+    return mod.SCENARIOS
+
+
+GOLDEN_SCENARIOS = _golden_scenarios()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+def test_profiling_preserves_committed_goldens(name):
+    """Profile-on runs must reproduce the committed golden outputs."""
+    spec = GOLDEN_SCENARIOS[name]
     trace = build_workflow_trace(
         spec["workflow"], seed=spec["trace_seed"], scale=spec["scale"]
     )
@@ -246,14 +281,15 @@ def test_profiling_preserves_committed_goldens(name):
 
 
 def test_kill_and_outage_phases_are_charged():
+    """A run with kills and a drain charges every phase, kill and outage too."""
     spec = MODES["flat-outage"]
     kwargs = dict(spec)
     kwargs["sim_kwargs"] = dict(spec["sim_kwargs"], profile=True)
     result = _run(**kwargs)
-    profile = result.profile
-    assert profile.phases["kill"].calls > 0
-    assert profile.phases["outage"].calls > 0
-    assert profile.phases["success"].calls > 0
+    charged = [
+        name for name, stat in result.profile.sorted_phases() if stat.calls
+    ]
+    assert charged == list(PHASE_ORDER)
 
 
 def test_sharded_profiles_merge():
