@@ -104,8 +104,9 @@ def test_bench_kernel_profiler_overhead(trace, once, bench_metric, bench_headlin
 
     The headline pair (``kernel_flat_events_per_sec`` vs
     ``kernel_flat_profiled_events_per_sec``) bounds the cost of the
-    mirrored instrumented loop; the phase totals must still tile the
-    instrumented wall time.
+    laps, which run in the kernel's one event loop only when a timer
+    is passed; the phase totals must still tile the instrumented wall
+    time.
     """
     backend = EventDrivenBackend(
         arrival="poisson:50", seed=SEED, profile=True

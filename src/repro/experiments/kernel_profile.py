@@ -7,8 +7,8 @@ those phases shifts with the mode.  This cell runs one workload through
 a small grid of kernel configurations with the phase profiler enabled
 (:class:`~repro.obs.profile.KernelProfile`) and reports, per
 configuration, the per-phase wall-time shares and the events/sec
-throughput — the numbers that justify the zero-overhead-when-off design
-and tell future optimization work which phase to attack first.
+throughput — the numbers that tell future optimization work which
+phase to attack first.
 
 The grid deliberately spans the three structurally different loops:
 

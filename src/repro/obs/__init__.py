@@ -1,6 +1,6 @@
 """Observability: kernel phase profiling, trace export, logs, metrics.
 
-The ``repro.obs`` package is the always-available, zero-overhead-when-off
+The ``repro.obs`` package is the always-available, off-by-default
 observability layer spanning the simulation kernel, the serve subsystem,
 and the CLI:
 
@@ -10,8 +10,10 @@ and the CLI:
   wall-time / call-count counters into a
   :class:`~repro.obs.profile.KernelProfile` attached to
   :class:`~repro.sim.results.SimulationResult` (and merged across
-  shards).  Enable with ``profile=True`` on the kernel / backend /
-  ``OnlineSimulator`` or via ``repro profile`` on the CLI.
+  shards).  Its laps sit in the kernel's one event loop, each behind an
+  ``is not None`` check on the timer, so a run with profiling off never
+  reads the clock.  Enable with ``profile=True`` on the kernel /
+  backend / ``OnlineSimulator`` or via ``repro profile`` on the CLI.
 - :mod:`repro.obs.trace` — a composable
   :class:`~repro.obs.trace.TraceCollector` emitting Chrome
   ``trace_event`` JSON (load it in ``about:tracing`` or

@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.cluster.manager import ResourceManager
 from repro.cluster.policies import PlacementPolicy
 from repro.sim.backends import SimulatorBackend, resolve_backend
-from repro.sim.backends.base import MAX_ATTEMPTS as _MAX_ATTEMPTS  # noqa: F401
 from repro.sim.interface import MemoryPredictor
 from repro.sim.results import SimulationResult
 from repro.workflow.task import WorkflowTrace

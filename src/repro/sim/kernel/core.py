@@ -216,8 +216,8 @@ class SimulationKernel:
         counters (:class:`~repro.obs.profile.KernelProfile`) attached to
         the result as ``result.profile``.  Measurement only — results
         are bit-for-bit identical with profiling on or off.  When off
-        (the default) the instrumented loop is never entered, so the
-        hot path pays nothing.
+        (the default) the loop skips every lap on an ``is not None``
+        check, so the hot path never reads the clock.
     """
 
     def __init__(
@@ -329,15 +329,6 @@ class SimulationKernel:
         #: task_id -> state, insertion-ordered (= dispatch order).
         self._running: dict[int, TaskState] = {}
 
-    @property
-    def trace(self) -> WorkflowTrace:
-        """The workload's materialized trace (back-compat accessor).
-
-        Prefer :attr:`source` — accessing ``trace`` forces a streaming
-        source to materialize.
-        """
-        return self.source.trace()
-
     # ------------------------------------------------------------------
     # the event loop
     # ------------------------------------------------------------------
@@ -363,8 +354,8 @@ class SimulationKernel:
         # statistics.  Likewise a stock event-wave subscriber gets its
         # makespan from one write-back instead of a call per wave.
         # Other subscribers on the same seams (workflow metrics, trace
-        # collectors) still receive the generic fan-out — the loops
-        # build their call tuples with the fast-pathed collector
+        # collectors) still receive the generic fan-out — the loop
+        # builds its call tuples with the fast-pathed collector
         # filtered out, and collectors never read each other's state,
         # so the relative order is immaterial.
         dc = self._dispatch_collectors
@@ -387,10 +378,9 @@ class SimulationKernel:
         self._makespan_fast = mcands[0] if len(mcands) == 1 else None
         timer = self._timer
         if timer is None:
-            # Fast path: profiling off — no timer reads anywhere.
             if not self._started:
                 self._start()
-            if not self._loop(until):
+            if not self._loop(until, None):
                 return None
             return self._finalize()
         timer.start()
@@ -398,7 +388,7 @@ class SimulationKernel:
             if not self._started:
                 self._start()
                 timer.lap("seed")
-            if not self._loop_profiled(until, timer):
+            if not self._loop(until, timer):
                 return None
             result = self._finalize()
             timer.lap("finalize")
@@ -432,7 +422,7 @@ class SimulationKernel:
             collector.on_run_start(self.manager)
         self._started = True
 
-    def _loop(self, until: float | None = None) -> bool:
+    def _loop(self, until: float | None, timer: PhaseTimer | None) -> bool:
         """Process event waves; False when paused by ``until``.
 
         This is the kernel's hottest code: the
@@ -442,12 +432,10 @@ class SimulationKernel:
         ``finally``), the dynamic lane as a raw heap list (``heap[0]``
         peek, ``heappop``) — so scheduled arrivals never pay a heap
         sift.  All events sharing the current timestamp are consumed as
-        one wave; the success/kill branch of the old ``_complete`` is
-        inlined, per-event collector callbacks are coalesced into one
+        one wave: completions are handled inline, collectors get one
         batched ``on_events`` call per wave (stale completions and
-        outage transitions are excluded from the count, exactly as they
-        were excluded from the per-event fan-out), completion outcomes
-        are handed to ``on_wave`` subscribers once per wave (the list is
+        outage transitions are not counted), completion outcomes are
+        handed to ``on_wave`` subscribers once per wave (the list is
         only built when someone subscribes), and the whole dispatch
         pass — sizing wave, placement, the bookkeeping of
         :meth:`Machine.allocate` (same capacity guard, same error),
@@ -457,10 +445,36 @@ class SimulationKernel:
         heap, schedule mirrors, ready-queue ``order`` list,
         ``_drained``, ``_running``) is identity-stable for the whole
         run — mutated in place, never rebound — and the scheduled lane
-        is never extended while the loop runs.  Any change here must be
-        mirrored in :meth:`_loop_profiled` — the golden and twin-parity
-        tests pin the two loops bit-for-bit against each other.
+        is never extended while the loop runs.
+
+        ``timer`` is the run's :class:`~repro.obs.profile.PhaseTimer`,
+        or ``None`` when profiling is off.  Every ``timer.lap(phase)``
+        sits behind ``if timer is not None:`` and only reads the clock,
+        so results are bit-for-bit the same either way (pinned by the
+        golden profiler tests, which also pin each phase's lap count).
+        A lap charges the interval since the previous one, so phase
+        totals tile the loop's wall time:
+
+        - ``heap``     — per-wave clock advance and loop control;
+        - ``wave``     — per-event two-lane merge and pop (the profile's
+          ``n_events`` counts these pops, the BENCH events/sec
+          denominator);
+        - ``arrival``  — driver arrival handling (incl. on_ready);
+        - ``success``  — completion within limit: release, ledger,
+          ``predictor.observe``, successor release;
+        - ``kill``     — limit exceeded: release, ledger, observe,
+          re-size with escalation floor, requeue;
+        - ``outage``   — drain open/close incl. preemptions;
+        - ``collect``  — per-wave batched and per-dispatch collector
+          fan-out;
+        - ``size``     — ``predict_batch`` sizing waves;
+        - ``place``    — placement scans;
+        - ``dispatch`` — allocation bookkeeping + completion push.
+
+        A stale completion takes no lap; its time goes to the next one.
+        :meth:`run` charges ``seed`` and ``finalize`` around the loop.
         """
+        profile = self.profile
         events = self.events
         heap = events._heap
         s_times = events._mtimes
@@ -564,6 +578,8 @@ class SimulationKernel:
             if until is not None and now > until:
                 return False
             self.now = now
+            if timer is not None:
+                timer.lap("heap")
             handled = 0
             while True:
                 # Next event at ``now``, merging lanes on (time, kind,
@@ -602,6 +618,9 @@ class SimulationKernel:
                     _, kind, _, payload = heappop(heap)
                 else:
                     break
+                if timer is not None:
+                    profile.n_events += 1
+                    timer.lap("wave")
                 if kind == COMPLETION:
                     state, gen = payload
                     run = state.running
@@ -656,12 +675,16 @@ class SimulationKernel:
                             outcomes_append(
                                 (state, True, allocated, occupied)
                             )
+                        if timer is not None:
+                            timer.lap("success")
                     else:
                         freed = kill(state, now)
                         if wave_calls:
                             outcomes_append(
                                 (state, False, freed[0], freed[1])
                             )
+                        if timer is not None:
+                            timer.lap("kill")
                 elif kind == ARRIVAL:
                     if inline_arrival and payload is None:
                         # Inlined FlatStreamDriver.on_arrival: pop the
@@ -683,12 +706,16 @@ class SimulationKernel:
                             state.queued_at = now
                             for call in ready_calls:
                                 call(state, now)
-                elif kind == OUTAGE_END:
-                    self._end_outage(payload, now)
+                    if timer is not None:
+                        timer.lap("arrival")
+                else:
+                    if kind == OUTAGE_END:
+                        self._end_outage(payload, now)
+                    else:  # OUTAGE_START
+                        self._start_outage(payload, now)
+                    if timer is not None:
+                        timer.lap("outage")
                     continue  # drains don't extend the measured makespan
-                else:  # OUTAGE_START
-                    self._start_outage(payload, now)
-                    continue
                 handled += 1
             if handled:
                 if mf is not None:
@@ -702,6 +729,8 @@ class SimulationKernel:
                     for call in wave_calls:
                         call(now, handled, outcomes)
                     del outcomes[:]
+                if timer is not None:
+                    timer.lap("collect")
             # Dispatch pass: size, place, and start queued heads FCFS.
             while qorder:
                 head = qorder[0][-1]
@@ -730,6 +759,8 @@ class SimulationKernel:
                         st.allocation = alloc
                         st.first_allocation = alloc
                     allocation = head.allocation
+                    if timer is not None:
+                        timer.lap("size")
                 if drained:
                     node = try_place(allocation, exclude=drained.keys())
                 elif inline_place:
@@ -759,6 +790,8 @@ class SimulationKernel:
                             manager._fail_exclude = empty_exclude
                 else:
                     node = try_place(allocation)
+                if timer is not None:
+                    timer.lap("place")
                 if node is None:
                     # Strict FCFS: the head blocks until memory frees up.
                     break
@@ -790,6 +823,8 @@ class SimulationKernel:
                 head.running = (node, task_id, allocation, now)
                 running[task_id] = head
                 wait = now - head.queued_at
+                if timer is not None:
+                    timer.lap("dispatch")
                 if cf is not None:
                     cf_timelines[node.node_id].append(
                         (now, node.allocated_mb)
@@ -797,6 +832,8 @@ class SimulationKernel:
                     cf_waits_append(wait)
                 for call in dispatch_calls:
                     call(head, now, node, wait)
+                if timer is not None:
+                    timer.lap("collect")
                 inst = head.inst
                 duration = (
                     inst.runtime_hours
@@ -806,391 +843,8 @@ class SimulationKernel:
                 seq = events._seq
                 events._seq = seq + 1
                 heappush(heap, (now + duration, COMPLETION, seq, (head, gen)))
-        finally:
-            # Pause, normal exit, or error: the calendar must agree with
-            # the local cursor before anyone can observe it, and the
-            # fast-path makespan must land on its collector.
-            events._cursor = cursor
-            if mf is not None and makespan > mf._makespan:
-                mf._makespan = makespan
-        return True
-
-    def _loop_profiled(self, until: float | None, timer: PhaseTimer) -> bool:
-        """The event loop with the :class:`PhaseTimer` seam threaded in.
-
-        A straight mirror of :meth:`_loop` — the
-        control flow and the order of every side effect are identical,
-        only ``timer.lap(...)`` calls are interleaved, so results stay
-        bit-for-bit the same (pinned by the golden profiler tests) and
-        the un-instrumented fast path keeps paying nothing.  Each lap
-        charges the interval since the previous one, so phase totals
-        tile the loop's wall time:
-
-        - ``heap``     — per-wave clock advance and loop control;
-        - ``wave``     — per-event two-lane merge and pop (the event
-          calendar's wave extraction);
-        - ``arrival``  — driver arrival handling (incl. on_ready);
-        - ``success``  — completion within limit: release, ledger,
-          ``predictor.observe``, successor release;
-        - ``kill``     — limit exceeded: release, ledger, observe,
-          re-size with escalation floor, requeue;
-        - ``outage``   — drain open/close incl. preemptions;
-        - ``collect``  — per-wave batched and per-dispatch collector
-          fan-out;
-        - ``size``     — ``predict_batch`` sizing waves;
-        - ``place``    — placement scans;
-        - ``dispatch`` — allocation bookkeeping + completion push.
-
-        (The profile's ``n_events`` counts popped events, same as the
-        BENCH events/sec denominator.)
-        """
-        profile = self.profile
-        assert profile is not None
-        events = self.events
-        heap = events._heap
-        s_times = events._mtimes
-        s_kinds = events._mkinds
-        s_seqs = events._mseqs
-        s_payloads = events._spayloads
-        has_payloads = s_payloads is not None
-        s_n = events._n_scheduled
-        cursor = events._cursor
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        driver = self.driver
-        on_arrival = driver.on_arrival
-        on_success = driver.on_success
-        # Bound-method tuples: the per-call attribute lookup inside the
-        # collector fan-out loops was measurable at bench scale.
-        ready_calls = tuple(c.on_ready for c in self._ready_collectors)
-        # Stock-collector fast paths: when the stock collector sits on
-        # a seam in deferred/exact mode, skip its bound-method call and
-        # produce its effect directly — the wastage collector gets the
-        # identical pending row; the cluster collector (the
-        # ``run()``-issued ``_cluster_fast``/``_makespan_fast``
-        # certificates) gets its timeline entries, queue waits, busy
-        # integrals, and makespan written straight into its containers.
-        # The call tuples below are built with the fast-pathed
-        # collector filtered out, so any co-subscribers (workflow
-        # metrics, trace collectors) still receive the generic fan-out.
-        cf = self._cluster_fast
-        if cf is not None:
-            cf_timelines = cf._timelines
-            cf_waits_append = cf._queue_waits.append
-            cf_busy = cf._busy_mbh
-        mf = self._makespan_fast
-        makespan = mf._makespan if mf is not None else 0.0
-        event_calls = tuple(
-            c.on_events for c in self._event_collectors if c is not mf
-        )
-        dispatch_calls = tuple(
-            c.on_dispatch
-            for c in self._dispatch_collectors
-            if c is not cf
-        )
-        release_calls = tuple(
-            c.on_release
-            for c in self._release_collectors
-            if c is not cf
-        )
-        success_calls = tuple(
-            c.on_task_success for c in self._success_collectors
-        )
-        wave_calls = tuple(c.on_wave for c in self._wave_collectors)
-        sc = self._success_collectors
-        wastage_pending = (
-            sc[0]._pending.append
-            if len(sc) == 1
-            and type(sc[0]) is WastageCollector
-            and sc[0]._deferred
-            else None
-        )
-        # Stock flat driver with no on_ready subscribers: scheduled-lane
-        # arrivals inline the block pop + ready-queue push (the
-        # ``inline_arrival`` contract on the driver class).
-        inline_arrival = (
-            getattr(type(driver), "inline_arrival", False)
-            and not ready_calls
-        )
-        outcomes: list = []
-        outcomes_append = outcomes.append
-        observe = self._observe
-        driver_releases = self._driver_releases
-        queue = driver.queue
-        qorder = queue.order
-        take_unsized = queue.unsized
-        unsized_append = queue._unsized.append if inline_arrival else None
-        manager = self.manager
-        try_place = manager.try_place
-        cap = manager._max_allocation_mb
-        nodes = manager.nodes
-        inline_place = type(manager.placement) is FirstFit
-        empty_exclude = frozenset()
-        drained = self._drained
-        running = self._running
-        time_to_failure = self.time_to_failure
-        predictor = self.predictor
-        predict_batch = predictor.predict_batch
-        prediction_chunk = self.prediction_chunk
-        kill = self._kill
-        try:
-          while True:
-            # Wave clock: the earlier head of the two lanes.
-            if cursor < s_n:
-                now = s_times[cursor]
-                if heap:
-                    ht = heap[0][0]
-                    if ht < now:
-                        now = ht
-            elif heap:
-                now = heap[0][0]
-            else:
-                break
-            if until is not None and now > until:
-                return False
-            self.now = now
-            timer.lap("heap")
-            handled = 0
-            while True:
-                # Next event at ``now``, merging lanes on (time, kind,
-                # seq); break once the wave is drained.
-                if cursor < s_n and s_times[cursor] == now:
-                    if heap:
-                        h0 = heap[0]
-                        if h0[0] == now:
-                            hk = h0[1]
-                            sk = s_kinds[cursor]
-                            if hk < sk or (
-                                hk == sk and h0[2] < s_seqs[cursor]
-                            ):
-                                _, kind, _, payload = heappop(heap)
-                            else:
-                                kind = sk
-                                payload = (
-                                    s_payloads[cursor]
-                                    if has_payloads
-                                    else None
-                                )
-                                cursor += 1
-                        else:
-                            kind = s_kinds[cursor]
-                            payload = (
-                                s_payloads[cursor] if has_payloads else None
-                            )
-                            cursor += 1
-                    else:
-                        kind = s_kinds[cursor]
-                        payload = (
-                            s_payloads[cursor] if has_payloads else None
-                        )
-                        cursor += 1
-                elif heap and heap[0][0] == now:
-                    _, kind, _, payload = heappop(heap)
-                else:
-                    break
-                profile.n_events += 1
-                timer.lap("wave")
-                if kind == COMPLETION:
-                    state, gen = payload
-                    run = state.running
-                    if gen != state.dispatch_gen or run is None:
-                        continue  # stale; charged to the next wave lap
-                    inst = state.inst
-                    if run[2] >= inst.peak_memory_mb:
-                        node, task_id, allocated, start = run
-                        state.running = None
-                        del node.running[task_id]
-                        node.allocated_mb -= allocated
-                        del running[task_id]
-                        manager.generation += 1
-                        occupied = now - start
-                        if cf is not None:
-                            cf_timelines[node.node_id].append(
-                                (now, node.allocated_mb)
-                            )
-                            cf_busy[node.node_id] += allocated * occupied
-                        for call in release_calls:
-                            call(state, now, node, allocated, occupied)
-                        if wastage_pending is not None:
-                            wastage_pending((state, now, allocated))
-                        else:
-                            for call in success_calls:
-                                call(state, now, allocated)
-                        if observe:
-                            predictor.observe(
-                                TaskRecord(
-                                    task_type=inst.task_type.name,
-                                    workflow=inst.task_type.workflow,
-                                    machine=inst.machine,
-                                    timestamp=state.index,
-                                    input_size_mb=inst.input_size_mb,
-                                    peak_memory_mb=inst.peak_memory_mb,
-                                    runtime_hours=inst.runtime_hours,
-                                    success=True,
-                                    attempt=state.attempt,
-                                    allocated_mb=allocated,
-                                    instance_id=inst.instance_id,
-                                )
-                            )
-                        if driver_releases:
-                            for released in on_success(state, now):
-                                released.queued_at = now
-                                for call in ready_calls:
-                                    call(released, now)
-                        if wave_calls:
-                            outcomes_append(
-                                (state, True, allocated, occupied)
-                            )
-                        timer.lap("success")
-                    else:
-                        freed = kill(state, now)
-                        if wave_calls:
-                            outcomes_append(
-                                (state, False, freed[0], freed[1])
-                            )
-                        timer.lap("kill")
-                elif kind == ARRIVAL:
-                    if inline_arrival and payload is None:
-                        block = driver._block
-                        if not block:
-                            driver._refill()
-                            block = driver._block
-                        if block:
-                            state = block.pop()
-                            state.arrival = now
-                            state.queued_at = now
-                            heappush(qorder, (state.index, state))
-                            unsized_append(state)
-                    else:
-                        for state in on_arrival(payload, now):
-                            state.queued_at = now
-                            for call in ready_calls:
-                                call(state, now)
-                    timer.lap("arrival")
-                elif kind == OUTAGE_END:
-                    self._end_outage(payload, now)
-                    timer.lap("outage")
-                    continue
-                else:  # OUTAGE_START
-                    self._start_outage(payload, now)
-                    timer.lap("outage")
-                    continue
-                handled += 1
-            if handled:
-                if mf is not None:
-                    # Wave times are non-decreasing, so the makespan is
-                    # just the last counted wave's clock — assigned
-                    # here, written back once in the ``finally``.
-                    makespan = now
-                for call in event_calls:
-                    call(now, handled)
-                if wave_calls:
-                    for call in wave_calls:
-                        call(now, handled, outcomes)
-                    del outcomes[:]
-                timer.lap("collect")
-            while qorder:
-                head = qorder[0][-1]
-                allocation = head.allocation
-                if allocation is None:
-                    states = take_unsized(prediction_chunk)
-                    allocations = predict_batch(
-                        [st.submission for st in states]
-                    )
-                    for st, alloc in zip(states, allocations):
-                        st_inst = st.inst
-                        if st_inst.peak_memory_mb > cap:
-                            raise UnschedulableTaskError(
-                                task_type=st_inst.task_type.key,
-                                instance_id=st_inst.instance_id,
-                                peak_memory_mb=st_inst.peak_memory_mb,
-                                capacity_mb=cap,
-                            )
-                        alloc = float(alloc)
-                        if alloc < 1.0:
-                            alloc = 1.0
-                        if alloc > cap:
-                            alloc = cap
-                        st.allocation = alloc
-                        st.first_allocation = alloc
-                    allocation = head.allocation
-                    timer.lap("size")
-                if drained:
-                    node = try_place(allocation, exclude=drained.keys())
-                elif inline_place:
-                    # Inlined :meth:`ResourceManager.try_place` for the
-                    # default first-fit policy with no active drains:
-                    # same failure-cache certificate, same scan.
-                    if (
-                        manager._fail_gen == manager.generation
-                        and allocation >= manager._fail_mb
-                        and not manager._fail_exclude
-                    ):
-                        node = None
-                    else:
-                        node = None
-                        for cand in nodes:
-                            if (
-                                allocation
-                                <= cand.config.memory_mb
-                                - cand.allocated_mb
-                                + 1e-9
-                            ):
-                                node = cand
-                                break
-                        if node is None:
-                            manager._fail_gen = manager.generation
-                            manager._fail_mb = allocation
-                            manager._fail_exclude = empty_exclude
-                else:
-                    node = try_place(allocation)
-                timer.lap("place")
-                if node is None:
-                    break
-                heappop(qorder)
-                attempt = head.attempt + 1
-                if attempt > MAX_ATTEMPTS:
-                    raise RuntimeError(
-                        f"task {head.inst.instance_id} "
-                        f"({head.inst.task_type.key}) did not finish within "
-                        f"{MAX_ATTEMPTS} attempts; last allocation "
-                        f"{allocation:.0f} MB, "
-                        f"peak {head.inst.peak_memory_mb:.0f} MB"
-                    )
-                task_id = manager._next_task_id
-                manager._next_task_id = task_id + 1
-                if allocation > node.config.memory_mb - node.allocated_mb + 1e-9:
-                    raise MemoryError(
-                        f"node {node.node_id} ({node.config.name}) cannot fit "
-                        f"{allocation:.0f} MB; free={node.free_mb:.0f} MB"
-                    )
-                node.running[task_id] = allocation
-                node.allocated_mb += allocation
-                head.attempt = attempt
-                gen = head.dispatch_gen + 1
-                head.dispatch_gen = gen
-                head.running = (node, task_id, allocation, now)
-                running[task_id] = head
-                wait = now - head.queued_at
-                timer.lap("dispatch")
-                if cf is not None:
-                    cf_timelines[node.node_id].append(
-                        (now, node.allocated_mb)
-                    )
-                    cf_waits_append(wait)
-                for call in dispatch_calls:
-                    call(head, now, node, wait)
-                timer.lap("collect")
-                inst = head.inst
-                duration = (
-                    inst.runtime_hours
-                    if allocation >= inst.peak_memory_mb
-                    else inst.runtime_hours * time_to_failure
-                )
-                seq = events._seq
-                events._seq = seq + 1
-                heappush(heap, (now + duration, COMPLETION, seq, (head, gen)))
-                timer.lap("dispatch")
+                if timer is not None:
+                    timer.lap("dispatch")
         finally:
             # Pause, normal exit, or error: the calendar must agree with
             # the local cursor before anyone can observe it, and the
@@ -1264,21 +918,7 @@ class SimulationKernel:
     def _kill(self, state: TaskState, now: float) -> tuple[float, float]:
         """Kill an over-limit attempt; returns (allocated mb, occupied h)."""
         inst = state.inst
-        # Inlined :meth:`_release` (one call per kill).
-        node, task_id, allocated, start = state.running
-        state.running = None
-        del node.running[task_id]
-        node.allocated_mb -= allocated
-        del self._running[task_id]
-        self.manager.generation += 1
-        occupied = now - start
-        cf = self._cluster_fast
-        if cf is not None:
-            cf._timelines[node.node_id].append((now, node.allocated_mb))
-            cf._busy_mbh[node.node_id] += allocated * occupied
-        for collector in self._release_collectors:
-            if collector is not cf:
-                collector.on_release(state, now, node, allocated, occupied)
+        allocated, occupied = self._release(state, now)
         for collector in self._failure_collectors:
             collector.on_task_failure(state, now, allocated, occupied)
         # The failure record's "peak" is the exceeded limit — a lower

@@ -151,7 +151,7 @@ def _run(workflow_kwargs, backend_kwargs, sim_kwargs, method="Witt-Percentile"):
 #: The ``*-firstfit`` variants run the default first-fit policy with no
 #: drains — the branch the kernel inlines (placement-failure cache and
 #: all) instead of calling ``ResourceManager.try_place``, so the
-#: pairwise profiled-twin pin covers both placement code paths.
+#: pairwise profile-off vs profile-on pin covers both placement paths.
 MODES = {
     "flat-kills": dict(
         workflow_kwargs=dict(name="iwd", seed=3, scale=0.05),
