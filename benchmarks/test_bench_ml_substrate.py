@@ -66,6 +66,26 @@ def test_bench_forest_fit(benchmark, data):
     assert len(model.estimators_) == 20
 
 
+def test_bench_forest_refit_window(benchmark, data):
+    # Sizey's incremental refit: 20 trees on the pool's 64-point window.
+    X, y = data
+    model = benchmark(
+        lambda: RandomForestRegressor(n_estimators=20, random_state=0).fit(
+            X[-64:], y[-64:]
+        )
+    )
+    assert len(model.estimators_) == 20
+
+
+def test_bench_forest_one_row_fit(benchmark, data):
+    # A pool's first fit, on its first observation.
+    X, y = data
+    model = benchmark(
+        lambda: RandomForestRegressor(n_estimators=20, random_state=0).fit(X[:1], y[:1])
+    )
+    assert all(tree.n_leaves_ == 1 for tree in model.estimators_)
+
+
 def test_bench_mlp_partial_fit(benchmark, data):
     X, y = data
     scaled_X = (X - X.mean()) / X.std()

@@ -126,7 +126,10 @@ class KNNSlot(ModelSlot):
                 KNeighborsRegressor(), self.PARAM_GRID, cv=3
             ).fit(X, y)
             self._best_params = search.best_params_
-        self._model = KNeighborsRegressor(**self._best_params).fit(X, y)
+            # The search refit its winner on all of X already.
+            self._model = search.best_estimator_
+        else:
+            self._model = KNeighborsRegressor(**self._best_params).fit(X, y)
         self.fitted = True
 
     def update_incremental(self, x_new, y_new, X_window, y_window, n_seen) -> None:
@@ -271,23 +274,21 @@ class RandomForestSlot(ModelSlot):
         self._best_params: dict = {"max_depth": None}
         self._model: RandomForestRegressor | None = None
 
-    def _new_model(self, **overrides) -> RandomForestRegressor:
-        params = {**self._best_params, **overrides}
+    def _new_model(self) -> RandomForestRegressor:
         return RandomForestRegressor(
             n_estimators=self.n_estimators,
             random_state=self.random_state,
-            **params,
+            **self._best_params,
         )
 
     def train_full(self, X: np.ndarray, y: np.ndarray, do_hpo: bool) -> None:
         if do_hpo and X.shape[0] >= 8:
-            search = GridSearchCV(
-                self._new_model(n_jobs=1), self.PARAM_GRID, cv=2
-            ).fit(X, y)
-            self._best_params = {
-                k: v for k, v in search.best_params_.items() if k in self.PARAM_GRID
-            }
-        self._model = self._new_model().fit(X, y)
+            search = GridSearchCV(self._new_model(), self.PARAM_GRID, cv=2).fit(X, y)
+            self._best_params = search.best_params_
+            # The search refit its winner on all of X already.
+            self._model = search.best_estimator_
+        else:
+            self._model = self._new_model().fit(X, y)
         self.fitted = True
 
     def update_incremental(self, x_new, y_new, X_window, y_window, n_seen) -> None:

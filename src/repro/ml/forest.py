@@ -1,14 +1,17 @@
-"""Random forest regression: bagged CART trees with feature subsampling.
+"""Random forest regression: bagged CART trees.
 
-One of Sizey's four model classes.  The forest averages bootstrap-trained
-trees; per-tree feature subsampling (``max_features="sqrt"`` by default
-here, matching the regression convention of 1.0 in sklearn being common
-too — we expose it) decorrelates the ensemble.
+One of Sizey's four model classes.  The forest averages trees grown on
+bootstrap samples of the training set.  ``max_features`` defaults to
+1.0 (every feature at every split, the usual choice for regression);
+below that, per-node feature subsampling further decorrelates the
+trees.  Sizey's pools use the default, on a single feature.
 
-Trees are independent, so fitting can optionally fan out over a thread
-pool: each tree's hot loops are NumPy reductions that release the GIL,
-mirroring the paper's "trains a set of diverse machine learning models in
-parallel".
+``fit`` draws every tree's bootstrap sample first, then grows all trees
+together, one depth level at a time (:func:`repro.ml.tree._grow_trees`).
+The trees are bit-for-bit those that growing each tree on its own would
+give.  With ``max_features`` below 1.0, each tree draws the features of
+its nodes in level order, so such forests are deterministic per seed
+but differ from depth-first growth.
 
 After fitting, the trees' node arrays are concatenated into one node
 table, so ``predict`` walks every (tree, row) pair down together — one
@@ -17,8 +20,6 @@ trees one by one.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,7 +31,12 @@ from repro.ml.base import (
     check_random_state,
     check_X_y,
 )
-from repro.ml.tree import DecisionTreeRegressor, _descend, _descent_table
+from repro.ml.tree import (
+    DecisionTreeRegressor,
+    _descend,
+    _descent_table,
+    _grow_trees,
+)
 
 __all__ = ["RandomForestRegressor"]
 
@@ -51,8 +57,6 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
     oob_score:
         When true (and bootstrapping), compute the out-of-bag R^2 after
         fitting, stored as ``oob_score_``.
-    n_jobs:
-        Thread-pool width for fitting; ``1`` fits serially.
     random_state:
         Seed for bootstrap and per-tree feature sampling.
     """
@@ -66,7 +70,6 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
         max_features: int | float | str | None = 1.0,
         bootstrap: bool = True,
         oob_score: bool = False,
-        n_jobs: int = 1,
         random_state: int | None = 0,
     ) -> None:
         self.n_estimators = n_estimators
@@ -76,7 +79,6 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.oob_score = oob_score
-        self.n_jobs = n_jobs
         self.random_state = random_state
 
     def fit(self, X, y) -> "RandomForestRegressor":
@@ -104,39 +106,21 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
             )
             for seed in seeds
         ]
-        # The trees share their hyper-parameters and the validated X and
-        # y, so both are checked once here rather than once per tree.
+        # The trees share their hyper-parameters, so one check covers them.
         trees[0]._check_params()
-
-        def fit_one(s: int) -> DecisionTreeRegressor:
-            idx = sample_sets[s]
-            return trees[s]._grow(X[idx], y[idx])
-
-        if self.n_jobs == 1 or self.n_estimators == 1:
-            self.estimators_ = [fit_one(s) for s in range(self.n_estimators)]
-        else:
-            with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
-                self.estimators_ = list(pool.map(fit_one, range(self.n_estimators)))
-
+        sizes, feature, threshold, left, value = _grow_trees(trees, X, y, sample_sets)
+        self.estimators_ = trees
         self.n_features_in_ = X.shape[1]
-        self._build_node_table()
+        # One descent table for all trees (see ``predict``).
+        self._roots = np.cumsum(sizes) - sizes
+        self._child, self._feature, self._threshold = _descent_table(
+            feature, threshold, left, np.repeat(self._roots, sizes)
+        )
+        self._value = value
+        self._depth = max(tree._depth for tree in trees)
         if self.oob_score and self.bootstrap:
             self._compute_oob(X, y, sample_sets)
         return self
-
-    def _build_node_table(self) -> None:
-        """Concatenate the trees into one descent table (see ``predict``)."""
-        trees = self.estimators_
-        sizes = [tree.value_.shape[0] for tree in trees]
-        self._roots = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
-        self._child, self._feature, self._threshold = _descent_table(
-            np.concatenate([tree.feature_ for tree in trees]),
-            np.concatenate([tree.threshold_ for tree in trees]),
-            np.concatenate([tree.left_ for tree in trees]),
-            np.repeat(self._roots, sizes),
-        )
-        self._value = np.concatenate([tree.value_ for tree in trees])
-        self._depth = max(tree.depth_ for tree in trees)
 
     def _compute_oob(
         self, X: np.ndarray, y: np.ndarray, sample_sets: list[np.ndarray]

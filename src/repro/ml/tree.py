@@ -5,11 +5,41 @@ one of Sizey's four model classes ("makes our method more resistant to
 overfitting, especially when there are not many historical task
 executions", paper §II-B).
 
-The implementation is a standard variance-reduction CART grower.  Split
-search is fully vectorised per (node, feature): candidate thresholds are
-midpoints between consecutive sorted unique values, and the sum of child
-variances is computed with cumulative sums in O(n) per feature, no Python
-inner loop — the hot path the HPC guide tells us to vectorise.
+Growing.  :func:`_grow_trees` is a standard variance-reduction CART
+grower that grows a list of trees together, one depth level at a time:
+the random forest passes all of its bootstrap samples, a single tree
+passes one.  Every open node of every tree at a level goes through one
+set of array operations: the all-equal test, a stable per-node sort of
+each candidate feature, a row-wise ``cumsum`` over a padded
+(node, feature) x position matrix, the squared error of every cut (cuts
+between tied values, and cuts that leave fewer than ``min_samples_leaf``
+samples on a side, are masked to ``inf``), the first-minimum cut, its
+midpoint threshold, the strict ``gain > 0`` test, and one stable
+partition of all samples into child pairs.  Rows are padded only to the
+widest node of a group of similar sizes, so padding stays within a small
+multiple of the real samples.
+
+The result is bit-for-bit the one of a recursive, node-by-node grower
+(``tests/ml/test_tree.py`` keeps one as the reference):
+
+- Every elementwise expression keeps its form and evaluation order;
+  features are tried in order, and a later one wins only with a strictly
+  larger gain.  A row's ``cumsum`` is a running sum, so padding after a
+  node's last sample leaves its prefix sums unchanged.
+- Two per-node reductions round in a way that depends on the call: the
+  node total ``ys.sum()`` (numpy's pairwise sum) and ``ys @ ys`` (a BLAS
+  dot).  Both run once per node, as those same calls, on a contiguous
+  run of exactly that node's samples in bootstrap order, which the
+  stable partition preserves.  A segmented reduction (``reduceat``, an
+  ``einsum`` dot) rounds differently and must not replace them.
+- The node's squared error ``total_sq - total**2 / n`` is evaluated on
+  Python floats: their ``**`` (C ``pow``) does not always round like
+  numpy's ``square``.
+
+Child pairs are numbered level by level (breadth-first).  With
+``max_features`` below the number of features, each node's feature draw
+happens in that level order too, so such trees are deterministic per
+seed but not those of a depth-first grower.
 
 A fitted tree is a set of flat node arrays (``feature_``, ``threshold_``,
 ``left_``, ``right_``, ``value_``, ``n_node_samples_``; leaves have
@@ -80,58 +110,245 @@ def _descend(
     return node
 
 
-def _best_split(
+#: Split search counts rows narrower than this as this wide.
+_MIN_WIDTH = 8
+#: Most cells (rows x width) in one padded group.  It bounds the split
+#: search's temporaries: at 4096, a 20-tree fit on 64 rows raised the
+#: process's peak RSS by ~0.7 MB more than at 2048.
+_MAX_CELLS = 2048
+
+
+def _size_groups(n: np.ndarray):
+    """Yield the row selections of the padded groups for row sizes ``n``.
+
+    Widest first, a group takes every row wider than half its widest
+    one (sizes floored at ``_MIN_WIDTH``), so padding stays below the
+    real samples, and no group exceeds ``_MAX_CELLS`` cells.
+    """
+    lo = max(int(n.min()), _MIN_WIDTH)
+    hi = max(int(n.max()), _MIN_WIDTH)
+    if 2 * lo > hi and hi * n.shape[0] <= _MAX_CELLS:  # one group
+        yield slice(None)
+        return
+    order = n.argsort(kind="stable")
+    sizes = np.maximum(n[order], _MIN_WIDTH)
+    b = n.shape[0]
+    while b:
+        width = int(sizes[b - 1])
+        half = int(sizes.searchsorted(width // 2, "right"))
+        a = max(half, b - max(1, _MAX_CELLS // width))
+        yield order[a:b]
+        b = a
+
+
+def _search_splits(
     X: np.ndarray,
     y: np.ndarray,
-    feature_idx: np.ndarray,
+    start: np.ndarray,
+    count: np.ndarray,
+    feats: np.ndarray,
+    total: np.ndarray,
+    total_sq: np.ndarray,
+    parent_sse: np.ndarray,
     min_samples_leaf: int,
-    total_sum: float | None = None,
-) -> tuple[int, float, float]:
-    """Return (feature, threshold, score_gain) of the best split.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best ``(gain, feature, threshold)`` of each node.
 
-    ``score_gain`` is the reduction in total squared error; returns
-    feature == -1 when no valid split exists.  ``total_sum`` is
-    ``y.sum()`` when the caller already has it.
+    Node ``j`` owns rows ``start[j]:start[j] + count[j]`` of ``X``/``y``
+    and tries the features ``feats[j]`` in order.  ``gain`` is the
+    reduction in squared error; the node splits only if it is > 0.
     """
-    n = y.shape[0]
-    total_sq = float(y @ y)
-    if total_sum is None:
-        total_sum = float(y.sum())
-    parent_sse = total_sq - total_sum**2 / n
-    # Cut i separates sorted positions i and i + 1 (left child size
-    # i + 1); min_samples_leaf on both sides bounds the cuts to a slice.
-    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
-    if lo >= hi:
-        return -1, 0.0, 0.0
-    left_n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    right_n = n - left_n
-
-    best_feat, best_thr, best_gain = -1, 0.0, 0.0
-    for f in feature_idx:
-        col = X[:, f]
-        order = col.argsort(kind="stable")
-        xs = col[order]
-        ys = y[order]
-        left_sum = ys.cumsum()[lo:hi]
-        left_sq = (ys * ys).cumsum()[lo:hi]
-        right_sum = total_sum - left_sum
-        right_sq = total_sq - left_sq
+    n_nodes, k = feats.shape
+    if k > 1:  # one row per (node, candidate feature) pair, node-major
+        start, count, total, total_sq, parent_sse = (
+            np.repeat(a, k) for a in (start, count, total, total_sq, parent_sse)
+        )
+    row_f = feats.ravel()
+    gain = np.empty(n_nodes * k)
+    thr = np.empty(n_nodes * k)
+    lo = min_samples_leaf - 1
+    for g in _size_groups(count):
+        n = count[g]
+        width = int(n.max())
+        pos = np.arange(width)
+        real = pos < n[:, None]
+        idx = np.where(real, start[g][:, None] + pos, 0)
+        # Padding sorts after every (finite) value.
+        x = np.where(real, X[idx, row_f[g][:, None]], np.inf)
+        order = x.argsort(axis=1, kind="stable")
+        r = np.arange(n.shape[0])[:, None]
+        xs = x[r, order]
+        ys = y[idx[r, order]]
+        # Cut i separates sorted positions i and i + 1 (left child size
+        # i + 1); min_samples_leaf on both sides bounds the cuts to
+        # lo <= i < n - min_samples_leaf.
+        hi = width - min_samples_leaf
+        left_sum = ys.cumsum(axis=1)[:, lo:hi]
+        left_sq = (ys * ys).cumsum(axis=1)[:, lo:hi]
+        left_n = pos[lo + 1 : hi + 1].astype(np.float64)
+        # Past a row's last legal cut, a dummy divisor (masked below).
+        right_n = np.maximum(n[:, None] - left_n, 1.0)
+        right_sum = total[g][:, None] - left_sum
+        right_sq = total_sq[g][:, None] - left_sq
         sse = (
             left_sq
             - left_sum**2 / left_n
             + right_sq
             - right_sum**2 / right_n
         )
-        # Only cuts between distinct values are candidates; the others
-        # can never be the (first) minimum.
-        sse = np.where(xs[lo + 1 : hi + 1] != xs[lo:hi], sse, np.inf)
-        i = int(sse.argmin())
-        gain = parent_sse - float(sse[i])
-        if gain > best_gain:
-            best_feat = int(f)
-            best_thr = float(0.5 * (xs[lo + i] + xs[lo + i + 1]))
-            best_gain = gain
-    return best_feat, best_thr, best_gain
+        legal = (pos[lo:hi] < (n - min_samples_leaf)[:, None]) & (
+            xs[:, lo + 1 : hi + 1] != xs[:, lo:hi]
+        )
+        sse = np.where(legal, sse, np.inf)
+        i = sse.argmin(axis=1)[:, None]
+        gain[g] = parent_sse[g] - sse[r, i][:, 0]
+        thr[g] = (0.5 * (xs[r, lo + i] + xs[r, lo + i + 1]))[:, 0]
+    # The first feature with the largest positive gain wins.
+    gain = np.where(gain > 0.0, gain, -np.inf).reshape(n_nodes, k)
+    q = gain.argmax(axis=1)
+    j = np.arange(n_nodes)
+    return gain[j, q], feats[j, q], thr.reshape(n_nodes, k)[j, q]
+
+
+def _grow_trees(
+    trees: list["DecisionTreeRegressor"],
+    X: np.ndarray,
+    y: np.ndarray,
+    samples: list[np.ndarray],
+) -> tuple[np.ndarray, ...]:
+    """Grow ``trees[t]`` on the rows ``samples[t]`` of ``X`` and ``y``.
+
+    The inputs are validated float64 arrays, and the trees share the
+    hyper-parameters of ``trees[0]`` (already checked).  Each tree's
+    feature draws use its own ``random_state``.  Returns each tree's node
+    count and the trees' ``feature``, ``threshold``, ``left`` and
+    ``value`` arrays concatenated in tree order.
+    """
+    proto = trees[0]
+    d = X.shape[1]
+    k = proto._n_features_to_use(d)
+    # Only feature subsampling draws random numbers.
+    rngs = [check_random_state(t.random_state) for t in trees] if k < d else None
+    all_features = np.arange(d)[None, :]
+    min_split, min_leaf = proto.min_samples_split, proto.min_samples_leaf
+    max_depth = proto.max_depth
+    depth = np.zeros(len(trees), dtype=np.intp)
+
+    # The open nodes of a level, tree-major and in level order within a
+    # tree.  Node j's samples are the run start[j]:start[j] + count[j]
+    # of `rows`, in bootstrap order.
+    rows = np.concatenate(samples)
+    count = np.array([s.shape[0] for s in samples], dtype=np.intp)
+    tree = np.arange(len(trees))
+    levels = []  # (tree, count, value) of each level's nodes
+    splits = []  # (node, feature, threshold, left child), by recorded position
+    n_recorded = 0
+    level = 0
+    while True:
+        m = tree.shape[0]
+        depth[tree] = level
+        start = np.zeros(m, dtype=np.intp)
+        np.cumsum(count[:-1], out=start[1:])
+        yl = y[rows]
+        # The nodes that search for a split: enough samples, shallower
+        # than max_depth, and targets not all equal to the first one.
+        cand = count >= min_split
+        if max_depth is not None and level >= max_depth:
+            cand[:] = False
+        if cand.any():
+            owner = np.repeat(np.arange(m), count)
+            differs = yl != yl[start[owner]]
+            cand &= np.bincount(owner, weights=differs, minlength=m) > 0
+        cand = cand.nonzero()[0]
+        if rngs is None:
+            feats = all_features.repeat(cand.shape[0], axis=0)
+        else:
+            feats = np.array(
+                [rngs[t].choice(d, size=k, replace=False) for t in tree[cand].tolist()]
+            )
+        search = count[cand] >= 2 * min_leaf
+        nodes, feats = cand[search], feats[search]
+        searching = np.zeros(m, dtype=bool)
+        searching[nodes] = True
+        # Each node's total (a single sample is its own), and the sum of
+        # squares and squared error of the searching ones.
+        total, node_sq, parent_sse = [], [], []
+        for a, n, s in zip(start.tolist(), count.tolist(), searching.tolist()):
+            if n == 1:
+                total.append(yl[a])
+                continue
+            ys = yl[a : a + n]
+            node_sum = ys.sum()
+            total.append(node_sum)
+            if s:
+                sq = float(ys @ ys)
+                node_sq.append(sq)
+                parent_sse.append(sq - float(node_sum) ** 2 / n)
+        total = np.array(total)
+        levels.append((tree, count, total / count))
+        base, n_recorded = n_recorded, n_recorded + m
+        if not nodes.shape[0]:
+            break
+        gain, f, thr = _search_splits(
+            X[rows], yl, start[nodes], count[nodes], feats, total[nodes],
+            np.array(node_sq), np.array(parent_sse), min_leaf,
+        )
+        split = gain > 0.0
+        nodes = nodes[split]
+        if not nodes.shape[0]:
+            break
+        f, thr = f[split], thr[split]
+        # The next level records the child pairs in this order.
+        pair = np.arange(nodes.shape[0])
+        splits.append((base + nodes, f, thr, n_recorded + 2 * pair))
+        # Stable partition: each child keeps its samples in parent order,
+        # the left child's (x <= threshold) before the right child's.
+        pair_of = np.full(m, -1, dtype=np.intp)
+        pair_of[nodes] = pair
+        keep = (pair_of[owner] >= 0).nonzero()[0]
+        p = pair_of[owner[keep]]
+        child = 2 * p + (X[rows[keep], f[p]] > thr[p])
+        rows = rows[keep[child.argsort(kind="stable")]]
+        count = np.bincount(child, minlength=2 * pair.shape[0])
+        if max_depth is None and not count.all():
+            # The midpoint of two adjacent floats can round up to the
+            # larger one, and then every sample goes left: that split
+            # would repeat at every depth.
+            raise ValueError(
+                "tree growth does not terminate (a split threshold rounds "
+                "to the next feature value); set max_depth"
+            )
+        tree = np.repeat(tree[nodes], 2)
+        level += 1
+
+    tree, count, value = (np.concatenate(column) for column in zip(*levels))
+    feature = np.full(n_recorded, -1, dtype=np.intp)
+    threshold = np.zeros(n_recorded)
+    left = np.full(n_recorded, -1, dtype=np.intp)
+    # Each tree numbers its nodes in the order they were recorded.
+    order = tree.argsort(kind="stable")
+    sizes = np.bincount(tree, minlength=len(trees))
+    if splits:
+        at, f, thr, child = (np.concatenate(column) for column in zip(*splits))
+        number = np.empty(n_recorded, dtype=np.intp)
+        number[order] = np.arange(n_recorded) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        feature[at], threshold[at], left[at] = f, thr, number[child]
+    count, value, feature, threshold, left = (
+        a[order] for a in (count, value, feature, threshold, left)
+    )
+    right = np.where(left < 0, -1, left + 1)
+    stops = np.cumsum(sizes).tolist()
+    for t, (a, b) in enumerate(zip([0] + stops[:-1], stops)):
+        grown = trees[t]
+        grown.feature_ = feature[a:b]
+        grown.threshold_ = threshold[a:b]
+        grown.left_ = left[a:b]
+        grown.right_ = right[a:b]
+        grown.value_ = value[a:b]
+        grown.n_node_samples_ = count[a:b]
+        grown._depth = int(depth[t])
+        grown.n_features_in_ = d
+    return sizes, feature, threshold, left, value
 
 
 class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
@@ -198,62 +415,7 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
     def fit(self, X, y) -> "DecisionTreeRegressor":
         self._check_params()
         X, y = check_X_y(X, y)
-        return self._grow(X, y)
-
-    def _grow(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        """Fit on validated float64 inputs (``_check_params`` already ran)."""
-        d = X.shape[1]
-        k = self._n_features_to_use(d)
-        # Only feature subsampling draws random numbers.
-        rng = check_random_state(self.random_state) if k < d else None
-        min_split, min_leaf = self.min_samples_split, self.min_samples_leaf
-        max_depth = self.max_depth
-        all_features = np.arange(d)
-        feature, threshold, left, value, n_samples = [-1], [0.0], [-1], [0.0], [0]
-        deepest = 0
-
-        def grow(node: int, sample_idx: np.ndarray, depth: int) -> None:
-            nonlocal deepest
-            deepest = max(deepest, depth)
-            n = sample_idx.shape[0]
-            n_samples[node] = n
-            if n == 1:  # the mean of one sample is that sample
-                value[node] = float(y[sample_idx[0]])
-                return
-            ys = y[sample_idx]
-            total = ys.sum()
-            value[node] = float(total / n)
-            if (
-                n < min_split
-                or (max_depth is not None and depth >= max_depth)
-                or (ys == ys[0]).all()
-            ):
-                return
-            feats = all_features if rng is None else rng.choice(d, size=k, replace=False)
-            Xs = X[sample_idx]
-            f, thr, gain = _best_split(Xs, ys, feats, min_leaf, float(total))
-            if f < 0 or gain <= 0.0:
-                return
-            mask = Xs[:, f] <= thr
-            pair = len(value)
-            feature[node], threshold[node], left[node] = f, thr, pair
-            feature.extend((-1, -1))
-            threshold.extend((0.0, 0.0))
-            left.extend((-1, -1))
-            value.extend((0.0, 0.0))
-            n_samples.extend((0, 0))
-            grow(pair, sample_idx[mask], depth + 1)
-            grow(pair + 1, sample_idx[~mask], depth + 1)
-
-        grow(0, np.arange(X.shape[0]), 0)
-        self.feature_ = np.array(feature, dtype=np.intp)
-        self.threshold_ = np.array(threshold, dtype=np.float64)
-        self.left_ = np.array(left, dtype=np.intp)
-        self.right_ = np.where(self.left_ < 0, -1, self.left_ + 1)
-        self.value_ = np.array(value, dtype=np.float64)
-        self.n_node_samples_ = np.array(n_samples, dtype=np.intp)
-        self._depth = deepest
-        self.n_features_in_ = d
+        _grow_trees([self], X, y, [np.arange(X.shape[0])])
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -62,12 +62,6 @@ class TestRandomForest:
         ).fit(X, y)
         assert 0.5 < m.oob_score_ <= 1.0
 
-    def test_thread_parallel_fit_matches_serial(self):
-        X, y = make_data(n=100)
-        serial = RandomForestRegressor(n_estimators=12, random_state=3, n_jobs=1).fit(X, y)
-        parallel = RandomForestRegressor(n_estimators=12, random_state=3, n_jobs=4).fit(X, y)
-        assert np.allclose(serial.predict(X), parallel.predict(X))
-
     def test_invalid_n_estimators(self):
         with pytest.raises(ValueError, match="n_estimators"):
             RandomForestRegressor(n_estimators=0).fit([[1.0]], [1.0])
