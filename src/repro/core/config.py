@@ -65,12 +65,10 @@ class SizeyConfig:
     time_to_failure:
         Assumed failure point used when the dynamic offset selection
         replays hypothetical wastage.
-    mlp_window / rf_window:
-        Incremental mode: sliding-window sizes for the MLP partial fits
-        and the periodic random-forest refits.  The pool hands every
-        slot the last ``mlp_window`` points, so the forest refits on
-        ``min(mlp_window, rf_window)`` points: with the defaults, 64,
-        and ``rf_window`` only matters when it is the smaller one.
+    mlp_window:
+        Incremental mode: the sliding window the pool hands every slot,
+        its last ``mlp_window`` points.  The MLP's partial fits and the
+        periodic random-forest refits both train on it.
     rf_refit_interval:
         Incremental mode: refit the forest every N-th update.
     random_state:
@@ -91,7 +89,6 @@ class SizeyConfig:
     accuracy_mode: str = "prequential"
     time_to_failure: float = 1.0
     mlp_window: int = 64
-    rf_window: int = 512
     rf_refit_interval: int = 16
     random_state: int = 0
 
@@ -132,7 +129,7 @@ class SizeyConfig:
             raise ValueError(
                 f"time_to_failure must be in (0, 1], got {self.time_to_failure}"
             )
-        if self.mlp_window < 1 or self.rf_window < 1 or self.rf_refit_interval < 1:
+        if self.mlp_window < 1 or self.rf_refit_interval < 1:
             raise ValueError("window/interval parameters must be >= 1")
         if self.offset_window < 1:
             raise ValueError(f"offset_window must be >= 1, got {self.offset_window}")

@@ -250,9 +250,8 @@ class MLPSlot(ModelSlot):
 class RandomForestSlot(ModelSlot):
     """Random forest; full refits each update, incremental refits on a cadence.
 
-    Incremental refits use the last ``window`` points of the window the
-    pool passes in, which holds the last ``mlp_window`` points; the
-    effective refit window is therefore ``min(mlp_window, window)``.
+    Incremental refits use the whole window the pool passes in: its last
+    ``mlp_window`` points.
     """
 
     class_name = "random_forest"
@@ -264,12 +263,10 @@ class RandomForestSlot(ModelSlot):
         mode: str,
         random_state: int = 0,
         n_estimators: int = 20,
-        window: int = 512,
         refit_interval: int = 16,
     ) -> None:
         super().__init__(mode, random_state)
         self.n_estimators = n_estimators
-        self.window = window
         self.refit_interval = refit_interval
         self._best_params: dict = {"max_depth": None}
         self._model: RandomForestRegressor | None = None
@@ -296,8 +293,7 @@ class RandomForestSlot(ModelSlot):
         # stale forest answers queries in between (documented deviation:
         # CART forests have no exact online update).
         if self._model is None or n_seen % self.refit_interval == 0:
-            n = min(len(y_window), self.window)
-            self._model = self._new_model().fit(X_window[-n:], y_window[-n:])
+            self._model = self._new_model().fit(X_window, y_window)
         self.fitted = True
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -321,12 +317,10 @@ class GradientBoostingSlot(ModelSlot):
         mode: str,
         random_state: int = 0,
         n_estimators: int = 60,
-        window: int = 512,
         refit_interval: int = 16,
     ) -> None:
         super().__init__(mode, random_state)
         self.n_estimators = n_estimators
-        self.window = window
         self.refit_interval = refit_interval
         self._model = None
 
@@ -345,8 +339,7 @@ class GradientBoostingSlot(ModelSlot):
 
     def update_incremental(self, x_new, y_new, X_window, y_window, n_seen) -> None:
         if self._model is None or n_seen % self.refit_interval == 0:
-            n = min(len(y_window), self.window)
-            self._model = self._new_model().fit(X_window[-n:], y_window[-n:])
+            self._model = self._new_model().fit(X_window, y_window)
         self.fitted = True
 
     def predict(self, X):
@@ -383,7 +376,6 @@ def build_slots(
     random_state: int,
     *,
     mlp_window: int = 64,
-    rf_window: int = 512,
     rf_refit_interval: int = 16,
 ) -> list[ModelSlot]:
     """Instantiate the configured model slots for one pool."""
@@ -394,11 +386,7 @@ def build_slots(
         if name == "mlp":
             slots.append(MLPSlot(mode, seed))
         elif name == "random_forest":
-            slots.append(
-                RandomForestSlot(
-                    mode, seed, window=rf_window, refit_interval=rf_refit_interval
-                )
-            )
+            slots.append(RandomForestSlot(mode, seed, refit_interval=rf_refit_interval))
         elif name in _SLOT_CLASSES:
             slots.append(_SLOT_CLASSES[name](mode, seed))
         elif name in CUSTOM_SLOT_REGISTRY:

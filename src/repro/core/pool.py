@@ -114,7 +114,6 @@ class ModelPool:
         accuracy_mode: str = "prequential",
         accuracy_window: int | None = 50,
         mlp_window: int = 64,
-        rf_window: int = 512,
         rf_refit_interval: int = 16,
         random_state: int = 0,
     ) -> None:
@@ -130,7 +129,6 @@ class ModelPool:
             training_mode,
             random_state,
             mlp_window=mlp_window,
-            rf_window=rf_window,
             rf_refit_interval=rf_refit_interval,
         )
         self._accuracy = [RunningAccuracy(accuracy_window) for _ in self.slots]

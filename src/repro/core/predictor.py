@@ -81,7 +81,6 @@ class SizeyPredictor(MemoryPredictor):
             accuracy_mode=c.accuracy_mode,
             accuracy_window=c.accuracy_window,
             mlp_window=c.mlp_window,
-            rf_window=c.rf_window,
             rf_refit_interval=c.rf_refit_interval,
             random_state=c.random_state,
         )

@@ -14,7 +14,8 @@ each candidate feature, a row-wise ``cumsum`` over a padded
 (node, feature) x position matrix, the squared error of every cut (cuts
 between tied values, and cuts that leave fewer than ``min_samples_leaf``
 samples on a side, are masked to ``inf``), the first-minimum cut, its
-midpoint threshold, the strict ``gain > 0`` test, and one stable
+midpoint threshold (the lower value when the midpoint rounds up to the
+upper one), the strict ``gain > 0`` test, and one stable
 partition of all samples into child pairs.  Rows are padded only to the
 widest node of a group of similar sizes, so padding stays within a small
 multiple of the real samples.
@@ -202,7 +203,12 @@ def _search_splits(
         sse = np.where(legal, sse, np.inf)
         i = sse.argmin(axis=1)[:, None]
         gain[g] = parent_sse[g] - sse[r, i][:, 0]
-        thr[g] = (0.5 * (xs[r, lo + i] + xs[r, lo + i + 1]))[:, 0]
+        below, above = xs[r, lo + i][:, 0], xs[r, lo + i + 1][:, 0]
+        mid = 0.5 * (below + above)
+        # As in scikit-learn: a midpoint that rounds up to the upper value
+        # (or overflows) would send every sample left, so cut at the lower
+        # value instead.  Every legal cut then has two non-empty children.
+        thr[g] = np.where((mid == above) | np.isinf(mid), below, mid)
     # The first feature with the largest positive gain wins.
     gain = np.where(gain > 0.0, gain, -np.inf).reshape(n_nodes, k)
     q = gain.argmax(axis=1)
@@ -310,14 +316,6 @@ def _grow_trees(
         child = 2 * p + (X[rows[keep], f[p]] > thr[p])
         rows = rows[keep[child.argsort(kind="stable")]]
         count = np.bincount(child, minlength=2 * pair.shape[0])
-        if max_depth is None and not count.all():
-            # The midpoint of two adjacent floats can round up to the
-            # larger one, and then every sample goes left: that split
-            # would repeat at every depth.
-            raise ValueError(
-                "tree growth does not terminate (a split threshold rounds "
-                "to the next feature value); set max_depth"
-            )
         tree = np.repeat(tree[nodes], 2)
         level += 1
 

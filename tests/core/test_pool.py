@@ -266,18 +266,15 @@ class TestModelPool:
 
 
 class TestForestRefitWindow:
-    """``rf_window`` only narrows the window the pool already cut to
-    ``mlp_window`` points: the effective refit window is their minimum."""
+    """The forest refits on the window the pool hands it: the last
+    ``mlp_window`` points."""
 
-    @pytest.mark.parametrize(
-        "mlp_window, rf_window, expected", [(8, 512, 8), (8, 5, 5), (64, 512, 12)]
-    )
-    def test_refit_uses_min_of_both_windows(self, mlp_window, rf_window, expected):
+    @pytest.mark.parametrize("mlp_window, expected", [(8, 8), (64, 12)])
+    def test_forest_refits_on_the_pools_window(self, mlp_window, expected):
         pool = ModelPool(
             ("random_forest",),
             training_mode="incremental",
             mlp_window=mlp_window,
-            rf_window=rf_window,
             rf_refit_interval=4,
         )
         feed_linear(pool, n=12)  # the 12th update is a refit

@@ -171,7 +171,12 @@ def reference_split(X, y, feature_idx, min_samples_leaf, total_sum=None):
         gain = parent_sse - float(sse[i])
         if gain > best_gain:
             best_feat = int(f)
+            below, above = float(xs[lo + i]), float(xs[lo + i + 1])
             best_thr = float(0.5 * (xs[lo + i] + xs[lo + i + 1]))
+            # A midpoint that rounds up to the upper value (or overflows)
+            # would empty the right child: cut at the lower value.
+            if best_thr == above or np.isinf(best_thr):
+                best_thr = below
             best_gain = gain
     return best_feat, best_thr, best_gain
 
@@ -303,18 +308,20 @@ class TestLevelGrowerMatchesRecursiveReference:
             assert preorder(tree) == reference_grow(X[idx], y[idx])[0]
 
     def test_a_split_that_empties_a_child(self):
-        # The midpoint of these adjacent floats rounds up to 1.0, so every
-        # sample goes left and the right child is empty (its mean is nan);
-        # without max_depth the same split would repeat forever.
+        # The midpoint of these adjacent floats rounds up to 1.0, which
+        # would send every sample left; the split cuts at the lower value
+        # instead, so both children are non-empty and growth stops.
         a = 1.0 - 2.0**-53
         X = np.array([[a], [1.0], [a], [1.0]])
         y = np.array([1.0, 5.0, 1.5, 6.0])
-        with np.errstate(invalid="ignore"):
-            tree = DecisionTreeRegressor(max_depth=3).fit(X, y)
-            assert preorder(tree) == reference_grow(X, y, max_depth=3)[0]
-            assert tree.n_node_samples_.tolist() == [4, 4, 0, 4, 0, 4, 0]
-            with pytest.raises(ValueError, match="max_depth"):
-                DecisionTreeRegressor().fit(X, y)
+        assert 0.5 * (a + 1.0) == 1.0
+        tree = DecisionTreeRegressor(max_depth=3).fit(X, y)
+        assert preorder(tree) == reference_grow(X, y, max_depth=3)[0]
+        assert tree.n_node_samples_.tolist() == [4, 2, 2]
+        assert tree.threshold_[0] == 1 - 2**-53
+        unbounded = DecisionTreeRegressor().fit(X, y)
+        assert preorder(unbounded) == preorder(tree)
+        assert unbounded.predict(X).tolist() == [1.25, 5.5, 1.25, 5.5]
 
     @pytest.mark.parametrize(
         "x, y",
