@@ -7,6 +7,7 @@ profile       run one workload with the kernel phase profiler, print timings
 figures       regenerate paper artifacts (all or a selection)
 trace         generate a synthetic workflow trace to JSON/JSONL/CSV/WfCommons
 compare       run the full method grid on selected workloads
+scorecard     paper-scale quality scorecard and gate (QUALITY.json)
 serve         run the resident sizing server (see repro.serve)
 client        talk to a running sizing server (healthz/metrics/predict/observe)
 loadgen       replay a workload source against a running sizing server
@@ -45,6 +46,7 @@ Examples::
     python -m repro trace --workflow iwd --wfcommons iwd_wfcommons.json
     python -m repro compare --workflows chipseq iwd --scale 0.2 --backend event
     python -m repro compare --workloads wfcommons:blast.json synthetic:iwd
+    python -m repro scorecard --out change.json --compare parent.json --workers 2
 """
 
 from __future__ import annotations
@@ -362,6 +364,23 @@ def build_parser() -> argparse.ArgumentParser:
                       help="hours between submissions (event backend only; "
                            "shorthand for --arrival fixed:H)")
     _add_cluster_options(cmp_)
+
+    sc = sub.add_parser(
+        "scorecard", parents=[log_parent],
+        help="run the paper-scale quality scorecard; apply the quality gate",
+        description="Run the cells QUALITY.json declares and write the "
+                    "scorecard JSON (--out).  --compare PARENT.json applies "
+                    "the gate of docs/QUALITY.md to Sizey's rows and exits "
+                    "1 if a check fails; --compare PARENT.json CHANGE.json "
+                    "compares two recorded scorecards without running.",
+    )
+    sc.add_argument("--out", metavar="PATH", default=None,
+                    help="write the scorecard JSON here")
+    sc.add_argument("--compare", nargs="+", metavar="SCORECARD", default=None,
+                    help="PARENT.json [CHANGE.json]")
+    sc.add_argument("--workers", type=int, default=1)
+    sc.add_argument("--spec", default="QUALITY.json",
+                    help="the scorecard declaration (default: %(default)s)")
 
     _add_serve_parsers(sub, log_parent)
     return parser
@@ -988,6 +1007,40 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_scorecard(args: argparse.Namespace) -> int:
+    from repro.experiments import scorecard as sc
+
+    compare = args.compare or []
+    if len(compare) > 2 or (len(compare) == 2) == (args.out is not None):
+        print(
+            "repro scorecard: error: use --out PATH [--compare PARENT.json], "
+            "or --compare PARENT.json CHANGE.json",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        parent = sc.load_scorecard(compare[0]) if compare else None
+        if len(compare) == 2:
+            card = sc.load_scorecard(compare[1])
+        else:
+            card = sc.run_scorecard(
+                sc.load_spec(args.spec),
+                n_workers=args.workers,
+                progress=lambda line: print(line, flush=True),
+            )
+            sc.save_scorecard(card, args.out)
+            print(f"wrote {args.out}\n")
+        print(sc.render_scorecard(card))
+        if parent is None:
+            return 0
+        verdict = sc.compare(parent, card)
+    except (OSError, ValueError) as exc:
+        print(f"repro scorecard: error: {exc}", file=sys.stderr)
+        return 2
+    print("\n" + sc.render_verdict(verdict))
+    return 0 if verdict.passed else 1
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
@@ -1104,6 +1157,7 @@ _COMMANDS = {
     "figures": _cmd_figures,
     "trace": _cmd_trace,
     "compare": _cmd_compare,
+    "scorecard": _cmd_scorecard,
     "serve": _cmd_serve,
     "client": _cmd_client,
     "loadgen": _cmd_loadgen,
