@@ -53,7 +53,10 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # (columnar scheduled lane + dynamic heap) instead of a single EventHeap.
 # Version 3: learned predictor state changed layout (flat MLP
 # parameter buffers, array-encoded trees and forests, cached offsets).
-CHECKPOINT_VERSION = 3
+# Version 4: Sizey's incremental MLP update runs 5 Adam steps, not 20.
+# A pickled MLP carries its own partial_fit_steps, so a resumed v3 run
+# would keep training with 20 steps and match neither version's results.
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(kernel: "SimulationKernel", path: str) -> None:

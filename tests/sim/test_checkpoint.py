@@ -155,10 +155,11 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_bytes(pickle.dumps({"format": "something-else"}))
     with pytest.raises(ValueError, match="not a repro simulation checkpoint"):
         load_checkpoint(str(path))
-    path.write_bytes(
-        pickle.dumps(
-            {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION + 1}
+    # Older checkpoints too: a v3 one pickles MLPs that train with 20
+    # Adam steps per incremental update.
+    for version in (CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1):
+        path.write_bytes(
+            pickle.dumps({"format": CHECKPOINT_FORMAT, "version": version})
         )
-    )
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(str(path))
+        with pytest.raises(ValueError, match="version"):
+            load_checkpoint(str(path))
