@@ -48,7 +48,10 @@ class SizeyConfig:
         ``"full"`` retrains every model from scratch after each task
         completion (with periodic hyper-parameter optimisation);
         ``"incremental"`` performs lightweight update steps and caches
-        the best hyper-parameters (§III-D).
+        the best hyper-parameters (§III-D): recursive least squares,
+        a KNN sample append, 5 Adam steps for the MLP and a forest
+        refit every ``rf_refit_interval`` updates, the last two on the
+        ``mlp_window`` sliding window.
     hpo_interval:
         Full mode: run grid-search HPO every N-th update (the first fit
         always optimises); between HPO rounds the cached best parameters

@@ -9,8 +9,14 @@ to
   are reused between HPO rounds, as in the paper's §III-D), and
 - **incrementally update** with a lightweight step after one completion:
   exact recursive least squares for the linear model, sample append for
-  KNN, warm-started Adam steps on a sliding window for the MLP, and
-  periodic window refits for the forest.
+  KNN, five warm-started Adam steps on the pool's sliding window for the
+  MLP, and refits on that same window every ``refit_interval`` updates
+  for the forest.
+
+Incremental updates change outputs, so their cost is traded against the
+paper-scale quality scorecard (``repro scorecard``, docs/QUALITY.md)
+rather than pinned bit-for-bit: the MLP's step count went from 20 to 5
+on that gate.
 
 Scale handling: the MLP standardises inputs and targets internally
 (peak-memory labels span MB to tens of GB); KNN and trees are invariant
@@ -150,16 +156,20 @@ class MLPSlot(ModelSlot):
 
     Full mode refits from scratch (capped at the most recent
     ``max_train_points`` so per-update cost stays bounded on long
-    workflows); incremental mode warm-starts Adam on a sliding window —
+    workflows); incremental mode runs ``PARTIAL_FIT_STEPS`` warm-started
+    Adam steps on the pool's sliding window (``mlp_window`` points) —
     the paper's "lightweight — and thus fast — online learning step".
+    Five steps instead of twenty made an update ~4x cheaper for +0.5%
+    median wastage and +0.9% median failures at paper scale (ttf 1.0;
+    docs/QUALITY.md has the scorecards).
     """
 
     class_name = "mlp"
 
     PARAM_GRID = {"hidden_layer_sizes": [(8,), (16,)]}
     #: Adam steps per incremental update (``MLPRegressor.partial_fit``);
-    #: full retraining never reads it.  Cut from 20 to 5 under the
-    #: quality gate of docs/QUALITY.md.
+    #: full retraining never reads it.  A new value moves Sizey's outputs,
+    #: so it must pass the quality gate of docs/QUALITY.md.
     PARTIAL_FIT_STEPS = 5
 
     def __init__(

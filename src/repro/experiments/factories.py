@@ -55,6 +55,9 @@ def make_sizey(**overrides) -> SizeyPredictor:
     Incremental training is the default here: the paper shows it is
     ~98 % faster at a ~6 % wastage premium (§III-D), which is the right
     trade for a simulation harness replaying tens of thousands of tasks.
+    Each incremental MLP update runs 5 Adam steps on the pool's last
+    ``mlp_window`` (64) points (``MLPSlot.PARTIAL_FIT_STEPS``); changes to
+    that step are judged by ``repro scorecard`` (docs/QUALITY.md).
     """
     cfg = dict(training_mode="incremental", alpha=0.0, gating="interpolation")
     cfg.update(overrides)
