@@ -1033,12 +1033,12 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
         print(sc.render_scorecard(card))
         if parent is None:
             return 0
-        verdict = sc.compare(parent, card)
+        checks = sc.compare(parent, card)
     except (OSError, ValueError) as exc:
         print(f"repro scorecard: error: {exc}", file=sys.stderr)
         return 2
-    print("\n" + sc.render_verdict(verdict))
-    return 0 if verdict.passed else 1
+    print("\n" + sc.render_verdict(checks))
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

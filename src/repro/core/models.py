@@ -13,10 +13,9 @@ to
   MLP, and refits on that same window every ``refit_interval`` updates
   for the forest.
 
-Incremental updates change outputs, so their cost is traded against the
+A change to an incremental update moves outputs, so it is judged on the
 paper-scale quality scorecard (``repro scorecard``, docs/QUALITY.md)
-rather than pinned bit-for-bit: the MLP's step count went from 20 to 5
-on that gate.
+rather than pinned bit-for-bit.
 
 Scale handling: the MLP standardises inputs and targets internally
 (peak-memory labels span MB to tens of GB); KNN and trees are invariant
@@ -159,9 +158,9 @@ class MLPSlot(ModelSlot):
     workflows); incremental mode runs ``PARTIAL_FIT_STEPS`` warm-started
     Adam steps on the pool's sliding window (``mlp_window`` points) —
     the paper's "lightweight — and thus fast — online learning step".
-    Five steps instead of twenty made an update ~4x cheaper for +0.5%
-    median wastage and +0.9% median failures at paper scale (ttf 1.0;
-    docs/QUALITY.md has the scorecards).
+    Five steps cost about a quarter of twenty, for +0.5% median wastage
+    and +0.9% median failures at paper scale (ttf 1.0; docs/QUALITY.md
+    has the scorecards).
     """
 
     class_name = "mlp"

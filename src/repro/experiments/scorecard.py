@@ -53,7 +53,6 @@ from repro.workflow.nfcore import build_all_traces
 __all__ = [
     "GATED_METHOD",
     "Check",
-    "Verdict",
     "load_spec",
     "run_scorecard",
     "save_scorecard",
@@ -290,21 +289,13 @@ class Check:
         return self.value <= self.limit
 
 
-@dataclass(frozen=True)
-class Verdict:
-    checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def compare(parent: dict, change: dict) -> Verdict:
+def compare(parent: dict, change: dict) -> list[Check]:
     """Apply the gate of ``parent``'s declaration to Sizey's rows.
 
-    Both scorecards must hold Sizey cells for the same times-to-failure,
-    seeds and workflows at the same scale and backend (the seeds are
-    paired); otherwise ``ValueError``.
+    The change passes if every returned check passed.  Both scorecards
+    must hold Sizey cells for the same times-to-failure, seeds and
+    workflows at the same scale and backend (the seeds are paired);
+    otherwise ``ValueError``.
     """
     gate = parent["spec"]["gate"]
     for key in ("scale", "backend"):
@@ -345,20 +336,20 @@ def compare(parent: dict, change: dict) -> Verdict:
                     limit, f"parent's {q:g} quantile",
                 )
             )
-    return Verdict(tuple(checks))
+    return checks
 
 
-def render_verdict(verdict: Verdict) -> str:
+def render_verdict(checks: list[Check]) -> str:
     lines = [f"Quality gate on {GATED_METHOD}'s rows (docs/QUALITY.md), seeds paired"]
-    for c in verdict.checks:
+    for c in checks:
         change = (c.value / c.parent - 1.0) * 100.0 if c.parent else float("nan")
         lines.append(
             f"  {'PASS' if c.passed else 'FAIL'}  ttf={c.ttf}  {c.name}: {c.value:,.1f} "
             f"(parent {c.parent:,.1f}, {change:+.1f}%) <= {c.limit:,.1f} ({c.rule})"
         )
-    failed = sum(not c.passed for c in verdict.checks)
+    failed = sum(not c.passed for c in checks)
     lines.append(
-        f"verdict: {'PASS' if verdict.passed else 'FAIL'} "
-        f"({len(verdict.checks) - failed}/{len(verdict.checks)} checks hold)"
+        f"verdict: {'FAIL' if failed else 'PASS'} "
+        f"({len(checks) - failed}/{len(checks)} checks hold)"
     )
     return "\n".join(lines)

@@ -172,7 +172,7 @@ def reference_split(X, y, feature_idx, min_samples_leaf, total_sum=None):
         if gain > best_gain:
             best_feat = int(f)
             below, above = float(xs[lo + i]), float(xs[lo + i + 1])
-            best_thr = float(0.5 * (xs[lo + i] + xs[lo + i + 1]))
+            best_thr = 0.5 * (below + above)
             # A midpoint that rounds up to the upper value (or overflows)
             # would empty the right child: cut at the lower value.
             if best_thr == above or np.isinf(best_thr):
