@@ -388,7 +388,6 @@ def build_slots(
     mode: str,
     random_state: int,
     *,
-    mlp_window: int = 64,
     rf_refit_interval: int = 16,
 ) -> list[ModelSlot]:
     """Instantiate the configured model slots for one pool."""

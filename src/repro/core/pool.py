@@ -128,7 +128,6 @@ class ModelPool:
             model_classes,
             training_mode,
             random_state,
-            mlp_window=mlp_window,
             rf_refit_interval=rf_refit_interval,
         )
         self._accuracy = [RunningAccuracy(accuracy_window) for _ in self.slots]

@@ -24,7 +24,14 @@ from repro.sim.results import SimulationResult, aggregate_results
 from repro.sim.runner import run_grid
 from repro.workflow.nfcore import build_all_traces
 
-__all__ = ["MainGrid", "run_main_grid", "run", "PAPER_FIG8A", "PAPER_FIG8B"]
+__all__ = [
+    "MainGrid",
+    "reduction_vs_best_baseline",
+    "run_main_grid",
+    "run",
+    "PAPER_FIG8A",
+    "PAPER_FIG8B",
+]
 
 #: The paper's aggregated wastage numbers, for side-by-side reporting.
 PAPER_FIG8A = {
@@ -43,6 +50,17 @@ PAPER_FIG8B = {
     "Witt-Percentile": 4576.27,
     "Workflow-Presets": 28370.77,
 }
+
+
+def reduction_vs_best_baseline(wastage: dict[str, float]) -> tuple[str, float]:
+    """Sizey's relative wastage reduction against the best baseline.
+
+    ``wastage`` maps methods to total wastage.  Returns the non-Sizey
+    method with the least wastage and ``1 - Sizey / its wastage``.
+    """
+    baselines = {m: w for m, w in wastage.items() if m != "Sizey"}
+    best = min(baselines, key=baselines.get)
+    return best, 1.0 - wastage["Sizey"] / baselines[best]
 
 
 @dataclass
@@ -73,14 +91,12 @@ class MainGrid:
 
     def best_baseline(self) -> tuple[str, float]:
         """Best-performing non-Sizey method on total wastage."""
-        candidates = {m: w for m, w in self.totals.items() if m != "Sizey"}
-        best = min(candidates, key=candidates.get)
-        return best, candidates[best]
+        best, _ = reduction_vs_best_baseline(self.totals)
+        return best, self.totals[best]
 
     def sizey_reduction_vs_best_baseline(self) -> float:
         """Relative wastage reduction of Sizey vs the best baseline."""
-        _, best = self.best_baseline()
-        return 1.0 - self.totals["Sizey"] / best
+        return reduction_vs_best_baseline(self.totals)[1]
 
 
 def run_main_grid(
@@ -132,8 +148,7 @@ def run(
                     title=f"Fig. 8{'a' if ttf == 1.0 else 'b'} — total wastage, ttf={ttf}",
                 )
             )
-            red = g.sizey_reduction_vs_best_baseline()
-            best, _ = g.best_baseline()
+            best, red = reduction_vs_best_baseline(g.totals)
             print(
                 f"  Sizey vs best baseline ({best}): "
                 f"{red * 100.0:.1f}% lower wastage\n"

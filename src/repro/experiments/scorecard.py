@@ -45,7 +45,11 @@ import numpy as np
 
 import repro
 from repro.experiments.factories import method_factories
-from repro.experiments.fig8_main_results import PAPER_FIG8A, PAPER_FIG8B
+from repro.experiments.fig8_main_results import (
+    PAPER_FIG8A,
+    PAPER_FIG8B,
+    reduction_vs_best_baseline,
+)
 from repro.experiments.report import fmt, render_table
 from repro.sim.runner import run_grid
 from repro.workflow.nfcore import build_all_traces
@@ -69,7 +73,7 @@ SCORECARD_VERSION = 1
 #: The paper's aggregated wastage (Fig. 8a, 8b) per time-to-failure.
 PAPER_WASTAGE = {1.0: PAPER_FIG8A, 0.5: PAPER_FIG8B}
 
-_SPEC_KEYS = ("scale", "seeds", "time_to_failure", "methods", "backend", "gate")
+_SPEC_KEYS = ("scale", "seeds", "time_to_failure", "methods", "gate")
 _GATE_KEYS = ("median_wastage_ratio", "median_failures_ratio", "workflow_quantile")
 
 
@@ -116,7 +120,6 @@ def run_scorecard(
                         group,
                         time_to_failure=ttf,
                         n_workers=n_workers,
-                        backend=spec["backend"],
                     )
                 )
                 seconds = time.perf_counter() - start
@@ -216,7 +219,7 @@ def render_scorecard(card: dict) -> str:
                 ndigits=1,
                 title=(
                     f"Quality scorecard, ttf={ttf}: median [q1, q3] over seeds "
-                    f"{seeds} (scale={spec['scale']}, backend={spec['backend']})"
+                    f"{seeds} (scale={spec['scale']})"
                 ),
             )
         )
@@ -253,16 +256,12 @@ def render_scorecard(card: dict) -> str:
 
 def _reduction_line(medians: dict[str, float], paper: dict[str, float]) -> str | None:
     """Sizey's wastage reduction against the best baseline, ours and paper's."""
-    baselines = {m: w for m, w in medians.items() if m != GATED_METHOD}
-    if GATED_METHOD not in medians or not baselines:
+    if GATED_METHOD not in medians or len(medians) < 2:
         return None
-    best = min(baselines, key=baselines.get)
-    ours = 1.0 - medians[GATED_METHOD] / baselines[best]
+    best, ours = reduction_vs_best_baseline(medians)
     line = f"Sizey vs best baseline ({best}): {ours * 100.0:.1f}% lower median wastage"
-    paper_baselines = {m: w for m, w in paper.items() if m != GATED_METHOD}
-    if paper_baselines:
-        p_best = min(paper_baselines, key=paper_baselines.get)
-        p_red = 1.0 - paper[GATED_METHOD] / paper_baselines[p_best]
+    if paper:
+        p_best, p_red = reduction_vs_best_baseline(paper)
         line += f"; paper: {p_red * 100.0:.1f}% vs {p_best}"
     return line
 
@@ -294,16 +293,15 @@ def compare(parent: dict, change: dict) -> list[Check]:
 
     The change passes if every returned check passed.  Both scorecards
     must hold Sizey cells for the same times-to-failure, seeds and
-    workflows at the same scale and backend (the seeds are paired);
-    otherwise ``ValueError``.
+    workflows at the same scale (the seeds are paired); otherwise
+    ``ValueError``.
     """
     gate = parent["spec"]["gate"]
-    for key in ("scale", "backend"):
-        if parent["spec"][key] != change["spec"][key]:
-            raise ValueError(
-                f"scorecards differ in {key}: {parent['spec'][key]!r} vs "
-                f"{change['spec'][key]!r}"
-            )
+    if parent["spec"]["scale"] != change["spec"]["scale"]:
+        raise ValueError(
+            f"scorecards differ in scale: {parent['spec']['scale']!r} vs "
+            f"{change['spec']['scale']!r}"
+        )
     checks: list[Check] = []
     for ttf in parent["spec"]["time_to_failure"]:
         before = _table(parent, GATED_METHOD, ttf, "wastage_gbh")

@@ -45,7 +45,6 @@ def make_card(wastage_shift=(0,) * 6, failures_shift=0, ttfs=(1.0, 0.5)):
         "seeds": list(range(5)),
         "time_to_failure": list(ttfs),
         "methods": ["Sizey"],
-        "backend": "replay",
         "gate": GATE,
     }
     return {"format": "repro-scorecard", "version": 1, "spec": spec, "workers": 1,
@@ -110,7 +109,6 @@ class TestGateRule:
         assert spec["scale"] == 1.0
         assert spec["time_to_failure"] == [1.0, 0.5]
         assert spec["methods"] == list(method_factories())
-        assert spec["backend"] == "replay"
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +120,6 @@ def smoke(tmp_path_factory):
         "seeds": [0],
         "time_to_failure": [1.0],
         "methods": ["Sizey", "Workflow-Presets"],
-        "backend": "replay",
         "gate": GATE,
     }
     (root / "spec.json").write_text(json.dumps(spec))
