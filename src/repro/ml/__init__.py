@@ -13,7 +13,6 @@ NumPy/SciPy with a scikit-learn-compatible estimator contract:
   and bagged random forests.
 - :mod:`repro.ml.mlp` -- a multi-layer perceptron regressor trained with
   Adam, supporting warm-started incremental updates.
-- :mod:`repro.ml.preprocessing` -- feature scalers.
 - :mod:`repro.ml.metrics` -- regression metrics (MAE, MSE, MAPE, R2, ...).
 - :mod:`repro.ml.model_selection` -- K-fold cross-validation and grid
   search used for Sizey's hyper-parameter optimisation.
@@ -28,7 +27,6 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import LinearRegression, QuantileRegressor, RidgeRegression
 from repro.ml.mlp import MLPRegressor
 from repro.ml.neighbors import KNeighborsRegressor
-from repro.ml.preprocessing import MinMaxScaler, RobustScaler, StandardScaler
 from repro.ml.sgd import SGDRegressor
 from repro.ml.tree import DecisionTreeRegressor
 
@@ -45,7 +43,4 @@ __all__ = [
     "DecisionTreeRegressor",
     "RandomForestRegressor",
     "MLPRegressor",
-    "StandardScaler",
-    "MinMaxScaler",
-    "RobustScaler",
 ]

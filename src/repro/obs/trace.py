@@ -14,7 +14,9 @@ Track layout:
   task occupancy lanes — concurrent attempts on the same node get
   distinct lanes, so occupancy reads like a Gantt chart;
 - every attempt is a ``ph="X"`` complete event spanning its occupied
-  interval, categorized ``success`` / ``kill`` / ``preempt``;
+  interval, categorized by its ``on_attempt_end`` outcome
+  (``success`` / ``kill`` / ``preempt``) and carrying its attempt
+  number;
 - kills, resizes (re-dispatch after a kill), and preemptions add
   ``ph="i"`` instant markers on the same lane;
 - a synthetic *cluster* process (``pid = CLUSTER_PID``) carries a
@@ -35,7 +37,7 @@ import json
 from collections import deque
 from heapq import heappop, heappush
 
-from repro.sim.kernel.collectors import BaseCollector
+from repro.sim.kernel.collectors import KILL, PREEMPT, SUCCESS, BaseCollector
 
 __all__ = ["CLUSTER_PID", "US_PER_HOUR", "TraceCollector"]
 
@@ -47,9 +49,9 @@ CLUSTER_PID = 1_000_000
 OUTAGE_TID = 0
 
 _CAT_COLOR = {
-    "success": "good",
-    "kill": "terrible",
-    "preempt": "bad",
+    SUCCESS: "good",
+    KILL: "terrible",
+    PREEMPT: "bad",
 }
 
 
@@ -80,9 +82,6 @@ class TraceCollector(BaseCollector):
         self._free_lanes: dict[int, list[int]] = {}
         self._next_lane: dict[int, int] = {}
         self._lane_of: dict[int, tuple[int, int]] = {}  # id(state) -> (pid, tid)
-        # on_release stashes the span; the immediately-following outcome
-        # callback (success/failure/preempt) emits it with its category.
-        self._pending: dict[int, tuple[int, int, float, float]] = {}
         self._outage_start: dict[int, float] = {}
         self._queue_depth = 0
 
@@ -121,46 +120,35 @@ class TraceCollector(BaseCollector):
                 },
             )
 
-    def on_release(self, state, now, node, allocated_mb, occupied_hours) -> None:
-        key = id(state)
-        pid, lane = self._lane_of.pop(key, (node.node_id, 0))
+    def on_attempt_end(
+        self, state, now, node, allocated_mb, occupied_hours, outcome
+    ) -> None:
+        pid, lane = self._lane_of.pop(id(state), (node.node_id, 0))
         self._release_lane(pid, lane)
-        stale = self._pending.pop(key, None)
-        if stale is not None:  # pragma: no cover - defensive
-            self._span(state, "attempt", *stale)
-        self._pending[key] = (pid, lane, now - occupied_hours, occupied_hours)
-
-    def on_task_success(self, state, now, allocated_mb) -> None:
-        self._finish_span(state, "success")
-
-    def on_task_failure(self, state, now, allocated_mb, occupied_hours) -> None:
-        pid, lane, start, _ = self._pending.get(
-            id(state), (0, 0, now - occupied_hours, occupied_hours)
+        self._span(
+            state, outcome, pid, lane, now - occupied_hours, occupied_hours
         )
-        self._finish_span(state, "kill")
-        self._instant(
-            "kill",
-            now,
-            pid,
-            lane,
-            {
-                "instance_id": state.inst.instance_id,
-                "attempt": state.attempt,
-                "allocated_mb": allocated_mb,
-                "peak_memory_mb": state.inst.peak_memory_mb,
-            },
-        )
-
-    def on_preempt(self, state, now) -> None:
-        pid, lane, _, _ = self._pending.get(id(state), (0, 0, now, 0.0))
-        self._finish_span(state, "preempt")
-        self._instant(
-            "preempt",
-            now,
-            pid,
-            lane,
-            {"instance_id": state.inst.instance_id},
-        )
+        if outcome == KILL:
+            self._instant(
+                "kill",
+                now,
+                pid,
+                lane,
+                {
+                    "instance_id": state.inst.instance_id,
+                    "attempt": state.attempt,
+                    "allocated_mb": allocated_mb,
+                    "peak_memory_mb": state.inst.peak_memory_mb,
+                },
+            )
+        elif outcome == PREEMPT:
+            self._instant(
+                "preempt",
+                now,
+                pid,
+                lane,
+                {"instance_id": state.inst.instance_id},
+            )
 
     def on_outage(self, node_id, now, active) -> None:
         if active:
@@ -202,34 +190,27 @@ class TraceCollector(BaseCollector):
     # ------------------------------------------------------------------
     # event builders
     # ------------------------------------------------------------------
-    def _finish_span(self, state, cat: str) -> None:
-        pending = self._pending.pop(id(state), None)
-        if pending is None:  # pragma: no cover - defensive
-            return
-        self._span(state, cat, *pending)
-
     def _span(
         self, state, cat: str, pid: int, tid: int, start: float, dur: float
     ) -> None:
         inst = state.inst
-        event = {
-            "name": inst.task_type.name,
-            "cat": cat,
-            "ph": "X",
-            "ts": start * US_PER_HOUR,
-            "dur": dur * US_PER_HOUR,
-            "pid": pid,
-            "tid": tid,
-            "args": {
-                "instance_id": inst.instance_id,
-                "attempt": state.attempt,
-                "peak_memory_mb": inst.peak_memory_mb,
-            },
-        }
-        color = _CAT_COLOR.get(cat)
-        if color is not None:
-            event["cname"] = color
-        self._events.append(event)
+        self._events.append(
+            {
+                "name": inst.task_type.name,
+                "cat": cat,
+                "ph": "X",
+                "ts": start * US_PER_HOUR,
+                "dur": dur * US_PER_HOUR,
+                "pid": pid,
+                "tid": tid,
+                "args": {
+                    "instance_id": inst.instance_id,
+                    "attempt": state.attempt,
+                    "peak_memory_mb": inst.peak_memory_mb,
+                },
+                "cname": _CAT_COLOR[cat],
+            }
+        )
 
     def _instant(
         self, name: str, now: float, pid: int, tid: int, args: dict

@@ -12,13 +12,19 @@ package:
   lifecycle with batched ``predict_batch`` sizing) plus the
   :class:`KernelDriver` / :class:`ReadyQueue` seams drivers implement;
 - :mod:`repro.sim.kernel.collectors` — the pluggable
-  :class:`MetricsCollector` protocol and the stock collectors (wastage
-  ledger, cluster metrics, per-workflow metrics);
+  :class:`MetricsCollector` protocol (six callbacks; every attempt end
+  is one ``on_attempt_end`` call with outcome :data:`SUCCESS`,
+  :data:`KILL` or :data:`PREEMPT`) and the stock collectors (wastage
+  ledger, cluster metrics, per-workflow metrics), which fold buffered
+  rows in completion order;
 - :mod:`repro.sim.kernel.outage` — scheduled node drain windows, a
   kernel-level scenario available identically in flat and DAG modes.
 """
 
 from repro.sim.kernel.collectors import (
+    KILL,
+    PREEMPT,
+    SUCCESS,
     BaseCollector,
     ClusterMetricsCollector,
     MetricsCollector,
@@ -56,6 +62,9 @@ __all__ = [
     "OUTAGE_START",
     "MetricsCollector",
     "BaseCollector",
+    "SUCCESS",
+    "KILL",
+    "PREEMPT",
     "WastageCollector",
     "ClusterMetricsCollector",
     "WorkflowMetricsCollector",

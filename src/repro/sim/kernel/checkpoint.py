@@ -56,7 +56,11 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # Version 4: Sizey's incremental MLP update runs 5 Adam steps, not 20.
 # A pickled MLP carries its own partial_fit_steps, so a resumed v3 run
 # would keep training with 20 steps and match neither version's results.
-CHECKPOINT_VERSION = 4
+# Version 5: collectors take one ``on_attempt_end`` callback and fold
+# buffered rows; the pickled kernel and collectors changed layout, so a
+# v4 file would fail with an AttributeError on resume instead of this
+# module's typed version error.
+CHECKPOINT_VERSION = 5
 
 
 def save_checkpoint(kernel: "SimulationKernel", path: str) -> None:

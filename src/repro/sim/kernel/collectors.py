@@ -2,20 +2,41 @@
 
 The kernel executes the sizing lifecycle; *what gets measured* is the
 business of composable :class:`MetricsCollector` objects that observe
-the run through narrow callbacks and then attach their findings to the
-:class:`~repro.sim.results.SimulationResult`.  The three inline
-accumulations of the pre-kernel engines are now ordinary collectors:
+the run through six callbacks and then attach their findings to the
+:class:`~repro.sim.results.SimulationResult`:
+
+- ``on_run_start`` — once, on the reset cluster;
+- ``on_ready`` — a task entered the ready queue;
+- ``on_dispatch`` — an attempt was placed on a node;
+- ``on_attempt_end`` — an attempt freed its node slice, with its
+  outcome: :data:`SUCCESS`, :data:`KILL` (it exceeded its allocation)
+  or :data:`PREEMPT` (a node drain; no sizing fault);
+- ``on_outage`` — a node's drain window opened or fully closed;
+- ``contribute`` — once, when the run finishes.
+
+The three inline accumulations of the pre-kernel engines are ordinary
+collectors:
 
 - :class:`WastageCollector` — the wastage ledger and per-task prediction
   logs (always installed; it produces the core of the result schema);
-- :class:`ClusterMetricsCollector` — queue waits, makespan, per-node
-  busy memory and allocation timelines
-  (:class:`~repro.sim.results.ClusterMetrics`);
+- :class:`ClusterMetricsCollector` — queue waits, per-node busy memory
+  and allocation timelines (:class:`~repro.sim.results.ClusterMetrics`);
 - :class:`WorkflowMetricsCollector` — per-workflow-instance accounting
   for the DAG engine (:class:`~repro.sim.results.WorkflowMetrics`).
 
+The wastage collector keeps the hot path to an append: it buffers one
+compact row per success or kill and folds the rows, in completion
+order, every :data:`FOLD_ROWS` rows and at ``contribute`` — one
+accounting path for exact, streaming and spill runs.  The cluster
+collector folds its queue waits the same way.  The chunking never shows
+in a result: sketches take each chunk through
+:meth:`~repro.sim.sketches.QuantileSketch.extend`, which is
+bit-identical to per-value ``add``.  The makespan is the kernel's; it
+reaches the collectors as ``result.summary.makespan_hours``.
+
 Custom collectors subclass :class:`BaseCollector` (all callbacks are
-no-ops) and are passed to the kernel via ``collectors=[...]``; each
+no-ops) and are passed to the kernel via ``collectors=[...]``; the
+kernel only calls the per-event callbacks a collector overrides.  Each
 callback sees the kernel's unified
 :class:`~repro.sim.kernel.core.TaskState`.
 """
@@ -42,6 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel.core import TaskState
 
 __all__ = [
+    "FOLD_ROWS",
+    "SUCCESS",
+    "KILL",
+    "PREEMPT",
     "MetricsCollector",
     "BaseCollector",
     "WastageCollector",
@@ -50,6 +75,15 @@ __all__ = [
 ]
 
 _MB_PER_GB = 1024.0
+
+#: Rows a collector buffers before it folds them into its aggregates.
+#: Results do not depend on it; it bounds a streaming run's memory.
+FOLD_ROWS = 4096
+
+#: ``on_attempt_end`` outcomes (also the Chrome-trace span categories).
+SUCCESS = "success"
+KILL = "kill"
+PREEMPT = "preempt"
 
 
 @runtime_checkable
@@ -64,33 +98,8 @@ class MetricsCollector(Protocol):
         """The run is about to start on ``manager``'s (reset) cluster."""
         ...
 
-    def on_event(self, now: float) -> None:
-        """An event was just handled at simulation time ``now``."""
-        ...
-
-    def on_events(self, now: float, n: int) -> None:
-        """``n`` events were handled in one batch at time ``now``.
-
-        The kernel coalesces each same-timestamp event wave into one
-        call.  The default implementation replays :meth:`on_event` ``n``
-        times, so collectors that only override the per-event callback
-        keep their exact semantics; aggregate collectors override this
-        to pay once per wave.
-        """
-        ...
-
-    def on_wave(self, now: float, n: int, outcomes: list) -> None:
-        """A whole event wave finished at ``now``; consume its outcomes.
-
-        ``outcomes`` holds one ``(state, success, allocated_mb,
-        occupied_hours)`` tuple per completion handled in the wave
-        (stale completions excluded), in event order.  The kernel only
-        builds the list when at least one collector overrides this
-        callback, so it costs nothing otherwise.  The per-event
-        ``on_task_success``/``on_task_failure`` callbacks still fire and
-        remain the compatibility path — a collector should consume
-        completions through exactly one of the two seams.
-        """
+    def on_ready(self, state: "TaskState", now: float) -> None:
+        """``state`` entered the ready queue (arrival, requeue, preempt)."""
         ...
 
     def on_dispatch(
@@ -99,39 +108,21 @@ class MetricsCollector(Protocol):
         """``state`` was placed on ``node`` after ``wait_hours`` queued."""
         ...
 
-    def on_release(
+    def on_attempt_end(
         self,
         state: "TaskState",
         now: float,
         node: Machine,
         allocated_mb: float,
         occupied_hours: float,
+        outcome: str,
     ) -> None:
-        """``state`` freed its node slice (success, kill, or preemption)."""
-        ...
+        """``state``'s attempt freed its slice of ``node``.
 
-    def on_task_success(
-        self, state: "TaskState", now: float, allocated_mb: float
-    ) -> None:
-        """``state``'s attempt completed within its allocation."""
-        ...
-
-    def on_task_failure(
-        self,
-        state: "TaskState",
-        now: float,
-        allocated_mb: float,
-        occupied_hours: float,
-    ) -> None:
-        """``state``'s attempt was killed for exceeding its allocation."""
-        ...
-
-    def on_preempt(self, state: "TaskState", now: float) -> None:
-        """``state`` was preempted by a node drain (no sizing fault)."""
-        ...
-
-    def on_ready(self, state: "TaskState", now: float) -> None:
-        """``state`` entered the ready queue (arrival, requeue, preempt)."""
+        ``outcome`` is :data:`SUCCESS`, :data:`KILL` or :data:`PREEMPT`.
+        ``state.attempt`` is still the ended attempt's number, also for
+        a preemption (which then hands the attempt back).
+        """
         ...
 
     def on_outage(self, node_id: int, now: float, active: bool) -> None:
@@ -149,34 +140,15 @@ class BaseCollector:
     def on_run_start(self, manager: ResourceManager) -> None:
         pass
 
-    def on_event(self, now: float) -> None:
-        pass
-
-    def on_events(self, now: float, n: int) -> None:
-        # Compatibility default: a collector that only overrides
-        # on_event still sees one call per handled event.
-        for _ in range(n):
-            self.on_event(now)
-
-    def on_wave(self, now, n, outcomes) -> None:
+    def on_ready(self, state, now) -> None:
         pass
 
     def on_dispatch(self, state, now, node, wait_hours) -> None:
         pass
 
-    def on_release(self, state, now, node, allocated_mb, occupied_hours) -> None:
-        pass
-
-    def on_task_success(self, state, now, allocated_mb) -> None:
-        pass
-
-    def on_task_failure(self, state, now, allocated_mb, occupied_hours) -> None:
-        pass
-
-    def on_preempt(self, state, now) -> None:
-        pass
-
-    def on_ready(self, state, now) -> None:
+    def on_attempt_end(
+        self, state, now, node, allocated_mb, occupied_hours, outcome
+    ) -> None:
         pass
 
     def on_outage(self, node_id, now, active) -> None:
@@ -193,35 +165,28 @@ class WastageCollector(BaseCollector):
     from its ledger and logs — but it is an ordinary collector: the same
     callbacks, no privileged access to the engine.
 
-    Scale-out modes (PR 7):
+    ``on_attempt_end`` appends one compact row per success or kill;
+    :meth:`_fold` accounts the rows in completion order — ledger,
+    summary aggregates, logs — every :data:`FOLD_ROWS` rows and at
+    :meth:`contribute`.  Every mode runs that one fold:
 
-    - ``keep_logs=False`` — the per-task :class:`PredictionLog` list and
-      the ledger's per-attempt outcome list are dropped; only the
-      running aggregates and quantile sketches survive, so memory stays
-      O(task types), not O(tasks).
-    - ``spill=path`` — every prediction log is appended to a JSONL file
-      as it happens (one JSON object per line, keys in
+    - exact (the default) keeps the per-task :class:`PredictionLog` rows
+      and the ledger's per-attempt outcome list;
+    - ``keep_logs=False`` drops both; only the running aggregates and
+      quantile sketches survive, so memory stays O(task types), not
+      O(tasks);
+    - ``spill=path`` appends every folded prediction log to a JSONL file
+      (one JSON object per line, keys in
       :data:`~repro.sim.results.LOG_FIELDS` order — the exact
       ``asdict(PredictionLog)`` shape — in completion order), so full
-      logs remain available on disk even
-      with ``keep_logs=False``.  On checkpoint the byte offset is
-      recorded; resume truncates the file back to it, so an interrupted
-      run never leaves duplicate lines.
+      logs remain available on disk even with ``keep_logs=False``.  A
+      checkpoint records the file's byte offset and pickles the unfolded
+      rows; resume truncates the file back to the offset, so an
+      interrupted run never leaves duplicate lines.
 
     The summary aggregates (wastage / turnaround sketches, first-attempt
-    over-allocation ratio) are maintained in *every* mode, in the same
-    update order, so streaming and exact runs report identical
-    summaries.
-
-    In the default exact mode (``keep_logs=True``, no spill) the per-task
-    accounting is *deferred* (PR 10): the hot-path callbacks only append
-    a compact row to a pending buffer, and :meth:`contribute` replays the
-    buffer through the exact statement sequence of the immediate path —
-    same float-add order, same sketch compress boundaries, same ledger
-    row layout — with every lookup hoisted out of the loop.  Streaming
-    (``keep_logs=False``) needs O(1) memory and spill needs
-    write-as-it-happens checkpoint offsets, so both keep the immediate
-    path.
+    over-allocation ratio) see the same values in the same order in
+    every mode, so streaming and exact runs report identical summaries.
     """
 
     def __init__(
@@ -236,238 +201,99 @@ class WastageCollector(BaseCollector):
         self.spill = str(spill) if spill is not None else None
         self._spill_fh = None
         self._spill_offset = 0
-        self._n_tasks = 0
         self._first_ratio_sum = 0.0
         self._first_ratio_n = 0
         self._wastage_sketch = QuantileSketch()
         self._turnaround_sketch = QuantileSketch()
-        # Deferred rows: (state, now, allocated) for successes,
-        # (state, attempt, allocated, occupied) for failures —
-        # attempt/allocated are captured at kill time because the state
-        # mutates when the task requeues.
-        self._deferred = keep_logs and spill is None
-        self._pending: list[tuple] = []
-        # Failure rows currently in ``_pending`` — when zero the flush
-        # takes an all-success loop with the stat fields in locals.
-        self._pending_failures = 0
+        # Unfolded attempt ends: (state, now, allocated) for successes,
+        # (state, attempt, allocated, occupied) for kills — a killed
+        # task's attempt is captured now, because the state mutates
+        # when the task is dispatched again.
+        self._rows: list[tuple] = []
 
-    def on_task_success(self, state, now, allocated_mb) -> None:
-        if self._deferred:
-            self._pending.append((state, now, allocated_mb))
+    def on_attempt_end(
+        self, state, now, node, allocated_mb, occupied_hours, outcome
+    ) -> None:
+        rows = self._rows
+        if outcome == SUCCESS:
+            rows.append((state, now, allocated_mb))
+        elif outcome == KILL:
+            rows.append((state, state.attempt, allocated_mb, occupied_hours))
+        else:
+            return  # a drain charges nothing
+        if len(rows) >= FOLD_ROWS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Account the buffered rows in completion order."""
+        rows = self._rows
+        if not rows:
             return
-        inst = state.inst
-        task_type = inst.task_type
-        peak = inst.peak_memory_mb
-        name = task_type.name
-        runtime = inst.runtime_hours
-        # Inlined :meth:`WastageLedger.record_success` — same
-        # validation, same columnar row, same aggregate updates (one
-        # call per task success on the kernel hot path).
-        if allocated_mb < peak - 1e-9:
-            raise ValueError(
-                "successful attempt cannot have allocated < peak "
-                f"({allocated_mb:.1f} < {peak:.1f} MB)"
-            )
-        wastage = (allocated_mb - peak) / 1024.0 * runtime  # MB -> GB
-        ledger = self.ledger
-        if ledger.keep_outcomes:
-            ledger._outcomes.append(
-                (
-                    name,
-                    task_type.workflow,
-                    inst.instance_id,
-                    state.attempt,
-                    allocated_mb,
-                    peak,
-                    runtime,
-                    True,
-                    wastage,
-                )
-            )
-        ledger._wastage_by_type[name] += wastage
-        ledger._total_wastage += wastage
-        ledger._runtime_hours += runtime
-        ledger._n_attempts += 1
-        self._n_tasks += 1
-        # Two inlined QuantileSketch.add calls (same update order as
-        # the method; one success per task on the kernel hot path).
-        sketch = self._wastage_sketch
-        stat = sketch.stat
-        stat.n += 1
-        stat.total += wastage
-        if wastage < stat.min:
-            stat.min = wastage
-        if wastage > stat.max:
-            stat.max = wastage
-        buffer = sketch._buffer
-        buffer.append(wastage)
-        if len(buffer) >= sketch._cap:
-            sketch._compress()
-        turnaround = now - state.arrival
-        sketch = self._turnaround_sketch
-        stat = sketch.stat
-        stat.n += 1
-        stat.total += turnaround
-        if turnaround < stat.min:
-            stat.min = turnaround
-        if turnaround > stat.max:
-            stat.max = turnaround
-        buffer = sketch._buffer
-        buffer.append(turnaround)
-        if len(buffer) >= sketch._cap:
-            sketch._compress()
-        first = state.first_allocation
-        if first is not None and first >= peak:
-            self._first_ratio_sum += first / peak
-            self._first_ratio_n += 1
-        if self.keep_logs or self.spill is not None:
-            row = (
-                inst.instance_id,
-                name,
-                task_type.workflow,
-                state.index,
-                inst.input_size_mb,
-                peak,
-                runtime,
-                state.first_allocation,
-                state.allocation,
-                state.attempt,
-            )
-            if self.keep_logs:
-                self.logs.append(row)
-            if self.spill is not None:
-                self._spill_write(row)
-
-    def on_task_failure(self, state, now, allocated_mb, occupied_hours) -> None:
-        if self._deferred:
-            self._pending.append(
-                (state, state.attempt, allocated_mb, occupied_hours)
-            )
-            self._pending_failures += 1
-            return
-        inst = state.inst
-        task_type = inst.task_type
-        out = self.ledger.record_failure(
-            task_type.name,
-            task_type.workflow,
-            inst.instance_id,
-            state.attempt,
-            allocated_mb,
-            inst.peak_memory_mb,
-            occupied_hours,
-        )
-        self._wastage_sketch.add(out.wastage_gbh)
-
-    def _flush_pending(self) -> None:
-        """Replay deferred rows in chronological order, lookups hoisted.
-
-        The statement sequence per row is identical to the immediate
-        ``on_task_success``/``on_task_failure`` bodies, so every float
-        add, sketch compress boundary, and ledger row lands bit-for-bit
-        where the per-event path would have put it.
-        """
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        has_failures = self._pending_failures > 0
-        self._pending_failures = 0
+        self._rows = []
         ledger = self.ledger
         keep_outcomes = ledger.keep_outcomes
-        outcomes_append = ledger._outcomes.append
         wastage_by_type = ledger._wastage_by_type
-        record_failure = ledger.record_failure
-        w_sketch = self._wastage_sketch
-        w_stat = w_sketch.stat
-        w_buffer = w_sketch._buffer
-        w_cap = w_sketch._cap
-        t_sketch = self._turnaround_sketch
-        t_stat = t_sketch.stat
-        t_buffer = t_sketch._buffer
-        t_cap = t_sketch._cap
-        logs_append = self.logs.append
-        n_tasks = 0
-        # Ledger scalars accumulate in locals; ``record_failure``
-        # mutates the same attributes, so each (rare) failure row
-        # writes the locals back first and reloads them after — the
-        # float-add sequence is exactly the immediate path's.
-        total_wastage = ledger._total_wastage
-        runtime_hours = ledger._runtime_hours
-        n_attempts = ledger._n_attempts
-        first_ratio_sum = self._first_ratio_sum
-        first_ratio_n = self._first_ratio_n
-        if not has_failures:
-            # All-success batch (the overwhelmingly common case): the
-            # eight running-stat fields also live in locals for the
-            # whole walk and are written back once.  ``_compress``
-            # never reads ``.stat``, so the add/min/max sequence is
-            # bit-for-bit the per-row path's.
-            w_n = w_stat.n
-            w_total = w_stat.total
-            w_min = w_stat.min
-            w_max = w_stat.max
-            t_n = t_stat.n
-            t_total = t_stat.total
-            t_min = t_stat.min
-            t_max = t_stat.max
-            for row in pending:
-                state, now, allocated_mb = row
+        keep_rows = self.keep_logs or self.spill is not None
+        wastages: list[float] = []
+        turnarounds: list[float] = []
+        logs: list[tuple] = []
+        for row in rows:
+            if len(row) == 4:
+                state, attempt, allocated_mb, occupied_hours = row
                 inst = state.inst
                 task_type = inst.task_type
-                peak = inst.peak_memory_mb
-                name = task_type.name
-                runtime = inst.runtime_hours
-                if allocated_mb < peak - 1e-9:
-                    raise ValueError(
-                        "successful attempt cannot have allocated < peak "
-                        f"({allocated_mb:.1f} < {peak:.1f} MB)"
+                out = ledger.record_failure(
+                    task_type.name,
+                    task_type.workflow,
+                    inst.instance_id,
+                    attempt,
+                    allocated_mb,
+                    inst.peak_memory_mb,
+                    occupied_hours,
+                )
+                wastages.append(out.wastage_gbh)
+                continue
+            state, now, allocated_mb = row
+            inst = state.inst
+            task_type = inst.task_type
+            name = task_type.name
+            peak = inst.peak_memory_mb
+            runtime = inst.runtime_hours
+            # Inlined :meth:`WastageLedger.record_success` — same
+            # validation, same columnar row, same aggregate updates,
+            # without building an outcome object per task.
+            if allocated_mb < peak - 1e-9:
+                raise ValueError(
+                    "successful attempt cannot have allocated < peak "
+                    f"({allocated_mb:.1f} < {peak:.1f} MB)"
+                )
+            wastage = (allocated_mb - peak) / _MB_PER_GB * runtime
+            if keep_outcomes:
+                ledger._outcomes.append(
+                    (
+                        name,
+                        task_type.workflow,
+                        inst.instance_id,
+                        state.attempt,
+                        allocated_mb,
+                        peak,
+                        runtime,
+                        True,
+                        wastage,
                     )
-                wastage = (allocated_mb - peak) / 1024.0 * runtime
-                if keep_outcomes:
-                    outcomes_append(
-                        (
-                            name,
-                            task_type.workflow,
-                            inst.instance_id,
-                            state.attempt,
-                            allocated_mb,
-                            peak,
-                            runtime,
-                            True,
-                            wastage,
-                        )
-                    )
-                wastage_by_type[name] += wastage
-                total_wastage += wastage
-                runtime_hours += runtime
-                n_attempts += 1
-                n_tasks += 1
-                w_n += 1
-                w_total += wastage
-                if wastage < w_min:
-                    w_min = wastage
-                if wastage > w_max:
-                    w_max = wastage
-                w_buffer.append(wastage)
-                if len(w_buffer) >= w_cap:
-                    w_sketch._compress()
-                    w_buffer = w_sketch._buffer
-                turnaround = now - state.arrival
-                t_n += 1
-                t_total += turnaround
-                if turnaround < t_min:
-                    t_min = turnaround
-                if turnaround > t_max:
-                    t_max = turnaround
-                t_buffer.append(turnaround)
-                if len(t_buffer) >= t_cap:
-                    t_sketch._compress()
-                    t_buffer = t_sketch._buffer
-                first = state.first_allocation
-                if first is not None and first >= peak:
-                    first_ratio_sum += first / peak
-                    first_ratio_n += 1
-                logs_append(
+                )
+            wastage_by_type[name] += wastage
+            ledger._total_wastage += wastage
+            ledger._runtime_hours += runtime
+            ledger._n_attempts += 1
+            wastages.append(wastage)
+            turnarounds.append(now - state.arrival)
+            first = state.first_allocation
+            if first is not None and first >= peak:
+                self._first_ratio_sum += first / peak
+                self._first_ratio_n += 1
+            if keep_rows:
+                logs.append(
                     (
                         inst.instance_id,
                         name,
@@ -481,117 +307,15 @@ class WastageCollector(BaseCollector):
                         state.attempt,
                     )
                 )
-            w_stat.n = w_n
-            w_stat.total = w_total
-            w_stat.min = w_min
-            w_stat.max = w_max
-            t_stat.n = t_n
-            t_stat.total = t_total
-            t_stat.min = t_min
-            t_stat.max = t_max
-        else:
-            for row in pending:
-                if len(row) == 3:
-                    state, now, allocated_mb = row
-                    inst = state.inst
-                    task_type = inst.task_type
-                    peak = inst.peak_memory_mb
-                    name = task_type.name
-                    runtime = inst.runtime_hours
-                    if allocated_mb < peak - 1e-9:
-                        raise ValueError(
-                            "successful attempt cannot have allocated < peak "
-                            f"({allocated_mb:.1f} < {peak:.1f} MB)"
-                        )
-                    wastage = (allocated_mb - peak) / 1024.0 * runtime
-                    if keep_outcomes:
-                        outcomes_append(
-                            (
-                                name,
-                                task_type.workflow,
-                                inst.instance_id,
-                                state.attempt,
-                                allocated_mb,
-                                peak,
-                                runtime,
-                                True,
-                                wastage,
-                            )
-                        )
-                    wastage_by_type[name] += wastage
-                    total_wastage += wastage
-                    runtime_hours += runtime
-                    n_attempts += 1
-                    n_tasks += 1
-                    w_stat.n += 1
-                    w_stat.total += wastage
-                    if wastage < w_stat.min:
-                        w_stat.min = wastage
-                    if wastage > w_stat.max:
-                        w_stat.max = wastage
-                    w_buffer.append(wastage)
-                    if len(w_buffer) >= w_cap:
-                        w_sketch._compress()
-                        w_buffer = w_sketch._buffer
-                    turnaround = now - state.arrival
-                    t_stat.n += 1
-                    t_stat.total += turnaround
-                    if turnaround < t_stat.min:
-                        t_stat.min = turnaround
-                    if turnaround > t_stat.max:
-                        t_stat.max = turnaround
-                    t_buffer.append(turnaround)
-                    if len(t_buffer) >= t_cap:
-                        t_sketch._compress()
-                        t_buffer = t_sketch._buffer
-                    first = state.first_allocation
-                    if first is not None and first >= peak:
-                        first_ratio_sum += first / peak
-                        first_ratio_n += 1
-                    logs_append(
-                        (
-                            inst.instance_id,
-                            name,
-                            task_type.workflow,
-                            state.index,
-                            inst.input_size_mb,
-                            peak,
-                            runtime,
-                            first,
-                            state.allocation,
-                            state.attempt,
-                        )
-                    )
-                else:
-                    state, attempt, allocated_mb, occupied_hours = row
-                    inst = state.inst
-                    task_type = inst.task_type
-                    ledger._total_wastage = total_wastage
-                    ledger._runtime_hours = runtime_hours
-                    ledger._n_attempts = n_attempts
-                    out = record_failure(
-                        task_type.name,
-                        task_type.workflow,
-                        inst.instance_id,
-                        attempt,
-                        allocated_mb,
-                        inst.peak_memory_mb,
-                        occupied_hours,
-                    )
-                    total_wastage = ledger._total_wastage
-                    runtime_hours = ledger._runtime_hours
-                    n_attempts = ledger._n_attempts
-                    w_sketch.add(out.wastage_gbh)
-                    w_buffer = w_sketch._buffer
-        ledger._total_wastage = total_wastage
-        ledger._runtime_hours = runtime_hours
-        ledger._n_attempts = n_attempts
-        self._first_ratio_sum = first_ratio_sum
-        self._first_ratio_n = first_ratio_n
-        self._n_tasks += n_tasks
+        self._wastage_sketch.extend(wastages)
+        self._turnaround_sketch.extend(turnarounds)
+        if self.keep_logs:
+            self.logs += logs
+        if self.spill is not None and logs:
+            self._spill_write(logs)
 
     def contribute(self, result: SimulationResult) -> None:
-        self._flush_pending()
+        self._fold()
         if self.keep_logs:
             # Hand over the compact rows; the result sorts and builds
             # the PredictionLog view lazily, off the timed run.
@@ -600,9 +324,8 @@ class WastageCollector(BaseCollector):
             self._spill_fh.close()
             self._spill_fh = None
         summary = result.summary
-        if summary is None:
-            return
-        summary.n_tasks = self._n_tasks
+        # One turnaround per successful task.
+        summary.n_tasks = self._turnaround_sketch.n
         summary.n_attempts = self.ledger.num_attempts
         summary.n_failures = self.ledger.num_failures
         summary.total_wastage_gbh = self.ledger.total_wastage_gbh
@@ -617,15 +340,18 @@ class WastageCollector(BaseCollector):
     # ------------------------------------------------------------------
     # JSONL spill sink
     # ------------------------------------------------------------------
-    def _spill_write(self, row: tuple) -> None:
+    def _spill_write(self, rows: list[tuple]) -> None:
         fh = self._spill_fh
         if fh is None:
             fh = self._spill_open()
         fh.write(
-            json.dumps(
-                dict(zip(LOG_FIELDS, row)), separators=(",", ":")
-            ).encode()
-            + b"\n"
+            b"".join(
+                json.dumps(
+                    dict(zip(LOG_FIELDS, row)), separators=(",", ":")
+                ).encode()
+                + b"\n"
+                for row in rows
+            )
         )
 
     def _spill_open(self):
@@ -652,53 +378,35 @@ class WastageCollector(BaseCollector):
 
 
 class ClusterMetricsCollector(BaseCollector):
-    """Queue waits, makespan, per-node busy memory and timelines.
+    """Queue waits, per-node busy memory and allocation timelines.
 
-    With ``stream=True`` the unbounded per-dispatch wait list and the
-    per-node allocation timelines are not kept — queue waits go into a
-    quantile sketch plus exact running stats, and only the O(nodes)
+    ``on_dispatch`` records the attempt's queue wait; ``on_attempt_end``
+    adds its memory-hours to the node's busy integral.  Both also add a
+    timeline point at the node's allocation after the change.  Waits
+    fold into a quantile sketch whose running stat is the summary's
+    exact count/total/min/max.
+
+    ``stream`` decides two things.  In exact mode the per-dispatch waits
+    and the per-node timelines are kept, and the waits fold at
+    :meth:`contribute`.  With ``stream=True`` neither is kept: waits
+    fold every :data:`FOLD_ROWS` dispatches and only the O(nodes)
     busy-memory integrals survive.  ``result.cluster`` is then left
     ``None`` (there is no exact timeline to report); the cluster section
     of ``result.summary`` carries the scalars instead — with numbers
-    identical to an exact run's, since the same online updates feed both
-    modes.
-
-    In exact mode the per-dispatch/per-release accounting is *deferred*
-    (PR 10): the hot-path callbacks append one compact row — the node's
-    post-event allocation is captured at call time — and
-    :meth:`contribute` replays the rows through the exact statement
-    sequence of the immediate path.  Streaming mode keeps the immediate
-    updates (its point is O(1) memory).
-
-    When this collector is the *only* dispatch/release subscriber the
-    kernel loop bypasses the callbacks entirely and appends to
-    ``_timelines``/``_queue_waits`` (and accumulates ``_busy_mbh``)
-    directly, in event order — the same entries the row replay would
-    have produced.  ``_n_stat_waits`` marks how many queue waits have
-    already been folded into the running stat and sketch, so
-    :meth:`_flush_pending` batches exactly the unseen tail regardless
-    of which path appended it.
+    identical to an exact run's, since both fold the same waits in the
+    same order.
     """
 
     def __init__(self, stream: bool = False) -> None:
         self.stream = stream
         self._manager: ResourceManager | None = None
-        self._makespan = 0.0
         self._queue_waits: list[float] = []
         self._busy_mbh: dict[int, float] = {}
         self._timelines: dict[int, list[tuple[float, float]]] = {}
-        self._wait_stat = RunningStat()
         self._wait_sketch = QuantileSketch()
-        # Deferred rows: (node_id, now, alloc_after, wait) for
-        # dispatches, (node_id, now, alloc_after, allocated, occupied)
-        # for releases.
-        self._pending: list[tuple] = []
-        # Queue waits already folded into _wait_stat/_wait_sketch.
-        self._n_stat_waits = 0
 
     def on_run_start(self, manager: ResourceManager) -> None:
         self._manager = manager
-        self._makespan = 0.0
         self._queue_waits = []
         self._busy_mbh = {node.node_id: 0.0 for node in manager.nodes}
         self._timelines = (
@@ -706,154 +414,52 @@ class ClusterMetricsCollector(BaseCollector):
             if self.stream
             else {node.node_id: [(0.0, 0.0)] for node in manager.nodes}
         )
-        self._wait_stat = RunningStat()
         self._wait_sketch = QuantileSketch()
-        self._pending = []
-        self._n_stat_waits = 0
-
-    def on_event(self, now: float) -> None:
-        self._makespan = max(self._makespan, now)
-
-    def on_events(self, now: float, n: int) -> None:
-        # n same-timestamp max() updates collapse to one.
-        if now > self._makespan:
-            self._makespan = now
 
     def on_dispatch(self, state, now, node, wait_hours) -> None:
         # Every dispatch pays its wait — including re-queues after a
         # kill, which otherwise vanish from the totals.
+        waits = self._queue_waits
+        waits.append(wait_hours)
         if not self.stream:
-            self._pending.append(
-                (node.node_id, now, node.allocated_mb, wait_hours)
-            )
-            return
-        # Streaming path: immediate updates (the RunningStat update is
-        # inlined — one dispatch per attempt, hot path).
-        stat = self._wait_stat
-        stat.n += 1
-        stat.total += wait_hours
-        if wait_hours < stat.min:
-            stat.min = wait_hours
-        if wait_hours > stat.max:
-            stat.max = wait_hours
-        # Inlined QuantileSketch.add (same update order as the method).
-        sketch = self._wait_sketch
-        stat = sketch.stat
-        stat.n += 1
-        stat.total += wait_hours
-        if wait_hours < stat.min:
-            stat.min = wait_hours
-        if wait_hours > stat.max:
-            stat.max = wait_hours
-        buffer = sketch._buffer
-        buffer.append(wait_hours)
-        if len(buffer) >= sketch._cap:
-            sketch._compress()
+            self._timelines[node.node_id].append((now, node.allocated_mb))
+        elif len(waits) >= FOLD_ROWS:
+            self._wait_sketch.extend(waits)
+            waits.clear()
 
-    def on_release(self, state, now, node, allocated_mb, occupied_hours) -> None:
-        if not self.stream:
-            self._pending.append(
-                (node.node_id, now, node.allocated_mb, allocated_mb,
-                 occupied_hours)
-            )
-            return
+    def on_attempt_end(
+        self, state, now, node, allocated_mb, occupied_hours, outcome
+    ) -> None:
         self._busy_mbh[node.node_id] += allocated_mb * occupied_hours
-
-    def _flush_pending(self) -> None:
-        """Replay deferred dispatch/release rows in chronological order.
-
-        Statement-for-statement the immediate path: same RunningStat and
-        sketch update order (so compress boundaries match a streaming
-        run's bit-for-bit), same timeline append order, same per-node
-        busy-memory accumulation order.
-        """
-        pending = self._pending
-        queue_waits = self._queue_waits
-        if pending:
-            self._pending = []
-            timelines = self._timelines
-            busy = self._busy_mbh
-            waits_append = queue_waits.append
-            # Timelines interleave dispatch and release rows per node,
-            # so the order-preserving walk stays — per row it is one
-            # append (plus the busy-memory integral on releases), and
-            # dispatch waits land on ``_queue_waits`` in event order,
-            # exactly where the kernel's direct-write fast path puts
-            # them.
-            for row in pending:
-                if len(row) == 4:
-                    node_id, now, alloc_after, wait = row
-                    waits_append(wait)
-                else:
-                    node_id, now, alloc_after, allocated_mb, occupied_hours = (
-                        row
-                    )
-                    busy[node_id] += allocated_mb * occupied_hours
-                timelines[node_id].append((now, alloc_after))
-        # Wait statistics batch over the not-yet-folded tail of the
-        # chronological wait list: ``sum(list, start)`` is the same
-        # sequential left-fold as per-row ``+=``, min/max are
-        # order-free, and the chunk-to-the-boundary buffer fill hits
-        # the same compress points as per-value ``add`` (pinned by the
-        # sketch extend-equivalence tests).
-        start = self._n_stat_waits
-        if start == len(queue_waits):
-            return
-        waits = queue_waits[start:]
-        self._n_stat_waits = len(queue_waits)
-        stat = self._wait_stat
-        sketch = self._wait_sketch
-        sstat = sketch.stat
-        cap = sketch._cap
-        n_waits = len(waits)
-        lo = min(waits)
-        hi = max(waits)
-        stat.n += n_waits
-        stat.total = sum(waits, stat.total)
-        if lo < stat.min:
-            stat.min = lo
-        if hi > stat.max:
-            stat.max = hi
-        sstat.n += n_waits
-        sstat.total = sum(waits, sstat.total)
-        if lo < sstat.min:
-            sstat.min = lo
-        if hi > sstat.max:
-            sstat.max = hi
-        pos = 0
-        while pos < n_waits:
-            buffer = sketch._buffer
-            take = cap - len(buffer)
-            buffer.extend(waits[pos : pos + take])
-            pos += take
-            if len(buffer) >= cap:
-                sketch._compress()
+        if not self.stream:
+            self._timelines[node.node_id].append((now, node.allocated_mb))
 
     def contribute(self, result: SimulationResult) -> None:
-        self._flush_pending()
         assert self._manager is not None, "collector never saw on_run_start"
+        # Exact mode folds every wait here; streaming folds its tail.
+        self._wait_sketch.extend(self._queue_waits)
+        summary = result.summary
+        makespan = summary.makespan_hours
         if not self.stream:
             result.cluster = build_cluster_metrics(
                 self._manager,
-                self._makespan,
+                makespan,
                 self._queue_waits,
                 self._busy_mbh,
                 self._timelines,
             )
-        summary = result.summary
-        if summary is None:
-            return
         caps = self._manager.node_capacities_mb()
         summary.n_nodes = len(caps)
-        summary.makespan_hours = self._makespan
-        summary.queue_wait = self._wait_stat
+        # A copy: RunSummary.merge folds queue_wait and the sketch's own
+        # stat separately.
+        summary.queue_wait = RunningStat().merge(self._wait_sketch.stat)
         summary.queue_wait_sketch = self._wait_sketch
         summary.utilization_sum = (
             sum(
-                busy / (caps[n] * self._makespan)
+                busy / (caps[n] * makespan)
                 for n, busy in self._busy_mbh.items()
             )
-            if self._makespan > 0
+            if makespan > 0
             else 0.0
         )
 
@@ -880,33 +486,28 @@ class WorkflowMetricsCollector(BaseCollector):
         if wi.first_dispatch is None:
             wi.first_dispatch = now
 
-    def on_wave(self, now, n, outcomes) -> None:
-        # Whole-wave consumption (PR 10): one call per event wave
-        # instead of one ``on_task_success``/``on_task_failure`` call
-        # per completion.  The arithmetic is expression-for-expression
-        # the old per-event bodies', in the same event order.
-        for state, success, allocated_mb, occupied_hours in outcomes:
-            wi = state.wi
-            if wi is None:
-                continue
-            if success:
-                inst = state.inst
-                wi.wastage_gbh += (
-                    (allocated_mb - inst.peak_memory_mb)
-                    / _MB_PER_GB
-                    * inst.runtime_hours
-                )
-            else:
-                wi.wastage_gbh += allocated_mb / _MB_PER_GB * occupied_hours
-                wi.n_failures += 1
+    def on_attempt_end(
+        self, state, now, node, allocated_mb, occupied_hours, outcome
+    ) -> None:
+        wi = state.wi
+        if wi is None:
+            return
+        if outcome == SUCCESS:
+            inst = state.inst
+            wi.wastage_gbh += (
+                (allocated_mb - inst.peak_memory_mb)
+                / _MB_PER_GB
+                * inst.runtime_hours
+            )
+        elif outcome == KILL:
+            wi.wastage_gbh += allocated_mb / _MB_PER_GB * occupied_hours
+            wi.n_failures += 1
 
     def contribute(self, result: SimulationResult) -> None:
         result.workflows = WorkflowMetrics(
             instances=[self._instance_metrics(wi) for wi in self._workflows]
         )
         summary = result.summary
-        if summary is None:
-            return
         summary.n_workflow_instances = len(result.workflows.instances)
         for w in result.workflows.instances:
             summary.workflow_makespan.add(w.makespan_hours)

@@ -10,8 +10,10 @@ flat event backend and the DAG scheduling engine used to duplicate:
   place through the manager's policy, run under the strict limit, kill
   at ``time_to_failure`` of the runtime, re-size with the
   doubling-factor escalation floor, re-queue at original priority;
-- **metrics dispatch** to pluggable
-  :class:`~repro.sim.kernel.collectors.MetricsCollector` objects;
+- the **makespan** (the clock of the last event wave that handled an
+  arrival or a completion) and **metrics dispatch** to pluggable
+  :class:`~repro.sim.kernel.collectors.MetricsCollector` objects: one
+  ``on_attempt_end`` call per attempt end, whatever its outcome;
 - kernel-level scenarios such as scheduled **node drains**
   (:mod:`repro.sim.kernel.outage`), available to every driver.
 
@@ -41,8 +43,10 @@ from repro.sim.backends.base import (
 from repro.sim.errors import UnschedulableTaskError
 from repro.sim.interface import MemoryPredictor, TaskSubmission, TraceContext
 from repro.sim.kernel.collectors import (
+    KILL,
+    PREEMPT,
+    SUCCESS,
     BaseCollector,
-    ClusterMetricsCollector,
     MetricsCollector,
     WastageCollector,
 )
@@ -251,11 +255,11 @@ class SimulationKernel:
             *collectors,
         )
         # Per-callback dispatch lists: only collectors that actually
-        # override a callback get the call.  Every fire site then loops
-        # a (usually short or empty) tuple of genuine subscribers
-        # instead of fanning no-ops out to every collector — at bench
-        # scale the no-op fan-out was a top-five cost.
-        def _overrides(name: str):
+        # override a per-event callback get the call.  Every fire site
+        # then loops a (usually short or empty) tuple of genuine
+        # subscribers instead of fanning no-ops out to every collector —
+        # at bench scale the no-op fan-out was a top-five cost.
+        def _overrides(name: str) -> tuple[MetricsCollector, ...]:
             base = getattr(BaseCollector, name)
             return tuple(
                 c
@@ -263,32 +267,10 @@ class SimulationKernel:
                 if getattr(type(c), name, None) is not base
             )
 
-        # Event-wave subscribers: overriding either the per-event or the
-        # batched callback subscribes (the kernel always fires the
-        # batched one; BaseCollector.on_events replays on_event n times).
-        self._event_collectors: tuple[MetricsCollector, ...] = tuple(
-            c
-            for c in self.collectors
-            if getattr(type(c), "on_event", None) is not BaseCollector.on_event
-            or getattr(type(c), "on_events", None)
-            is not BaseCollector.on_events
-        )
         self._ready_collectors = _overrides("on_ready")
-        # ``on_wave`` is newer than the collector protocol: a collector
-        # written against the old protocol may not define it at all, so
-        # a missing attribute means "not subscribed", not "overridden".
-        self._wave_collectors = tuple(
-            c
-            for c in self.collectors
-            if getattr(type(c), "on_wave", None)
-            not in (None, BaseCollector.on_wave)
-        )
-        self._outage_collectors = _overrides("on_outage")
         self._dispatch_collectors = _overrides("on_dispatch")
-        self._release_collectors = _overrides("on_release")
-        self._success_collectors = _overrides("on_task_success")
-        self._failure_collectors = _overrides("on_task_failure")
-        self._preempt_collectors = _overrides("on_preempt")
+        self._end_collectors = _overrides("on_attempt_end")
+        self._outage_collectors = _overrides("on_outage")
         # ``MemoryPredictor.observe`` defaults to a no-op; when the
         # predictor doesn't override it the kernel skips building the
         # per-completion TaskRecord entirely.
@@ -301,12 +283,6 @@ class SimulationKernel:
         # False``) never release successors, so the per-success driver
         # call is skipped entirely.
         self._driver_releases = getattr(driver, "releases_on_success", True)
-        # Per-run stock-collector certificates (see :meth:`run`): the
-        # exact-mode ClusterMetricsCollector the loop may write into
-        # directly, and the collector whose makespan tracking replaces
-        # the per-wave ``on_events`` fan-out.
-        self._cluster_fast: ClusterMetricsCollector | None = None
-        self._makespan_fast: ClusterMetricsCollector | None = None
         self.prediction_chunk = prediction_chunk
         self.doubling_factor = doubling_factor
         self.outages = parse_node_outages(outages)
@@ -321,6 +297,10 @@ class SimulationKernel:
 
         self.events = EventCalendar()
         self.now = 0.0
+        #: Clock of the last event wave that handled an arrival or a
+        #: completion; handed to the collectors as
+        #: ``result.summary.makespan_hours``.
+        self.makespan = 0.0
         #: Set once the run has been seeded; a resumed kernel skips the
         #: seeding/begin_trace phase and picks the loop back up.
         self._started = False
@@ -343,39 +323,6 @@ class SimulationKernel:
         it left off and is bit-for-bit identical to an uninterrupted
         run.
         """
-        # Stock-collector certificates, re-derived per call so flag
-        # flips between runs (e.g. ``stream``) are honoured.  When a
-        # single stock ClusterMetricsCollector in exact mode sits on
-        # the dispatch+release seams, the loop (and the kill/preempt
-        # paths) append its timeline entries, queue waits, and
-        # busy-memory integrals straight into its containers — the
-        # same entries, in the same event order, the callback would
-        # produce; ``_flush_pending`` then only folds the wait
-        # statistics.  Likewise a stock event-wave subscriber gets its
-        # makespan from one write-back instead of a call per wave.
-        # Other subscribers on the same seams (workflow metrics, trace
-        # collectors) still receive the generic fan-out — the loop
-        # builds its call tuples with the fast-pathed collector
-        # filtered out, and collectors never read each other's state,
-        # so the relative order is immaterial.
-        dc = self._dispatch_collectors
-        rc = self._release_collectors
-        cands = [
-            c
-            for c in dc
-            if type(c) is ClusterMetricsCollector and not c.stream
-        ]
-        self._cluster_fast = (
-            cands[0]
-            if len(cands) == 1 and any(c is cands[0] for c in rc)
-            else None
-        )
-        mcands = [
-            c
-            for c in self._event_collectors
-            if type(c) is ClusterMetricsCollector
-        ]
-        self._makespan_fast = mcands[0] if len(mcands) == 1 else None
         timer = self._timer
         if timer is None:
             if not self._started:
@@ -432,16 +379,15 @@ class SimulationKernel:
         ``finally``), the dynamic lane as a raw heap list (``heap[0]``
         peek, ``heappop``) — so scheduled arrivals never pay a heap
         sift.  All events sharing the current timestamp are consumed as
-        one wave: completions are handled inline, collectors get one
-        batched ``on_events`` call per wave (stale completions and
-        outage transitions are not counted), completion outcomes are
-        handed to ``on_wave`` subscribers once per wave (the list is
-        only built when someone subscribes), and the whole dispatch
-        pass — sizing wave, placement, the bookkeeping of
-        :meth:`Machine.allocate` (same capacity guard, same error),
-        task-id handout, and the completion-event push — lives in the
-        loop body so its local aliases are hoisted once per run instead
-        of once per wave.  Every mutable container aliased here (event
+        one wave: completions are handled inline (a success fires
+        ``on_attempt_end`` as soon as its node slice is free), a wave
+        that handled an arrival or a completion moves the makespan to
+        its clock (stale completions and outage transitions do not
+        count), and the whole dispatch pass — sizing wave, placement,
+        the bookkeeping of :meth:`Machine.allocate` (same capacity
+        guard, same error), task-id handout, and the completion-event
+        push — lives in the loop body so its local aliases are hoisted
+        once per run instead of once per wave.  Every mutable container aliased here (event
         heap, schedule mirrors, ready-queue ``order`` list,
         ``_drained``, ``_running``) is identity-stable for the whole
         run — mutated in place, never rebound — and the scheduled lane
@@ -460,13 +406,14 @@ class SimulationKernel:
           ``n_events`` counts these pops, the BENCH events/sec
           denominator);
         - ``arrival``  — driver arrival handling (incl. on_ready);
-        - ``success``  — completion within limit: release, ledger,
-          ``predictor.observe``, successor release;
-        - ``kill``     — limit exceeded: release, ledger, observe,
-          re-size with escalation floor, requeue;
+        - ``success``  — completion within limit: release,
+          ``on_attempt_end`` fan-out, ``predictor.observe``, successor
+          release;
+        - ``kill``     — limit exceeded: release, ``on_attempt_end``
+          fan-out, observe, re-size with escalation floor, requeue;
         - ``outage``   — drain open/close incl. preemptions;
-        - ``collect``  — per-wave batched and per-dispatch collector
-          fan-out;
+        - ``collect``  — per-dispatch collector fan-out, and the
+          per-wave makespan update;
         - ``size``     — ``predict_batch`` sizing waves;
         - ``place``    — placement scans;
         - ``dispatch`` — allocation bookkeeping + completion push.
@@ -492,48 +439,8 @@ class SimulationKernel:
         # Bound-method tuples: the per-call attribute lookup inside the
         # collector fan-out loops was measurable at bench scale.
         ready_calls = tuple(c.on_ready for c in self._ready_collectors)
-        # Stock-collector fast paths: when the stock collector sits on
-        # a seam in deferred/exact mode, skip its bound-method call and
-        # produce its effect directly — the wastage collector gets the
-        # identical pending row; the cluster collector (the
-        # ``run()``-issued ``_cluster_fast``/``_makespan_fast``
-        # certificates) gets its timeline entries, queue waits, busy
-        # integrals, and makespan written straight into its containers.
-        # The call tuples below are built with the fast-pathed
-        # collector filtered out, so any co-subscribers (workflow
-        # metrics, trace collectors) still receive the generic fan-out.
-        cf = self._cluster_fast
-        if cf is not None:
-            cf_timelines = cf._timelines
-            cf_waits_append = cf._queue_waits.append
-            cf_busy = cf._busy_mbh
-        mf = self._makespan_fast
-        makespan = mf._makespan if mf is not None else 0.0
-        event_calls = tuple(
-            c.on_events for c in self._event_collectors if c is not mf
-        )
-        dispatch_calls = tuple(
-            c.on_dispatch
-            for c in self._dispatch_collectors
-            if c is not cf
-        )
-        release_calls = tuple(
-            c.on_release
-            for c in self._release_collectors
-            if c is not cf
-        )
-        success_calls = tuple(
-            c.on_task_success for c in self._success_collectors
-        )
-        wave_calls = tuple(c.on_wave for c in self._wave_collectors)
-        sc = self._success_collectors
-        wastage_pending = (
-            sc[0]._pending.append
-            if len(sc) == 1
-            and type(sc[0]) is WastageCollector
-            and sc[0]._deferred
-            else None
-        )
+        dispatch_calls = tuple(c.on_dispatch for c in self._dispatch_collectors)
+        end_calls = tuple(c.on_attempt_end for c in self._end_collectors)
         # Stock flat driver with no on_ready subscribers: scheduled-lane
         # arrivals inline the block pop + ready-queue push (the
         # ``inline_arrival`` contract on the driver class).
@@ -541,8 +448,6 @@ class SimulationKernel:
             getattr(type(driver), "inline_arrival", False)
             and not ready_calls
         )
-        outcomes: list = []
-        outcomes_append = outcomes.append
         observe = self._observe
         driver_releases = self._driver_releases
         queue = driver.queue
@@ -580,7 +485,7 @@ class SimulationKernel:
             self.now = now
             if timer is not None:
                 timer.lap("heap")
-            handled = 0
+            handled = False
             while True:
                 # Next event at ``now``, merging lanes on (time, kind,
                 # seq); break once the wave is drained.
@@ -638,18 +543,8 @@ class SimulationKernel:
                         del running[task_id]
                         manager.generation += 1
                         occupied = now - start
-                        if cf is not None:
-                            cf_timelines[node.node_id].append(
-                                (now, node.allocated_mb)
-                            )
-                            cf_busy[node.node_id] += allocated * occupied
-                        for call in release_calls:
-                            call(state, now, node, allocated, occupied)
-                        if wastage_pending is not None:
-                            wastage_pending((state, now, allocated))
-                        else:
-                            for call in success_calls:
-                                call(state, now, allocated)
+                        for call in end_calls:
+                            call(state, now, node, allocated, occupied, SUCCESS)
                         if observe:
                             predictor.observe(
                                 TaskRecord(
@@ -671,18 +566,10 @@ class SimulationKernel:
                                 released.queued_at = now
                                 for call in ready_calls:
                                     call(released, now)
-                        if wave_calls:
-                            outcomes_append(
-                                (state, True, allocated, occupied)
-                            )
                         if timer is not None:
                             timer.lap("success")
                     else:
-                        freed = kill(state, now)
-                        if wave_calls:
-                            outcomes_append(
-                                (state, False, freed[0], freed[1])
-                            )
+                        kill(state, now)
                         if timer is not None:
                             timer.lap("kill")
                 elif kind == ARRIVAL:
@@ -716,19 +603,11 @@ class SimulationKernel:
                     if timer is not None:
                         timer.lap("outage")
                     continue  # drains don't extend the measured makespan
-                handled += 1
+                handled = True
             if handled:
-                if mf is not None:
-                    # Wave times are non-decreasing, so the makespan is
-                    # just the last counted wave's clock — assigned
-                    # here, written back once in the ``finally``.
-                    makespan = now
-                for call in event_calls:
-                    call(now, handled)
-                if wave_calls:
-                    for call in wave_calls:
-                        call(now, handled, outcomes)
-                    del outcomes[:]
+                # Wave times are non-decreasing, so the makespan is just
+                # the last counted wave's clock.
+                self.makespan = now
                 if timer is not None:
                     timer.lap("collect")
             # Dispatch pass: size, place, and start queued heads FCFS.
@@ -825,11 +704,6 @@ class SimulationKernel:
                 wait = now - head.queued_at
                 if timer is not None:
                     timer.lap("dispatch")
-                if cf is not None:
-                    cf_timelines[node.node_id].append(
-                        (now, node.allocated_mb)
-                    )
-                    cf_waits_append(wait)
                 for call in dispatch_calls:
                     call(head, now, node, wait)
                 if timer is not None:
@@ -847,11 +721,8 @@ class SimulationKernel:
                     timer.lap("dispatch")
         finally:
             # Pause, normal exit, or error: the calendar must agree with
-            # the local cursor before anyone can observe it, and the
-            # fast-path makespan must land on its collector.
+            # the local cursor before anyone can observe it.
             events._cursor = cursor
-            if mf is not None and makespan > mf._makespan:
-                mf._makespan = makespan
         return True
 
     def _finalize(self) -> SimulationResult:
@@ -867,6 +738,7 @@ class SimulationKernel:
             workflow=self.source.workflow,
             method=self.predictor.name,
             time_to_failure=self.time_to_failure,
+            makespan_hours=self.makespan,
         )
         for collector in self.collectors:
             collector.contribute(result)
@@ -893,8 +765,13 @@ class SimulationKernel:
     # ------------------------------------------------------------------
     # lifecycle transitions
     # ------------------------------------------------------------------
-    def _release(self, state: TaskState, now: float) -> tuple[float, float]:
-        """Free the task's node slice; returns (allocated mb, occupied h)."""
+    def _release(
+        self, state: TaskState, now: float, outcome: str
+    ) -> tuple[float, float]:
+        """End the attempt with ``outcome`` and free its node slice.
+
+        Returns (allocated mb, occupied h).
+        """
         node, task_id, allocated, start = state.running
         state.running = None
         # Inlined Machine.release: ``task_id`` is always present (the
@@ -906,21 +783,16 @@ class SimulationKernel:
         # Capacity grew: void any cached placement failure.
         self.manager.generation += 1
         occupied = now - start
-        cf = self._cluster_fast
-        if cf is not None:
-            cf._timelines[node.node_id].append((now, node.allocated_mb))
-            cf._busy_mbh[node.node_id] += allocated * occupied
-        for collector in self._release_collectors:
-            if collector is not cf:
-                collector.on_release(state, now, node, allocated, occupied)
+        for collector in self._end_collectors:
+            collector.on_attempt_end(
+                state, now, node, allocated, occupied, outcome
+            )
         return allocated, occupied
 
-    def _kill(self, state: TaskState, now: float) -> tuple[float, float]:
-        """Kill an over-limit attempt; returns (allocated mb, occupied h)."""
+    def _kill(self, state: TaskState, now: float) -> None:
+        """Kill an over-limit attempt, re-size it and requeue it."""
         inst = state.inst
-        allocated, occupied = self._release(state, now)
-        for collector in self._failure_collectors:
-            collector.on_task_failure(state, now, allocated, occupied)
+        allocated, occupied = self._release(state, now, KILL)
         # The failure record's "peak" is the exceeded limit — a lower
         # bound, flagged via ``success=False``.
         if self._observe:
@@ -953,7 +825,6 @@ class SimulationKernel:
         self.driver.queue.requeue(state)
         for collector in self._ready_collectors:
             collector.on_ready(state, now)
-        return allocated, occupied
 
     # ------------------------------------------------------------------
     # node drains
@@ -975,14 +846,12 @@ class SimulationKernel:
             and st.running[0].node_id == outage.node_id
         ]
         for state in victims:
-            self._release(state, now)
+            self._release(state, now, PREEMPT)
             # Not the sizing method's fault: the attempt budget and the
             # allocation are untouched, nothing hits the ledger, and the
             # stale completion event is invalidated by the bumped gen.
             state.attempt -= 1
             state.dispatch_gen += 1
-            for collector in self._preempt_collectors:
-                collector.on_preempt(state, now)
             state.queued_at = now
             self.driver.queue.requeue(state)
             for collector in self._ready_collectors:

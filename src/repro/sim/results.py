@@ -246,6 +246,7 @@ class RunSummary:
     turnaround_sketch: QuantileSketch = field(default_factory=QuantileSketch)
     # -- cluster section (event backend only; n_nodes marks presence) ---
     n_nodes: int | None = None
+    #: Set by the kernel before its collectors contribute.
     makespan_hours: float = 0.0
     queue_wait: RunningStat = field(default_factory=RunningStat)
     queue_wait_sketch: QuantileSketch = field(default_factory=QuantileSketch)

@@ -17,11 +17,16 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster.machine import MachineConfig
+from repro.cluster.manager import ResourceManager
 from repro.experiments.factories import method_factories
 from repro.obs.trace import CLUSTER_PID, OUTAGE_TID, US_PER_HOUR, TraceCollector
 from repro.sim.backends.event import EventDrivenBackend
 from repro.sim.engine import OnlineSimulator
+from repro.sim.interface import MemoryPredictor
+from repro.sim.kernel import SUCCESS
 from repro.workflow.nfcore import build_workflow_trace
+from repro.workflow.task import TaskInstance, TaskType, WorkflowTrace
 
 #: Required keys per Chrome trace phase type.
 _REQUIRED = {
@@ -117,6 +122,47 @@ class TestSchema:
             assert span["tid"] == OUTAGE_TID
             assert span["dur"] == pytest.approx(0.02 * US_PER_HOUR)
 
+    def test_preempted_attempt_keeps_its_attempt_number(self, tmp_path):
+        # One 1 h task on one 2 GB node, drained from 0.5 h to 0.75 h:
+        # the preempted first attempt hands its attempt back, so the
+        # re-run is attempt 1 again — in both spans and in the ledger.
+        task_type = TaskType(name="t", workflow="wf", preset_memory_mb=1000.0)
+        trace = WorkflowTrace(
+            "wf",
+            [
+                TaskInstance(
+                    task_type=task_type,
+                    instance_id=0,
+                    input_size_mb=1.0,
+                    peak_memory_mb=800.0,
+                    runtime_hours=1.0,
+                )
+            ],
+        )
+
+        class Fixed(MemoryPredictor):
+            name = "Fixed"
+
+            def predict(self, task):
+                return 1000.0
+
+        path = tmp_path / "trace.json"
+        backend = EventDrivenBackend(
+            arrival="fixed:0", node_outage=["0.5:0.25:0"], trace=str(path)
+        )
+        manager = ResourceManager(
+            MachineConfig(name="m", memory_mb=2048.0), n_nodes=1
+        )
+        result = backend.run(trace, Fixed(), manager, 1.0)
+        events = json.loads(path.read_text())["traceEvents"]
+        spans = [
+            (e["cat"], e["args"]["attempt"])
+            for e in events
+            if e["ph"] == "X" and e["cat"] != "outage"
+        ]
+        assert spans == [("preempt", 1), ("success", 1)]
+        assert [o.attempt for o in result.ledger.outcomes] == [1]
+
 
 class TestLanes:
     def test_occupancy_spans_never_overlap_within_a_lane(self, traced):
@@ -191,8 +237,7 @@ class TestUnitLanes:
         collector.on_dispatch(b, 0.0, _NODE, 0.0)
         assert collector._lane_of[id(a)] == (0, OUTAGE_TID + 1)
         assert collector._lane_of[id(b)] == (0, OUTAGE_TID + 2)
-        collector.on_release(a, 1.0, _NODE, 2048.0, 1.0)
-        collector.on_task_success(a, 1.0, 2048.0)
+        collector.on_attempt_end(a, 1.0, _NODE, 2048.0, 1.0, SUCCESS)
         # The freed lane (the lowest) is reused before a new one opens.
         collector.on_dispatch(c, 1.0, _NODE, 0.0)
         assert collector._lane_of[id(c)] == (0, OUTAGE_TID + 1)
@@ -201,8 +246,7 @@ class TestUnitLanes:
         collector = TraceCollector()
         s = _state(1)
         collector.on_dispatch(s, 0.0, _NODE, 0.0)
-        collector.on_release(s, 2.0, _NODE, 2048.0, 2.0)
-        collector.on_task_success(s, 2.0, 2048.0)
+        collector.on_attempt_end(s, 2.0, _NODE, 2048.0, 2.0, SUCCESS)
         (span,) = [e for e in collector.trace_events() if e["ph"] == "X"]
         assert span["cat"] == "success"
         assert span["ts"] == pytest.approx(0.0)
@@ -223,8 +267,7 @@ class TestUnitLanes:
         collector = TraceCollector()
         s = _state(1)
         collector.on_dispatch(s, 0.0, _NODE, 0.0)
-        collector.on_release(s, 1.0, _NODE, 2048.0, 1.0)
-        collector.on_task_success(s, 1.0, 2048.0)
+        collector.on_attempt_end(s, 1.0, _NODE, 2048.0, 1.0, SUCCESS)
         collector.contribute(result=None)  # no path: must not write
         assert collector.path is None
         assert not list(tmp_path.iterdir())

@@ -6,6 +6,8 @@ seeds must give identical results when the flat event backend and the
 DAG engine execute the same effective workload.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster.machine import MachineConfig
@@ -16,8 +18,11 @@ from repro.sim.interface import MemoryPredictor, TaskSubmission
 from repro.sim.kernel import (
     ARRIVAL,
     COMPLETION,
+    KILL,
     OUTAGE_END,
     OUTAGE_START,
+    PREEMPT,
+    SUCCESS,
     BaseCollector,
     ClusterMetricsCollector,
     EventHeap,
@@ -139,35 +144,20 @@ class _CountingCollector(BaseCollector):
     """Custom collector: counts callbacks, attaches them to the result."""
 
     def __init__(self):
-        self.events = 0
         self.dispatches = 0
-        self.successes = 0
-        self.failures = 0
-        self.releases = 0
-
-    def on_event(self, now):
-        self.events += 1
+        self.ends = Counter()
 
     def on_dispatch(self, state, now, node, wait_hours):
         self.dispatches += 1
 
-    def on_release(self, state, now, node, allocated_mb, occupied_hours):
-        self.releases += 1
-
-    def on_task_success(self, state, now, allocated_mb):
-        self.successes += 1
-
-    def on_task_failure(self, state, now, allocated_mb, occupied_hours):
-        self.failures += 1
+    def on_attempt_end(
+        self, state, now, node, allocated_mb, occupied_hours, outcome
+    ):
+        self.ends[outcome] += 1
 
     def contribute(self, result):
-        result.collector_counts = {  # ad-hoc attribute: composition works
-            "events": self.events,
-            "dispatches": self.dispatches,
-            "successes": self.successes,
-            "failures": self.failures,
-            "releases": self.releases,
-        }
+        # Ad-hoc attribute: composition works.
+        result.collector_counts = {"dispatches": self.dispatches, **self.ends}
 
 
 class TestCollectorComposition:
@@ -189,11 +179,11 @@ class TestCollectorComposition:
         )
         res = kernel.run()
         counts = res.collector_counts
-        assert counts["successes"] == 3
-        assert counts["failures"] == 1  # task 0's first attempt
-        assert counts["dispatches"] == counts["releases"] == 4
-        # every arrival + every completion was seen
-        assert counts["events"] == 3 + 4
+        assert counts[SUCCESS] == 3
+        assert counts[KILL] == 1  # task 0's first attempt
+        assert PREEMPT not in counts  # no drains in this scenario
+        # every dispatched attempt ended exactly once
+        assert counts["dispatches"] == counts[SUCCESS] + counts[KILL] == 4
         # the stock collectors were not displaced
         assert res.cluster is not None
         assert res.num_tasks == 3
