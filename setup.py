@@ -2,7 +2,7 @@
 
 The single source of truth for the version is ``src/repro/__init__.py``;
 it is read textually here so ``setup.py`` never imports the package (and
-its numpy dependency) at build time.
+its numpy and scipy dependencies) at build time.
 """
 
 import re
@@ -29,7 +29,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark", "pytest-xdist"],
         "lint": ["ruff"],

@@ -10,6 +10,7 @@ the 95th percentile to avoid task failures."  Doubles on failure.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -18,6 +19,26 @@ from repro.provenance.records import TaskRecord
 from repro.sim.interface import MemoryPredictor, TaskSubmission, batch_by_group
 
 __all__ = ["WittPercentile"]
+
+
+def _percentile(peaks: list[float], percentile: float) -> float:
+    """``np.percentile(peaks, percentile)`` (linear method), bit for bit.
+
+    Sorts ``peaks`` in place: ``observe`` appends, so the list is a sorted
+    prefix plus a short unsorted tail, which timsort merges in about
+    linear time without a trip through numpy.  The interpolation between
+    the two neighbouring order statistics is numpy's own ``_lerp``.
+    """
+    peaks.sort()
+    n = len(peaks)
+    vi = (n - 1) * (percentile / 100)
+    if vi >= n - 1:
+        return float(peaks[-1])
+    lo = math.floor(vi)
+    g = vi - lo
+    a, b = peaks[lo], peaks[lo + 1]
+    d = b - a
+    return float(a + d * g if g < 0.5 else b - d * (1 - g))
 
 
 class WittPercentile(MemoryPredictor):
@@ -38,7 +59,7 @@ class WittPercentile(MemoryPredictor):
         peaks = self._peaks.get(task.task_type, [])
         if len(peaks) < self.min_history:
             return task.preset_memory_mb
-        return float(np.percentile(np.asarray(peaks), self.percentile))
+        return _percentile(peaks, self.percentile)
 
     def predict_batch(self, tasks) -> np.ndarray:
         """Batch sizing: the percentile is computed once per task type."""
@@ -47,7 +68,7 @@ class WittPercentile(MemoryPredictor):
             peaks = self._peaks.get(task_type, [])
             if len(peaks) < self.min_history:
                 return None
-            return float(np.percentile(np.asarray(peaks), self.percentile))
+            return _percentile(peaks, self.percentile)
 
         return batch_by_group(tasks, lambda t: t.task_type, sizer)
 

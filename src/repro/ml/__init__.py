@@ -4,7 +4,7 @@ scikit-learn is unavailable in this environment, so this package provides
 the estimator families the Sizey paper relies on, implemented directly on
 NumPy/SciPy with a scikit-learn-compatible estimator contract:
 
-- :mod:`repro.ml.linear` -- ordinary least squares, ridge, and pinball-loss
+- :mod:`repro.ml.linear` -- ordinary least squares and pinball-loss
   quantile regression (the Witt-Wastage baseline needs quantile lines).
 - :mod:`repro.ml.sgd` -- incrementally trainable linear regression
   (``partial_fit``), used by Sizey's incremental-update mode.
@@ -24,7 +24,7 @@ take explicit ``random_state`` seeds (no global RNG state).
 
 from repro.ml.base import BaseEstimator, NotFittedError, RegressorMixin, clone
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.linear import LinearRegression, QuantileRegressor, RidgeRegression
+from repro.ml.linear import LinearRegression, QuantileRegressor
 from repro.ml.mlp import MLPRegressor
 from repro.ml.neighbors import KNeighborsRegressor
 from repro.ml.sgd import SGDRegressor
@@ -36,7 +36,6 @@ __all__ = [
     "NotFittedError",
     "clone",
     "LinearRegression",
-    "RidgeRegression",
     "QuantileRegressor",
     "SGDRegressor",
     "KNeighborsRegressor",

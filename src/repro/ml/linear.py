@@ -1,4 +1,4 @@
-"""Linear models: ordinary least squares, ridge, and quantile regression.
+"""Linear models: ordinary least squares and quantile regression.
 
 The paper observes that many workflow tasks have a linear relationship
 between input size and peak memory (Fig. 2, MarkDuplicates), which is why
@@ -11,7 +11,6 @@ wastage.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import (
     BaseEstimator,
@@ -21,7 +20,7 @@ from repro.ml.base import (
     check_X_y,
 )
 
-__all__ = ["LinearRegression", "RidgeRegression", "QuantileRegressor"]
+__all__ = ["LinearRegression", "QuantileRegressor"]
 
 
 def _add_intercept(X: np.ndarray) -> np.ndarray:
@@ -50,52 +49,6 @@ class LinearRegression(BaseEstimator, RegressorMixin):
             self.coef_ = beta
             self.intercept_ = 0.0
         self.n_features_in_ = X.shape[1]
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, ["coef_"])
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features, model was fitted with "
-                f"{self.n_features_in_}"
-            )
-        return X @ self.coef_ + self.intercept_
-
-
-class RidgeRegression(BaseEstimator, RegressorMixin):
-    """L2-regularised least squares solved via the normal equations.
-
-    The ridge penalty stabilises the online fits when the provenance
-    history is tiny (one or two points), where plain OLS extrapolates
-    wildly — exactly the "large estimation outliers ... during the early
-    training stages" the paper's efficiency score guards against.
-    """
-
-    def __init__(self, alpha: float = 1.0, fit_intercept: bool = True) -> None:
-        self.alpha = alpha
-        self.fit_intercept = fit_intercept
-
-    def fit(self, X, y) -> "RidgeRegression":
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        X, y = check_X_y(X, y)
-        n, d = X.shape
-        if self.fit_intercept:
-            x_mean = X.mean(axis=0)
-            y_mean = float(y.mean())
-            Xc = X - x_mean
-            yc = y - y_mean
-        else:
-            x_mean = np.zeros(d)
-            y_mean = 0.0
-            Xc, yc = X, y
-        # Normal equations with Tikhonov damping; solve is O(d^3) with d
-        # tiny (a handful of task features), so this is the fast path.
-        gram = Xc.T @ Xc + self.alpha * np.eye(d)
-        self.coef_ = np.linalg.solve(gram, Xc.T @ yc)
-        self.intercept_ = y_mean - float(x_mean @ self.coef_)
-        self.n_features_in_ = d
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -141,6 +94,10 @@ class QuantileRegressor(BaseEstimator, RegressorMixin):
         )
         a_eq = np.hstack([design, np.eye(n), -np.eye(n)])
         bounds = [(None, None)] * d + [(0.0, None)] * (2 * n)
+        # Imported here, not at module load: scipy.optimize costs ~0.45 s
+        # and ~40 MB, and only the Witt-Wastage baseline fits these lines.
+        from scipy import optimize
+
         res = optimize.linprog(
             c, A_eq=a_eq, b_eq=y, bounds=bounds, method="highs"
         )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     TovarPPM,
@@ -64,11 +66,35 @@ class TestWittPercentile:
         feed(p, [1.0], [100.0])
         assert p.predict(sub()) == 4096.0  # one record < min_history=2
 
-    def test_p95_of_history(self):
-        p = WittPercentile()
-        ys = list(np.linspace(100, 200, 101))
-        feed(p, [1.0] * 101, ys)
-        assert p.predict(sub()) == pytest.approx(np.percentile(ys, 95))
+    @given(
+        batches=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(min_value=1e-3, max_value=1e7),
+                    st.sampled_from([256.0, 1024.0, 4096.0]),  # ties
+                ),
+                min_size=1,
+                max_size=40,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        percentile=st.floats(min_value=0.0, max_value=100.0, exclude_min=True),
+    )
+    @example(batches=[list(np.linspace(100, 200, 101))], percentile=95.0)
+    @settings(max_examples=200, deadline=None)
+    def test_p95_of_history(self, batches, percentile):
+        # Observations arrive between queries, so each query sorts a sorted
+        # prefix plus a new tail; every answer must be numpy's percentile
+        # of the whole history, exactly.
+        p = WittPercentile(percentile=percentile, min_history=1)
+        history = []
+        for batch in batches:
+            feed(p, [1.0] * len(batch), batch)
+            history.extend(batch)
+            want = float(np.percentile(history, percentile))
+            assert p.predict(sub()) == want
+            assert p.predict_batch([sub(), sub(iid=1)]).tolist() == [want, want]
 
     def test_ignores_failures(self):
         p = WittPercentile()

@@ -1,11 +1,11 @@
-"""Tests for OLS, ridge, and quantile regression."""
+"""Tests for OLS and quantile regression."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.linear import LinearRegression, QuantileRegressor, RidgeRegression
+from repro.ml.linear import LinearRegression, QuantileRegressor
 from repro.ml.metrics import pinball_loss
 
 
@@ -72,34 +72,6 @@ class TestLinearRegression:
         y = slope * x[:, 0] + intercept
         m = LinearRegression().fit(x, y)
         assert np.allclose(m.predict(x), y, atol=1e-6 + 1e-6 * abs(slope))
-
-
-class TestRidgeRegression:
-    def test_zero_alpha_matches_ols(self):
-        X, y = make_linear(noise=1.0)
-        ols = LinearRegression().fit(X, y)
-        ridge = RidgeRegression(alpha=0.0).fit(X, y)
-        assert ridge.coef_[0] == pytest.approx(ols.coef_[0], abs=1e-8)
-        assert ridge.intercept_ == pytest.approx(ols.intercept_, abs=1e-8)
-
-    def test_shrinkage_monotone_in_alpha(self):
-        X, y = make_linear(noise=1.0)
-        norms = [
-            abs(RidgeRegression(alpha=a).fit(X, y).coef_[0])
-            for a in (0.0, 1.0, 100.0, 10000.0)
-        ]
-        assert norms == sorted(norms, reverse=True)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            RidgeRegression(alpha=-1.0).fit([[1.0]], [1.0])
-
-    def test_intercept_survives_shrinkage(self):
-        # With centering, heavy regularisation shrinks slopes to ~0 but the
-        # intercept still tracks the target mean.
-        X, y = make_linear(noise=0.0)
-        m = RidgeRegression(alpha=1e9).fit(X, y)
-        assert m.predict([[5.0]])[0] == pytest.approx(np.mean(y), rel=0.01)
 
 
 class TestQuantileRegressor:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.ml.linear import RidgeRegression
 from repro.ml.metrics import mean_absolute_error
 from repro.ml.model_selection import (
     GridSearchCV,
@@ -12,6 +11,7 @@ from repro.ml.model_selection import (
     cross_val_score,
     train_test_split,
 )
+from repro.ml.sgd import RecursiveLeastSquares
 from repro.ml.tree import DecisionTreeRegressor
 
 
@@ -111,20 +111,20 @@ class TestParameterGrid:
 class TestCrossValScore:
     def test_returns_one_score_per_fold(self):
         X, y = make_data()
-        scores = cross_val_score(RidgeRegression(alpha=0.1), X, y, cv=4)
+        scores = cross_val_score(RecursiveLeastSquares(ridge=0.1), X, y, cv=4)
         assert scores.shape == (4,)
         assert np.all(scores >= 0)
 
     def test_custom_scoring(self):
         X, y = make_data()
         scores = cross_val_score(
-            RidgeRegression(), X, y, cv=3, scoring=mean_absolute_error
+            RecursiveLeastSquares(), X, y, cv=3, scoring=mean_absolute_error
         )
         assert np.all(scores < 2.0)
 
     def test_estimator_not_mutated(self):
         X, y = make_data()
-        est = RidgeRegression()
+        est = RecursiveLeastSquares()
         cross_val_score(est, X, y, cv=3)
         assert not hasattr(est, "coef_")
 
@@ -143,22 +143,26 @@ class TestGridSearchCV:
 
     def test_best_estimator_refit_on_all_data(self):
         X, y = make_data()
-        gs = GridSearchCV(RidgeRegression(), {"alpha": [0.01, 1.0]}, cv=3).fit(X, y)
+        gs = GridSearchCV(
+            RecursiveLeastSquares(), {"ridge": [0.01, 1.0]}, cv=3
+        ).fit(X, y)
         assert hasattr(gs.best_estimator_, "coef_")
         assert np.isfinite(gs.predict(X[:3])).all()
 
     def test_cv_results_complete(self):
         X, y = make_data()
-        gs = GridSearchCV(RidgeRegression(), {"alpha": [0.1, 1.0, 10.0]}, cv=3).fit(X, y)
+        gs = GridSearchCV(
+            RecursiveLeastSquares(), {"ridge": [0.1, 1.0, 10.0]}, cv=3
+        ).fit(X, y)
         assert len(gs.cv_results_) == 3
         best = min(gs.cv_results_, key=lambda r: r["mean_score"])
         assert best["params"] == gs.best_params_
 
     def test_small_sample_degrades_to_insample(self):
         # Two samples cannot be 3-fold split; search must still work.
-        gs = GridSearchCV(RidgeRegression(), {"alpha": [0.1, 1.0]}, cv=3)
+        gs = GridSearchCV(RecursiveLeastSquares(), {"ridge": [0.1, 1.0]}, cv=3)
         gs.fit([[1.0], [2.0]], [1.0, 2.0])
-        assert "alpha" in gs.best_params_
+        assert "ridge" in gs.best_params_
 
     def test_requires_estimator(self):
         with pytest.raises(ValueError, match="estimator"):

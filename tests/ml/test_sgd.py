@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.linear import RidgeRegression
+from repro.ml.linear import LinearRegression
 from repro.ml.sgd import RecursiveLeastSquares, SGDRegressor
 
 
@@ -94,7 +94,7 @@ class TestRecursiveLeastSquares:
     def test_close_to_ols_with_small_ridge(self):
         X, y = make_stream(n=200)
         rls = RecursiveLeastSquares(ridge=1e-6).fit(X, y)
-        ref = RidgeRegression(alpha=0.0).fit(X, y)
+        ref = LinearRegression().fit(X, y)
         assert np.allclose(rls.coef_, ref.coef_, atol=1e-3)
 
     def test_single_point_predicts_its_label(self):

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -493,3 +498,50 @@ class TestServeCommands:
         report = json.loads(out_json.read_text())
         assert report["n_tasks"] == 32
         assert report["n_errors"] == 0
+
+
+#: Imports every start-up path (the CLI, the benchmark's simulation round,
+#: the server), runs a Sizey simulation and one serve predict/observe
+#: round, then prints the scipy modules loaded along the way.
+_START_UP_SCRIPT = """
+import json
+import sys
+
+import repro.cli
+import repro.serve.server
+from repro.experiments.factories import make_sizey, make_witt_percentile
+from repro.serve.protocol import parse_observe_request, parse_predict_request
+from repro.serve.tenants import TenantSession
+from repro.sim.backends.event import EventDrivenBackend
+from repro.sim.engine import OnlineSimulator
+from repro.workflow.nfcore import WORKFLOW_NAMES, build_workflow_trace
+
+rc = repro.cli.main(["simulate", "--workflow", "iwd", "--method", "Sizey",
+                     "--scale", "0.05", "--backend", "event"])
+assert rc == 0, rc
+session = TenantSession("startup")
+_, items = parse_observe_request({"tenant": "startup", "observations": [
+    {"task_type": "align", "input_size_mb": x, "peak_memory_mb": 4.0 * x + 512.0,
+     "runtime_hours": 0.1} for x in (100.0, 400.0, 800.0, 1200.0, 1600.0, 2000.0)
+]})
+session.observe(items)
+_, tasks = parse_predict_request({"tenant": "startup", "tasks": [
+    {"task_type": "align", "input_size_mb": 1024.0}]})
+assert session.predict(tasks)[0]["source"] == "model"
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+class TestStartUpImports:
+    def test_sizey_simulate_and_serve_never_load_scipy(self):
+        # scipy.optimize costs ~0.45 s and ~40 MB; only a quantile-line fit
+        # (the Witt-Wastage baseline) may load it.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _START_UP_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
