@@ -14,6 +14,7 @@ the simulation backends on one predictor-facing vocabulary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.provenance.records import TaskRecord
@@ -32,6 +33,10 @@ MAX_TASKS_PER_REQUEST = 4096
 MAX_TENANT_NAME_LEN = 128
 
 _PRESET_DEFAULT_MB = 4096.0
+
+#: Integer fields end up in int64 columns (the provenance database's
+#: timestamps), so a wider value is a typed 400, not an OverflowError.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class ProtocolError(ValueError):
@@ -108,7 +113,14 @@ def _num_field(
         raise ProtocolError(f"{path}.{name}", "is required")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(f"{path}.{name}", "must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ProtocolError(f"{path}.{name}", "is too large for a float") from None
+    # json.loads accepts NaN and +-Infinity; one NaN peak would poison
+    # the tenant's model pool for good.
+    if not math.isfinite(value):
+        raise ProtocolError(f"{path}.{name}", "must be a finite number")
     if minimum is not None:
         if exclusive and value <= minimum:
             raise ProtocolError(f"{path}.{name}", f"must be > {minimum:g}")
@@ -121,6 +133,8 @@ def _int_field(obj: dict, name: str, path: str, default: int) -> int:
     value = obj.get(name, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProtocolError(f"{path}.{name}", "must be an integer")
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ProtocolError(f"{path}.{name}", "must fit in 64 bits")
     return value
 
 

@@ -60,7 +60,10 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # buffered rows; the pickled kernel and collectors changed layout, so a
 # v4 file would fail with an AttributeError on resume instead of this
 # module's typed version error.
-CHECKPOINT_VERSION = 5
+# Version 6: quantile sketches cluster in one pass on floor(k(q)) and
+# keep their centroids in float64 arrays.  A v5 file holds centroids of
+# the older greedy pass, so resuming it would match no uninterrupted run.
+CHECKPOINT_VERSION = 6
 
 
 def save_checkpoint(kernel: "SimulationKernel", path: str) -> None:

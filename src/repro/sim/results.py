@@ -67,6 +67,7 @@ LOG_FIELDS = (
 )
 
 _ROW_TIMESTAMP = itemgetter(LOG_FIELDS.index("timestamp"))
+_ROW_TASK_TYPE = itemgetter(LOG_FIELDS.index("task_type"))
 
 
 @dataclass(frozen=True)
@@ -412,8 +413,10 @@ class SimulationResult:
     ``predictions`` is lazy: the kernel's wastage collector hands over
     compact :data:`LOG_FIELDS`-ordered row tuples, and the sorted
     :class:`PredictionLog` list is built (and cached) on first access —
-    so result assembly stays off the simulation's timed path.  Assigning
-    a list directly works as before and discards any pending rows.
+    so result assembly stays off the simulation's timed path.
+    ``num_tasks`` and ``failure_distribution()`` read the pending rows
+    without building it.  Assigning a list directly works as before and
+    discards any pending rows.
     """
 
     def __init__(
@@ -479,11 +482,13 @@ class SimulationResult:
 
     @property
     def num_tasks(self) -> int:
-        if not self.predictions and self.summary is not None:
+        # Counted from the pending rows too, without materializing them.
+        n = len(self._predictions) + len(self._prediction_rows or ())
+        if not n and self.summary is not None:
             # Streaming collectors drop the prediction logs; the online
             # summary still knows how many tasks succeeded.
             return self.summary.n_tasks
-        return len(self.predictions)
+        return n
 
     def failures_by_task_type(self) -> dict[str, int]:
         return self.ledger.failures_by_task_type()
@@ -497,7 +502,8 @@ class SimulationResult:
         Includes zero entries for task types that never failed, so the
         distribution is over *all* task types of the workflow.
         """
-        types = {p.task_type for p in self.predictions}
+        types = {p.task_type for p in self._predictions}
+        types.update(map(_ROW_TASK_TYPE, self._prediction_rows or ()))
         per_type = self.ledger.failures_by_task_type()
         return np.array(
             [per_type.get(t, 0) for t in sorted(types)], dtype=np.int64

@@ -6,12 +6,17 @@ distribution with two small objects:
 
 - :class:`QuantileSketch` — a deterministic t-digest-style centroid
   sketch.  Values are buffered and periodically *compressed* into
-  weighted centroids whose size is bounded by the usual t-digest scale
-  function ``4 n q (1-q) / compression``, so the sketch stays accurate
-  in the tails and coarse only in the middle.  Everything is plain
-  arithmetic over sorted buffers — no randomness — so the same input
-  stream always produces the same centroids, which is what makes
-  checkpoint/resume and shard merges reproducible.
+  weighted centroids by one numpy pass: the points that share
+  ``floor(k(q))`` of the scale function
+  ``k(q) = (compression / 4) ln(q / (1 - q))`` merge.  Its slope is the
+  reciprocal of the usual t-digest size bound
+  ``4 n q (1-q) / compression``, so the sketch stays accurate in the
+  tails and coarse only in the middle, and ``n`` values keep at most
+  ``(compression / 2) ln(2 n) + 2`` centroids — ``O(compression ·
+  log n)``.  Everything is plain arithmetic over sorted arrays — no
+  randomness — so the same input stream always produces the same
+  centroids, which is what makes checkpoint/resume and shard merges
+  reproducible.
 - :class:`RunningStat` — exact count / sum / mean / min / max.
 
 Both are **mergeable** (shard results fold into one) and **picklable**
@@ -24,6 +29,8 @@ unimodal distributions of any size — pinned by a regression test against
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = ["QuantileSketch", "RunningStat", "QUANTILE_POINTS"]
 
@@ -80,12 +87,19 @@ class QuantileSketch:
     """Deterministic mergeable t-digest-style quantile sketch.
 
     ``add`` appends to a buffer; once the buffer fills, buffered points
-    and existing centroids are re-sorted and greedily re-clustered, with
-    each centroid's weight capped at ``4 n q (1-q) / compression`` (the
-    t-digest k1 bound) — small clusters near the tails, larger in the
-    middle.  ``quantile`` interpolates linearly between centroid means,
-    treating each centroid as centered mass (exact when every point got
-    its own centroid, i.e. small streams degrade to exact quantiles).
+    and existing centroids are stable-sorted together and re-clustered
+    in one vectorized pass.  Each point's centre ``q`` on the quantile
+    axis comes from the cumulative weights, and each run of points
+    sharing ``floor(k(q))``, ``k(q) = (compression / 4) ln(q / (1 - q))``,
+    becomes one centroid.  A unit step of ``k`` spans
+    ``4 n q (1-q) / compression`` points (the t-digest k1 bound): small
+    clusters near the tails, larger in the middle, and at most
+    ``(compression / 2) ln(2 n) + 2`` centroids.  Up to ``compression``
+    values the steps are all wider than one point, so every point keeps
+    its own centroid and small streams degrade to exact quantiles.
+    ``quantile`` interpolates linearly between centroid means, treating
+    each centroid as centered mass; it compresses only what is
+    buffered, so repeated reads re-walk nothing.
     """
 
     __slots__ = ("compression", "_means", "_weights", "_buffer", "_cap", "stat")
@@ -94,8 +108,8 @@ class QuantileSketch:
         if compression < 16:
             raise ValueError(f"compression must be >= 16, got {compression}")
         self.compression = compression
-        self._means: list[float] = []
-        self._weights: list[float] = []
+        self._means = np.empty(0)
+        self._weights = np.empty(0)
         self._buffer: list[float] = []
         self._cap = compression * 2
         self.stat = RunningStat()
@@ -154,40 +168,36 @@ class QuantileSketch:
 
     # ------------------------------------------------------------------
     def _compress(self, force: bool = False) -> None:
-        # Fast path: nothing buffered and the centroid list is already a
-        # (sorted) product of a previous compression.  ``force`` is for
-        # merge(), whose concatenated centroid lists are NOT sorted.
-        if not force and not self._buffer and len(self._means) <= self.compression:
+        # Nothing buffered: the centroids are already one pass's sorted
+        # output, and a pass over them would change nothing.  ``force``
+        # is for merge(), whose concatenated centroids are NOT sorted.
+        buffer = self._buffer
+        if not buffer and not force:
             return
-        points = sorted(
-            [(m, w) for m, w in zip(self._means, self._weights)]
-            + [(v, 1.0) for v in self._buffer]
-        )
         self._buffer = []
-        total = sum(w for _, w in points)
-        means: list[float] = []
-        weights: list[float] = []
-        seen = 0.0  # weight fully committed to finished clusters
-        cur_sum = 0.0  # weighted value sum of the open cluster
-        cur_w = 0.0
-        for mean, weight in points:
-            if cur_w > 0.0:
-                # Size bound at the open cluster's prospective midpoint.
-                q = (seen + (cur_w + weight) / 2.0) / total
-                limit = 4.0 * total * q * (1.0 - q) / self.compression
-                if cur_w + weight > max(limit, 1.0):
-                    means.append(cur_sum / cur_w)
-                    weights.append(cur_w)
-                    seen += cur_w
-                    cur_sum = 0.0
-                    cur_w = 0.0
-            cur_sum += mean * weight
-            cur_w += weight
-        if cur_w > 0.0:
-            means.append(cur_sum / cur_w)
-            weights.append(cur_w)
-        self._means = means
-        self._weights = weights
+        means = np.concatenate((self._means, buffer))
+        if not means.size:
+            return
+        weights = np.concatenate((self._weights, np.ones(len(buffer))))
+        order = np.argsort(means, kind="stable")
+        means = means[order]
+        weights = weights[order]
+        # Centre of each point's mass on the quantile axis, mapped
+        # through the scale function; points sharing floor(k) merge.
+        cum = np.cumsum(weights)
+        q = (cum - weights / 2.0) / cum[-1]
+        k = np.floor(self.compression / 4.0 * np.log(q / (1.0 - q)))
+        bounds = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1], [True])))
+        starts = bounds[:-1]
+        merged = np.add.reduceat(weights, starts)
+        # A lone point keeps its mean as is (``m * w / w`` can round), so
+        # a second pass over finished centroids changes nothing.
+        self._means = np.where(
+            bounds[1:] - starts == 1,
+            means[starts],
+            np.add.reduceat(means * weights, starts) / merged,
+        )
+        self._weights = merged
 
     # ------------------------------------------------------------------
     def quantile(self, q: float) -> float:
@@ -199,26 +209,21 @@ class QuantileSketch:
         self._compress()
         means, weights = self._means, self._weights
         if len(means) == 1:
-            return means[0]
-        total = self.stat.n
-        target = q * total
+            return float(means[0])
+        target = q * self.stat.n
         # Each centroid's mass is centered on its mean: centroid i spans
-        # cumulative weight [c_i - w_i/2, c_i + w_i/2).
-        cum = 0.0
-        prev_mean = self.stat.min
-        prev_pos = 0.0
-        for mean, weight in zip(means, weights):
-            pos = cum + weight / 2.0
-            if target < pos:
-                span = pos - prev_pos
-                if span <= 0.0:
-                    return mean
-                frac = (target - prev_pos) / span
-                return prev_mean + (mean - prev_mean) * frac
-            cum += weight
-            prev_mean = mean
-            prev_pos = pos
-        return self.stat.max
+        # cumulative weight [c_i - w_i/2, c_i + w_i/2).  Interpolate
+        # between the centres around ``target`` (the minimum sits at 0).
+        centres = np.cumsum(weights) - weights / 2.0
+        i = int(np.searchsorted(centres, target, side="right"))
+        if i == len(means):
+            return self.stat.max
+        if i == 0:
+            prev_mean, prev_pos = self.stat.min, 0.0
+        else:
+            prev_mean, prev_pos = float(means[i - 1]), float(centres[i - 1])
+        frac = (target - prev_pos) / (float(centres[i]) - prev_pos)
+        return prev_mean + (float(means[i]) - prev_mean) * frac
 
     def quantiles(
         self, points: Sequence[tuple[str, float]] = QUANTILE_POINTS
@@ -231,9 +236,8 @@ class QuantileSketch:
         """Fold ``other``'s mass into this sketch (shard merge)."""
         other._compress()
         self.stat.merge(other.stat)
-        self._buffer.extend(other._buffer)
-        self._means.extend(other._means)
-        self._weights.extend(other._weights)
+        self._means = np.concatenate((self._means, other._means))
+        self._weights = np.concatenate((self._weights, other._weights))
         self._compress(force=True)
         return self
 

@@ -134,6 +134,28 @@ class TestErrorContract:
         assert exc.value.status == 400
         assert exc.value.field == "observations[0].allocated_mb"
 
+    def test_nan_peak_is_typed_400_and_pool_stays_trainable(
+        self, server, client
+    ):
+        # json.loads reads the bare NaN token that json.dumps writes.
+        nan_peak = _observation(300.0, peak_memory_mb=float("nan"))
+        body = json.dumps({"tenant": "nan-peak", "observations": [nan_peak]})
+        conn = http.client.HTTPConnection(server.host, server.port)
+        conn.request("POST", "/observe", body=body.encode())
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        conn.close()
+        assert response.status == 400
+        assert payload["error"]["field"] == "observations[0].peak_memory_mb"
+
+        valid = [_observation(x) for x in (200, 500, 900, 1400, 1900)]
+        assert client.observe("nan-peak", valid)["n_observed"] == len(valid)
+        session = server.server.registry.peek("nan-peak")
+        (pool,) = session.predictor.pools.values()
+        assert pool.n_observations == len(valid)
+        assert pool._history.y.tolist() == [o["peak_memory_mb"] for o in valid]
+        assert session.n_observations == len(valid)
+
 
 class TestDeterminismAcrossRestarts:
     HISTORY = [(x, 4.0 * x + 512.0) for x in (150, 400, 800, 1200, 1700)]

@@ -6,6 +6,7 @@ within 1% relative error of ``np.quantile`` on real simulation data
 so collector compression can never silently degrade the summaries.
 """
 
+import math
 import pickle
 
 import numpy as np
@@ -63,6 +64,8 @@ def test_running_stat_empty_mean_is_zero():
         ("lognormal", np.random.default_rng(1).lognormal(0.0, 1.5, 50_000)),
         ("exponential", np.random.default_rng(2).exponential(3.0, 50_000)),
         ("uniform", np.random.default_rng(3).uniform(0.0, 10.0, 50_000)),
+        # What one sim_dag_kernel run feeds each of its sketches.
+        ("lognormal-222k", np.random.default_rng(10).lognormal(0.0, 1.5, 222_000)),
     ],
 )
 def test_sketch_within_one_percent(name, values):
@@ -99,17 +102,107 @@ def test_sketch_bimodal_tails_tight_median_bounded():
 
 
 def test_small_streams_are_exact():
-    """Below the compression threshold every point is its own centroid."""
-    rng = np.random.default_rng(6)
-    values = rng.normal(0.0, 1.0, 100)
+    """Up to ``compression`` values every point is its own centroid."""
+    for n in (100, 512):
+        rng = np.random.default_rng(6)
+        values = rng.normal(0.0, 1.0, n)
+        sketch = QuantileSketch()
+        assert n <= sketch.compression
+        sketch.extend(float(v) for v in values)
+        # Median of an even count, centered-mass interpolation: midpoint
+        # of the two middle order statistics.
+        s = np.sort(values)
+        assert sketch.quantile(0.5) == pytest.approx((s[n // 2 - 1] + s[n // 2]) / 2.0)
+        assert sketch.quantile(0.0) == float(s[0])
+        assert sketch.quantile(1.0) == float(s[-1])
+        assert np.array_equal(sketch._means, s), n
+        assert np.array_equal(sketch._weights, np.ones(n)), n
+
+
+def test_reads_without_buffered_values_run_no_pass():
+    """A read compresses only what is buffered; the centroids stay put.
+
+    ``quantiles()`` makes four reads per summary, and a pass over
+    finished centroids would re-walk all of them each time.
+    """
     sketch = QuantileSketch()
-    sketch.extend(float(v) for v in values)
-    # Median of 100 points, centered-mass interpolation: midpoint of the
-    # 50th/51st order statistics.
-    s = np.sort(values)
-    assert sketch.quantile(0.5) == pytest.approx((s[49] + s[50]) / 2.0)
-    assert sketch.quantile(0.0) == float(s[0])
-    assert sketch.quantile(1.0) == float(s[-1])
+    sketch.extend(np.random.default_rng(11).lognormal(0.0, 1.0, 50_000))
+    assert sketch._buffer  # 50_000 is not a multiple of the cap
+    first = sketch.quantiles()
+    assert not sketch._buffer
+    means, weights = sketch._means, sketch._weights
+    assert len(means) > sketch.compression
+    assert sketch.quantiles() == first
+    assert sketch._means is means and sketch._weights is weights
+
+
+def test_centroid_count_grows_logarithmically():
+    """``n`` values keep at most ``(compression / 2) ln(2 n) + 2`` centroids.
+
+    Each centroid owns one integer step of ``k(q) = (compression / 4)
+    ln(q / (1 - q))``, and centres lie in ``[1 / (2 n), 1 - 1 / (2 n)]``.
+    """
+    n = 222_000
+    sketch = QuantileSketch()
+    sketch.extend(np.random.default_rng(12).lognormal(0.0, 1.5, n))
+    sketch.quantile(0.5)
+    bound = sketch.compression / 2.0 * np.log(2.0 * n) + 2.0
+    assert len(sketch._means) <= bound
+    assert sketch._weights.sum() == n
+
+
+def _loop_compress(means, weights, compression):
+    """The clustering rule, one point at a time: the tests' reference.
+
+    Stable-sort the points; a point's centre is ``q = (cum - w / 2) /
+    total``; consecutive points sharing ``floor(k(q))`` form one
+    centroid, which keeps a lone point's mean as is.
+    """
+    points = sorted(zip(means, weights), key=lambda p: p[0])
+    total = math.fsum(w for _, w in points)
+    groups: dict[int, list] = {}
+    cum = 0.0
+    for mean, weight in points:
+        cum += weight
+        q = (cum - weight / 2.0) / total
+        k = math.floor(compression / 4.0 * math.log(q / (1.0 - q)))
+        groups.setdefault(k, []).append((mean, weight))
+    out_means, out_weights = [], []
+    for group in groups.values():
+        w = sum(weight for _, weight in group)
+        out_weights.append(w)
+        if len(group) == 1:
+            out_means.append(group[0][0])
+        else:
+            out_means.append(sum(m * weight for m, weight in group) / w)
+    return out_means, out_weights
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compress_matches_the_loop_reference(seed):
+    """The numpy pass clusters exactly as the rule says, ties included."""
+    rng = np.random.default_rng(20 + seed)
+    sketch = QuantileSketch(compression=16 * (seed + 1))
+    # Rounded values: many ties between buffered points and centroids.
+    values = np.round(rng.lognormal(0.0, 1.0, 5_000 + 777 * seed), 1)
+    sketch.extend(values)
+    means = list(sketch._means) + sketch._buffer
+    weights = list(sketch._weights) + [1.0] * len(sketch._buffer)
+    ref_means, ref_weights = _loop_compress(means, weights, sketch.compression)
+    sketch._compress(force=True)
+    assert sketch._weights.tolist() == ref_weights
+    np.testing.assert_allclose(sketch._means, ref_means, rtol=1e-12)
+
+
+def test_forced_pass_leaves_centroids_unchanged():
+    """merge() forces a pass; over finished centroids it is a no-op."""
+    sketch = QuantileSketch()
+    sketch.extend(np.random.default_rng(13).exponential(2.0, 30_000))
+    sketch.quantile(0.5)
+    means, weights = sketch._means.copy(), sketch._weights.copy()
+    sketch._compress(force=True)
+    assert np.array_equal(sketch._means, means)
+    assert np.array_equal(sketch._weights, weights)
 
 
 def test_sketch_deterministic():
@@ -121,8 +214,8 @@ def test_sketch_deterministic():
     b.extend(values)
     a._compress()
     b._compress()
-    assert a._means == b._means
-    assert a._weights == b._weights
+    assert np.array_equal(a._means, b._means)
+    assert np.array_equal(a._weights, b._weights)
 
 
 def test_merge_matches_single_sketch_and_is_monotone():
@@ -163,6 +256,8 @@ def test_sketch_validates_inputs():
     with pytest.raises(ValueError, match="q must be"):
         sketch.quantile(1.5)
     assert np.isnan(sketch.quantile(0.5))  # empty sketch
+    merged = QuantileSketch().merge(QuantileSketch())
+    assert merged.n == 0 and np.isnan(merged.quantile(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +316,8 @@ def test_extend_bit_identical_to_per_value_add():
         for v in values:
             one.add(v)
         two.extend(values)
-        assert one._means == two._means
-        assert one._weights == two._weights
+        assert np.array_equal(one._means, two._means)
+        assert np.array_equal(one._weights, two._weights)
         assert one._buffer == two._buffer
         assert one.stat.__getstate__() == two.stat.__getstate__()
         if size:  # empty sketches report nan, which never compares equal
@@ -243,7 +338,7 @@ def test_extend_resumes_partial_buffer():
     for v in tail:
         one.add(v)
     two.extend(tail)
-    assert one._means == two._means
-    assert one._weights == two._weights
+    assert np.array_equal(one._means, two._means)
+    assert np.array_equal(one._weights, two._weights)
     assert one._buffer == two._buffer
     assert one.stat.__getstate__() == two.stat.__getstate__()

@@ -110,3 +110,43 @@ def test_spill_with_kept_logs_too(tmp_path):
     assert res.predictions
     lines = spill.read_text().splitlines()
     assert len(lines) == len(res.predictions)
+
+
+def _reads_from_logs(result):
+    """``num_tasks`` and the failure distribution, from built logs."""
+    logs = result.predictions
+    per_type = result.ledger.failures_by_task_type()
+    types = sorted({log.task_type for log in logs})
+    return len(logs), [per_type.get(t, 0) for t in types]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_result_reads_use_pending_rows(name):
+    """Counting tasks and failure types builds no PredictionLog.
+
+    ``num_tasks`` and ``failure_distribution()`` read the collector's
+    compact rows; the values equal those from the built logs.
+    """
+    sim, predictor = build_sim(name)
+    result = sim.run(predictor)
+    n_tasks = result.num_tasks
+    distribution = result.failure_distribution().tolist()
+    assert result._prediction_rows is not None  # still pending
+    assert (n_tasks, distribution) == _reads_from_logs(result)
+    assert result._prediction_rows is None
+    assert result.num_tasks == n_tasks
+    assert result.failure_distribution().tolist() == distribution
+
+
+def test_stream_result_reads_match_exact_logs():
+    sim, predictor = build_sim("dag_engine_pr3")
+    exact = sim.run(predictor)
+    sim, predictor = build_sim("dag_engine_pr3", stream_collectors=True)
+    streamed = sim.run(predictor)
+    assert streamed._prediction_rows is None  # streaming keeps no rows
+    # The streamed run keeps no logs: its count comes from the summary,
+    # and its failure distribution is what its (empty) logs give.
+    assert streamed.num_tasks == _reads_from_logs(exact)[0]
+    assert streamed.failure_distribution().tolist() == _reads_from_logs(
+        streamed
+    )[1]
