@@ -58,7 +58,7 @@ import repro
 from repro.cluster.policies import placement_names
 from repro.experiments.factories import METHOD_ORDER, method_factories
 from repro.experiments.report import render_table
-from repro.sim.backends import backend_names
+from repro.sim.backends import BACKENDS, EventDrivenBackend
 from repro.sim.engine import OnlineSimulator
 from repro.sim.runner import run_grid
 from repro.workflow.io import export_csv, save_trace
@@ -82,13 +82,6 @@ _ARTIFACTS = (
     "workflow-sched",
     "wfcommons-replay",
 )
-
-
-def _nonnegative_hours(value: str) -> float:
-    hours = float(value)
-    if hours < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 hours, got {hours}")
-    return hours
 
 
 def _positive_hours(value: str) -> float:
@@ -167,7 +160,8 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
                      help="node-placement policy")
     sub.add_argument("--arrival", type=_arrival_spec, default=None,
                      help="arrival model for the event backend: "
-                          "'fixed:0.25', 'poisson:0.5', or 'bursty:8x0.5' "
+                          "'fixed:H' (one task every H hours), "
+                          "'poisson:0.5', or 'bursty:8x0.5' "
                           "(default: batch submission at t=0)")
     sub.add_argument("--dag", choices=("trace", "linear"), default=None,
                      help="DAG-aware scheduling (event backend only): "
@@ -229,14 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--ttf", type=float, default=1.0,
                      help="time-to-failure fraction (paper parameter)")
-    sim.add_argument("--backend", choices=backend_names(), default="replay",
+    sim.add_argument("--backend", choices=tuple(BACKENDS), default="replay",
                      help="simulation backend (replay = paper-faithful "
                           "serial loop; event = concurrent discrete-event "
                           "engine with cluster metrics)")
-    sim.add_argument("--arrival-interval", type=_nonnegative_hours, default=0.0,
-                     help="hours between submissions (event backend only; "
-                          "0 = submit the whole trace at once; shorthand "
-                          "for --arrival fixed:H)")
     _add_cluster_options(sim)
     scale_grp = sim.add_argument_group(
         "scale-out (event backend only)",
@@ -323,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the profile as JSON ('-' for stdout)")
     _add_cluster_options(prof)
     # The profiler lives in the kernel, so this command is always
-    # event-backend; the defaults make _validate_args and the backend
+    # event-backend; the default makes _validate_args and the backend
     # resolver treat it exactly like `simulate --backend event`.
-    prof.set_defaults(backend="event", arrival_interval=0.0)
+    prof.set_defaults(backend="event")
 
     fig = sub.add_parser("figures", parents=[log_parent],
                          help="regenerate paper artifacts")
@@ -357,12 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--ttf", type=float, default=1.0)
     cmp_.add_argument("--workers", type=int, default=1)
-    cmp_.add_argument("--backend", choices=backend_names(), default="replay",
+    cmp_.add_argument("--backend", choices=tuple(BACKENDS), default="replay",
                       help="simulation backend used for every grid cell")
-    cmp_.add_argument("--arrival-interval", type=_nonnegative_hours,
-                      default=0.0,
-                      help="hours between submissions (event backend only; "
-                           "shorthand for --arrival fixed:H)")
     _add_cluster_options(cmp_)
 
     sc = sub.add_parser(
@@ -463,20 +449,15 @@ def _validate_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
     """Reject option combinations that would be silently ignored."""
-    has_arrival = getattr(args, "arrival", None) is not None
-    has_interval = getattr(args, "arrival_interval", 0.0) > 0.0
-    if has_arrival and has_interval:
-        parser.error("--arrival and --arrival-interval are mutually "
-                     "exclusive (use --arrival fixed:H)")
-    if (has_arrival or has_interval) and args.backend != "event":
-        parser.error("--arrival/--arrival-interval only shape the event "
-                     "backend; add --backend event")
-    has_dag = getattr(args, "dag", None) is not None
-    has_wf_arrival = getattr(args, "workflow_arrival", None) is not None
-    if (has_dag or has_wf_arrival) and args.backend != "event":
+    has_arrival = args.arrival is not None
+    if has_arrival and args.backend != "event":
+        parser.error("--arrival only shapes the event backend; add "
+                     "--backend event")
+    has_dag = args.dag is not None or args.workflow_arrival is not None
+    if has_dag and args.backend != "event":
         parser.error("--dag/--workflow-arrival only shape the event "
                      "backend; add --backend event")
-    node_outages = getattr(args, "node_outage", None)
+    node_outages = args.node_outage
     if node_outages:
         if args.backend != "event":
             parser.error("--node-outage only shapes the event backend; "
@@ -496,9 +477,9 @@ def _validate_args(
                 parser.error(
                     f"--node-outage {spec} names node {node_id}, but the "
                     f"cluster has nodes 0..{n_nodes - 1}")
-    if (has_dag or has_wf_arrival) and (has_arrival or has_interval):
+    if has_dag and has_arrival:
         parser.error("DAG-aware scheduling replaces per-task arrivals; "
-                     "drop --arrival/--arrival-interval")
+                     "drop --arrival")
     if args.command == "simulate":
         _validate_scale_args(parser, args, node_outages)
     if args.command == "profile":
@@ -574,37 +555,22 @@ def _resolve_cli_workload(args: argparse.Namespace):
     return parse_workload(spec, seed=args.seed, scale=args.scale)
 
 
-def _resolve_cli_backend(args: argparse.Namespace):
-    """Backend name, or a configured instance when options require one."""
-    dag = getattr(args, "dag", None)
-    workflow_arrival = getattr(args, "workflow_arrival", None)
-    node_outage = getattr(args, "node_outage", None)
-    if args.backend == "event" and (
-        args.arrival is not None
-        or args.arrival_interval > 0.0
-        or dag is not None
-        or workflow_arrival is not None
-        or node_outage
-    ):
-        from repro.sim.backends import EventDrivenBackend
+def _resolve_cli_backend(args: argparse.Namespace, **options):
+    """The replay backend's name, or the event backend the flags configure.
 
-        if dag is not None or workflow_arrival is not None:
-            return EventDrivenBackend(
-                dag=dag,
-                workflow_arrival=workflow_arrival,
-                seed=args.seed,
-                node_outage=node_outage,
-            )
-        if args.arrival is not None:
-            return EventDrivenBackend(
-                arrival=args.arrival, seed=args.seed, node_outage=node_outage
-            )
-        return EventDrivenBackend(
-            arrival_interval_hours=args.arrival_interval,
-            seed=args.seed,
-            node_outage=node_outage,
-        )
-    return args.backend
+    ``options`` are further :class:`EventDrivenBackend` fields that only
+    some commands have flags for (``--profile``, ``--trace``, ...).
+    """
+    if args.backend != "event":
+        return args.backend
+    return EventDrivenBackend(
+        arrival=args.arrival,
+        seed=args.seed,
+        dag=args.dag,
+        workflow_arrival=args.workflow_arrival,
+        node_outage=args.node_outage,
+        **options,
+    )
 
 
 def _render_profile_table(profile) -> str:
@@ -669,13 +635,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             method_factories()[args.method],
             shards=args.shards,
             time_to_failure=args.ttf,
-            backend=_resolve_cli_backend(args),
+            backend=_resolve_cli_backend(args, profile=args.profile),
             cluster=args.cluster,
             placement=args.placement,
-            dag=args.dag,
-            workflow_arrival=args.workflow_arrival,
             n_workers=args.shard_workers,
-            profile=args.profile,
         )
         workload_name = source.name
     else:
@@ -684,14 +647,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         res = OnlineSimulator(
             source,
             time_to_failure=args.ttf,
-            backend=_resolve_cli_backend(args),
+            backend=_resolve_cli_backend(
+                args,
+                stream_collectors=args.stream_collectors,
+                spill=args.spill,
+                profile=args.profile,
+                trace=args.trace,
+                trace_limit=args.trace_limit,
+            ),
             cluster=args.cluster,
             placement=args.placement,
-            stream_collectors=args.stream_collectors,
-            spill=args.spill,
-            profile=args.profile,
-            trace_path=args.trace,
-            trace_limit=args.trace_limit,
         ).run(
             predictor,
             checkpoint=args.checkpoint,
@@ -804,12 +769,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         res = OnlineSimulator(
             source,
             time_to_failure=args.ttf,
-            backend=_resolve_cli_backend(args),
+            backend=_resolve_cli_backend(
+                args,
+                profile=True,
+                trace=args.trace,
+                trace_limit=args.trace_limit,
+            ),
             cluster=args.cluster,
             placement=args.placement,
-            profile=True,
-            trace_path=args.trace,
-            trace_limit=args.trace_limit,
         ).run(predictor)
         if profile is None:
             profile = res.profile

@@ -17,19 +17,21 @@ dependency-driven, multi-tenant:
   :mod:`repro.sim.arrivals`, re-exported here) — injects whole
   workflow instances (fixed / Poisson / bursty, seeded) owned by
   round-robin tenants.
-- :mod:`repro.sched.engine` — the discrete-event loop gluing the above
-  to the cluster manager and predictor contract, producing
+- :mod:`repro.sched.engine` — :class:`DagWorkflowDriver`, the kernel
+  driver gluing the above to the shared simulation kernel
+  (:mod:`repro.sim.kernel`), whose runs produce
   :class:`~repro.sim.results.WorkflowMetrics` (per-workflow makespan,
   critical-path lower bound, stretch) alongside the usual cluster and
   wastage metrics.
 
-Reached through ``EventDrivenBackend(dag=..., workflow_arrival=...)``,
+Reached through ``EventDrivenBackend(dag=..., workflow_arrival=...)``
+(the one builder of its kernel),
 ``OnlineSimulator(..., dag=..., workflow_arrival=...)``, ``run_cell`` /
 ``run_grid``, and the CLI's ``--dag`` / ``--workflow-arrival``.
 """
 
 from repro.sim.arrivals import WorkflowArrivals, parse_workflow_arrival
-from repro.sched.engine import resolve_dag, run_dag_simulation
+from repro.sched.engine import DagWorkflowDriver, resolve_dag
 from repro.sched.instance import WorkflowInstance
 from repro.sched.ready import ReadySetScheduler
 
@@ -39,5 +41,5 @@ __all__ = [
     "WorkflowArrivals",
     "parse_workflow_arrival",
     "resolve_dag",
-    "run_dag_simulation",
+    "DagWorkflowDriver",
 ]

@@ -23,39 +23,28 @@ instance, and a non-learning predictor the per-task results reproduce
 the flat stream's exactly, by construction rather than by vigilance.
 This module contributes only the DAG notions of arrival (whole
 instances) and release (dependency resolution) via
-:class:`DagWorkflowDriver`.
+:class:`DagWorkflowDriver`, which
+:class:`~repro.sim.backends.event.EventDrivenBackend` plugs into the
+kernel when ``dag=`` or ``workflow_arrival=`` is set.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.cluster.manager import ResourceManager
 from repro.sched.instance import WorkflowInstance
 from repro.sched.ready import ReadySetScheduler
-from repro.sim.arrivals import WorkflowArrivals, parse_workflow_arrival
-from repro.sim.interface import MemoryPredictor, TaskSubmission
-from repro.sim.kernel.collectors import (
-    ClusterMetricsCollector,
-    WorkflowMetricsCollector,
-)
+from repro.sim.arrivals import WorkflowArrivals
+from repro.sim.interface import TaskSubmission
 from repro.sim.kernel.core import SimulationKernel, TaskState
 from repro.sim.kernel.events import ARRIVAL
-from repro.sim.kernel.outage import NodeOutage
-from repro.sim.results import SimulationResult
 from repro.workflow.dag import WorkflowDAG
 from repro.workflow.task import TaskInstance, WorkflowTrace
-from repro.workload.base import WorkloadSource, as_source
+from repro.workload.base import WorkloadSource
 
-__all__ = [
-    "resolve_dag",
-    "run_dag_simulation",
-    "build_dag_kernel",
-    "DagWorkflowDriver",
-]
+__all__ = ["resolve_dag", "DagWorkflowDriver"]
 
 
 def resolve_dag(dag: object | None, trace: WorkflowTrace) -> WorkflowDAG:
@@ -191,10 +180,8 @@ def _instantiate_workflows(
 class _DagQueue:
     """:class:`~repro.sim.kernel.core.ReadyQueue` view of the ready set.
 
-    ``head``/``pop`` bind the scheduler's ready heap directly (the list
-    object is owned and never rebound by the scheduler) — the kernel
-    calls them once per dispatch, so the extra delegation layer was
-    measurable.
+    ``order`` binds the scheduler's ready heap directly (the list object
+    is owned and never rebound by the scheduler).
     """
 
     __slots__ = ("_scheduler", "_ready", "order")
@@ -208,12 +195,6 @@ class _DagQueue:
         #: ``heappop`` directly.
         self.order = self._ready
 
-    def head(self) -> TaskState:
-        return self._ready[0][2]
-
-    def pop(self) -> TaskState:
-        return heapq.heappop(self._ready)[2]
-
     def unsized(self, limit: int) -> list[TaskState]:
         return self._scheduler.take_unsized(
             lambda st: st.allocation is None, limit
@@ -222,12 +203,6 @@ class _DagQueue:
     def requeue(self, state: TaskState) -> None:
         assert state.wi is not None
         self._scheduler.requeue(state.wi, state.inst)
-
-    def __len__(self) -> int:
-        return len(self._ready)
-
-    def __bool__(self) -> bool:
-        return bool(self._ready)
 
 
 class DagWorkflowDriver:
@@ -358,131 +333,3 @@ class DagWorkflowDriver:
                 f"DAG simulation ended with unfinished workflow instances: "
                 f"{unfinished}"
             )
-
-
-def build_dag_kernel(
-    workload: "WorkloadSource | WorkflowTrace | str",
-    predictor: MemoryPredictor,
-    manager: ResourceManager,
-    time_to_failure: float,
-    *,
-    dag: object | None = None,
-    workflow_arrival: object | None = None,
-    prediction_chunk: int = 32,
-    doubling_factor: float = 2.0,
-    seed: int = 0,
-    backend_name: str = "event",
-    node_outage: Sequence[NodeOutage | str] | None = None,
-    stream_collectors: bool = False,
-    spill: str | None = None,
-    shard: int = 0,
-    shards: int = 1,
-    profile: bool = False,
-    trace: str | None = None,
-    trace_limit: int | None = None,
-) -> SimulationKernel:
-    """Assemble (but do not run) the DAG-mode kernel.
-
-    The build/run split is the checkpoint and sharding seam: callers
-    that need pause/resume drive the returned kernel through
-    :func:`repro.sim.kernel.checkpoint.drive_kernel`, and the sharded
-    runner builds one kernel per ``(shard, shards)`` slice of the
-    instance stream.  ``stream_collectors`` / ``spill`` configure the
-    streaming-collector mode (see :class:`SimulationKernel`).
-
-    Note: in a sharded run, prediction-log timestamps/indices are dense
-    within the shard, not globally; streaming mode (which sharded runs
-    use) drops the logs anyway.
-    """
-    source = as_source(workload)
-    # Validate the dag option eagerly against the source's first trace,
-    # so a missing/mismatched DAG fails here with the resolve_dag error
-    # rather than deep inside the event loop.
-    resolve_dag(dag, source.trace())
-    if shards < 1 or not 0 <= shard < shards:
-        raise ValueError(
-            f"shard must satisfy 0 <= shard < shards, got "
-            f"shard={shard} shards={shards}"
-        )
-    arrivals = parse_workflow_arrival(
-        workflow_arrival if workflow_arrival is not None else 1
-    )
-    driver = DagWorkflowDriver(dag, arrivals, seed, shard=shard, shards=shards)
-    collectors: list = [
-        ClusterMetricsCollector(stream=stream_collectors),
-        WorkflowMetricsCollector(driver.workflows),
-    ]
-    if trace is not None:
-        from repro.obs.trace import TraceCollector
-
-        collectors.append(TraceCollector(trace, limit=trace_limit))
-    return SimulationKernel(
-        source,
-        predictor,
-        manager,
-        time_to_failure,
-        driver=driver,
-        collectors=collectors,
-        prediction_chunk=prediction_chunk,
-        doubling_factor=doubling_factor,
-        outages=node_outage or (),
-        backend_name=backend_name,
-        stream_collectors=stream_collectors,
-        spill=spill,
-        profile=profile,
-    )
-
-
-def run_dag_simulation(
-    workload: "WorkloadSource | WorkflowTrace | str",
-    predictor: MemoryPredictor,
-    manager: ResourceManager,
-    time_to_failure: float,
-    *,
-    dag: object | None = None,
-    workflow_arrival: object | None = None,
-    prediction_chunk: int = 32,
-    doubling_factor: float = 2.0,
-    seed: int = 0,
-    backend_name: str = "event",
-    node_outage: Sequence[NodeOutage | str] | None = None,
-    stream_collectors: bool = False,
-    spill: str | None = None,
-    shard: int = 0,
-    shards: int = 1,
-    profile: bool = False,
-    trace: str | None = None,
-    trace_limit: int | None = None,
-) -> SimulationResult:
-    """Execute ``workflow_arrival`` source-produced instances under ``dag``.
-
-    The entry point :class:`~repro.sim.backends.event.EventDrivenBackend`
-    delegates to when ``dag=`` / ``workflow_arrival=`` is configured.
-    ``workload`` is anything :func:`~repro.workload.base.as_source`
-    accepts; the driver pulls whole workflow instances from it.  Returns
-    a :class:`SimulationResult` whose ``cluster`` *and* ``workflows``
-    metrics are populated.
-    """
-    kernel = build_dag_kernel(
-        workload,
-        predictor,
-        manager,
-        time_to_failure,
-        dag=dag,
-        workflow_arrival=workflow_arrival,
-        prediction_chunk=prediction_chunk,
-        doubling_factor=doubling_factor,
-        seed=seed,
-        backend_name=backend_name,
-        node_outage=node_outage,
-        stream_collectors=stream_collectors,
-        spill=spill,
-        shard=shard,
-        shards=shards,
-        profile=profile,
-        trace=trace,
-        trace_limit=trace_limit,
-    )
-    result = kernel.run()
-    assert result is not None
-    return result

@@ -32,6 +32,12 @@ __all__ = [
 MAX_TASKS_PER_REQUEST = 4096
 MAX_TENANT_NAME_LEN = 128
 
+#: Ceiling of every memory (MB), input size (MB) and runtime (h) field:
+#: far past any real task, yet small enough that the models' sums and
+#: squares over a tenant's history stay finite (a 1e308 peak made the
+#: tree grower raise OverflowError on every later observe of its type).
+MAX_QUANTITY = 2.0**40
+
 _PRESET_DEFAULT_MB = 4096.0
 
 #: Integer fields end up in int64 columns (the provenance database's
@@ -118,9 +124,11 @@ def _num_field(
     except OverflowError:
         raise ProtocolError(f"{path}.{name}", "is too large for a float") from None
     # json.loads accepts NaN and +-Infinity; one NaN peak would poison
-    # the tenant's model pool for good.
+    # the tenant's model pool for good, and so would a huge finite one.
     if not math.isfinite(value):
         raise ProtocolError(f"{path}.{name}", "must be a finite number")
+    if value > MAX_QUANTITY:
+        raise ProtocolError(f"{path}.{name}", f"must be <= {MAX_QUANTITY:g}")
     if minimum is not None:
         if exclusive and value <= minimum:
             raise ProtocolError(f"{path}.{name}", f"must be > {minimum:g}")

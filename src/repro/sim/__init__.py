@@ -9,10 +9,13 @@ that environment:
   (Sizey and all baselines) implements — including the API v2 batch
   prediction and trace-lifecycle hooks — and the task-submission view
   that hides ground truth from predictors.
-- :mod:`repro.sim.backends` -- pluggable execution semantics behind the
-  :class:`SimulatorBackend` protocol: the paper-faithful serialized
-  ``"replay"`` loop and the kernel-driven discrete-``"event"`` engine
-  that measures queueing wait, makespan, and node utilization.
+- :mod:`repro.sim.backends` -- execution semantics behind the
+  :class:`SimulatorBackend` protocol, named in :data:`BACKENDS`: the
+  paper-faithful serialized ``"replay"`` loop and the kernel-driven
+  discrete-``"event"`` engine that measures queueing wait, makespan,
+  and node utilization.  :class:`EventDrivenBackend` is a frozen
+  dataclass holding every event option, and the one builder of a
+  :class:`SimulationKernel`.
 - :mod:`repro.sim.kernel` -- the unified discrete-event simulation
   kernel: one clock, typed event heap, and sizing lifecycle shared by
   the flat event backend and the DAG engine, with pluggable
@@ -33,8 +36,8 @@ that environment:
   :class:`UnschedulableTaskError`.
 
 The event backend additionally supports DAG-aware multi-workflow
-scheduling (``dag=`` / ``workflow_arrival=``), implemented by
-:mod:`repro.sched` as a driver over the same kernel, which populates
+scheduling (``dag=`` / ``workflow_arrival=``): :mod:`repro.sched`
+supplies the driver it plugs into the same kernel, which populates
 :class:`WorkflowMetrics` (per-workflow makespan, critical-path lower
 bound, stretch) on the result.
 """
@@ -49,12 +52,10 @@ from repro.sim.arrivals import (
     parse_workflow_arrival,
 )
 from repro.sim.backends import (
+    BACKENDS,
     EventDrivenBackend,
     ReplayBackend,
     SimulatorBackend,
-    backend_names,
-    register_backend,
-    resolve_backend,
 )
 from repro.sim.engine import OnlineSimulator
 from repro.sim.errors import UnschedulableTaskError
@@ -85,11 +86,9 @@ __all__ = [
     "TraceContext",
     "OnlineSimulator",
     "SimulatorBackend",
+    "BACKENDS",
     "ReplayBackend",
     "EventDrivenBackend",
-    "register_backend",
-    "backend_names",
-    "resolve_backend",
     "SimulationResult",
     "ClusterMetrics",
     "WorkflowInstanceMetrics",

@@ -1,33 +1,32 @@
 """Pluggable simulation backends.
 
 - :mod:`repro.sim.backends.base` -- the :class:`SimulatorBackend`
-  protocol, the backend registry, and shared helpers (attempt cap,
-  checked allocation clamping).
+  protocol and shared constants and helpers (attempt cap, doubling
+  factor, prediction chunk, checked allocation clamping).
 - :mod:`repro.sim.backends.replay` -- the paper's serialized per-task
   replay loop (``backend="replay"``, the default).
-- :mod:`repro.sim.backends.event` -- the flat-stream driver over the
-  unified simulation kernel (:mod:`repro.sim.kernel`): real node
-  concurrency, FCFS queueing, cluster metrics, and node-drain
-  scenarios (``backend="event"``).
+- :mod:`repro.sim.backends.event` -- the event backend over the unified
+  simulation kernel (:mod:`repro.sim.kernel`): real node concurrency,
+  FCFS queueing, cluster metrics, node-drain scenarios and DAG-aware
+  scheduling (``backend="event"``).
+
+:data:`BACKENDS` maps each name to its class; any other object
+satisfying :class:`SimulatorBackend` is accepted as an instance.
 """
 
-from repro.sim.backends.base import (
-    SimulatorBackend,
-    backend_names,
-    register_backend,
-    resolve_backend,
-)
+from repro.sim.backends.base import SimulatorBackend
 from repro.sim.backends.event import EventDrivenBackend
 from repro.sim.backends.replay import ReplayBackend
 
-register_backend("replay", ReplayBackend)
-register_backend("event", EventDrivenBackend)
+#: The backends addressable by name (``backend="event"``, ``--backend``).
+BACKENDS: dict[str, type[SimulatorBackend]] = {
+    "replay": ReplayBackend,
+    "event": EventDrivenBackend,
+}
 
 __all__ = [
+    "BACKENDS",
     "SimulatorBackend",
     "ReplayBackend",
     "EventDrivenBackend",
-    "register_backend",
-    "backend_names",
-    "resolve_backend",
 ]

@@ -1,9 +1,10 @@
-"""The simulation-backend seam: protocol, registry, shared helpers.
+"""The simulation-backend seam: protocol, shared constants and helpers.
 
 A backend owns the execution semantics of one trace replay — how tasks
 move through time and occupy the cluster — while the predictor contract,
 wastage accounting, and result schema stay identical across backends.
-Two implementations ship:
+Two implementations ship, addressable by name through
+:data:`repro.sim.backends.BACKENDS`:
 
 - :class:`~repro.sim.backends.replay.ReplayBackend` (``"replay"``): the
   paper's serialized per-task loop, bit-for-bit faithful to the original
@@ -12,14 +13,13 @@ Two implementations ship:
   discrete-event engine where tasks concurrently occupy nodes, exposing
   queueing wait, makespan, and per-node utilization.
 
-Third-party backends register via :func:`register_backend` and are then
-addressable by name from :class:`~repro.sim.engine.OnlineSimulator`,
-``run_grid``, and the CLI.
+Any other object satisfying :class:`SimulatorBackend` can be passed to
+:class:`~repro.sim.engine.OnlineSimulator` as an instance.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.cluster.manager import ResourceManager
 from repro.sim.errors import UnschedulableTaskError
@@ -29,13 +29,11 @@ from repro.workflow.task import TaskInstance, WorkflowTrace
 
 __all__ = [
     "SimulatorBackend",
-    "register_backend",
-    "backend_names",
-    "resolve_backend",
     "clamp_allocation_checked",
     "build_cluster_metrics",
-    "size_first_attempts",
     "MAX_ATTEMPTS",
+    "DOUBLING_FACTOR",
+    "PREDICTION_CHUNK",
 ]
 
 #: Hard cap on attempts per task; doubling from 1 MB exceeds any node
@@ -43,6 +41,17 @@ __all__ = [
 #: (genuinely impossible tasks are caught earlier and raise the typed
 #: :class:`UnschedulableTaskError` instead).
 MAX_ATTEMPTS = 30
+
+#: Escalation floor after a kill: when the predictor's retry proposal
+#: does not grow, the next allocation is the failed one times this
+#: factor (paper §II-E: "continuously doubled"), in both backends.
+DOUBLING_FACTOR = 2.0
+
+#: How many queued tasks the event kernel sizes per ``predict_batch``
+#: call.  It requests predictions only as its dispatch window reaches
+#: unsized tasks, so tasks deep in the queue are sized *after* earlier
+#: completions were observed — online learning survives the batching.
+PREDICTION_CHUNK = 32
 
 
 @runtime_checkable
@@ -61,7 +70,7 @@ class SimulatorBackend(Protocol):
     manager's bookkeeping at the start of each run.
     """
 
-    #: Registry / CLI name of the backend.
+    #: Name of the backend (its key in ``BACKENDS``, the CLI choice).
     name: str
 
     def run(
@@ -72,38 +81,6 @@ class SimulatorBackend(Protocol):
         time_to_failure: float,
     ) -> SimulationResult:
         ...
-
-
-_REGISTRY: dict[str, Callable[[], SimulatorBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], SimulatorBackend]) -> None:
-    """Make ``factory()`` addressable as ``backend=name`` everywhere."""
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    _REGISTRY[name] = factory
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names (CLI choices), in registration order."""
-    return tuple(_REGISTRY)
-
-
-def resolve_backend(backend: str | SimulatorBackend) -> SimulatorBackend:
-    """Turn a registry name or a ready-made backend into an instance."""
-    if isinstance(backend, str):
-        try:
-            return _REGISTRY[backend]()
-        except KeyError:
-            raise ValueError(
-                f"unknown backend {backend!r}; "
-                f"registered: {sorted(_REGISTRY)}"
-            ) from None
-    if not isinstance(backend, SimulatorBackend):
-        raise TypeError(
-            f"backend must be a name or SimulatorBackend, got {type(backend)!r}"
-        )
-    return backend
 
 
 def clamp_allocation_checked(
@@ -128,41 +105,6 @@ def clamp_allocation_checked(
             capacity_mb=manager.max_allocation_mb,
         )
     return manager.clamp_allocation(request_mb)
-
-
-def size_first_attempts(
-    predictor: MemoryPredictor, manager: ResourceManager, states
-) -> None:
-    """Size a wave of unsized task states with one ``predict_batch``.
-
-    ``states`` is any sequence of state objects exposing
-    ``submission``/``inst``/``allocation``/``first_allocation`` — the
-    simulation kernel calls this for every dispatch wave, so every mode
-    (flat and DAG alike) gets the vectorized one-query-per-model-slot
-    path.
-    """
-    allocations = predictor.predict_batch([st.submission for st in states])
-    # Inlined clamp_allocation_checked: this loop runs once per task on
-    # the kernel's sizing hot path, and the two calls per state were
-    # measurable.  Semantics are identical — same bound, same typed
-    # error for impossible tasks.
-    cap = manager._max_allocation_mb
-    for st, allocation in zip(states, allocations):
-        inst = st.inst
-        if inst.peak_memory_mb > cap:
-            raise UnschedulableTaskError(
-                task_type=inst.task_type.key,
-                instance_id=inst.instance_id,
-                peak_memory_mb=inst.peak_memory_mb,
-                capacity_mb=cap,
-            )
-        allocation = float(allocation)
-        if allocation < 1.0:
-            allocation = 1.0
-        if allocation > cap:
-            allocation = cap
-        st.allocation = allocation
-        st.first_allocation = allocation
 
 
 def build_cluster_metrics(

@@ -13,7 +13,7 @@ unified discrete-event kernel (:mod:`repro.sim.kernel`) instead:
 - arrived tasks wait in a FCFS queue ordered by submission index;
 - the kernel's scheduling pass sizes each dispatch wave via
   :meth:`~repro.sim.interface.MemoryPredictor.predict_batch` (in chunks
-  of ``prediction_chunk``), places onto
+  of :data:`~repro.sim.backends.base.PREDICTION_CHUNK`), places onto
   :class:`~repro.cluster.manager.ResourceManager` nodes via the
   manager's placement policy, kills under-allocated tasks at
   ``time_to_failure`` of their runtime, and re-queues them re-sized
@@ -31,14 +31,17 @@ produce the same ledger totals, while the event backend additionally
 reports the cluster-level metrics.
 
 All of the execution semantics live in
-:class:`~repro.sim.kernel.core.SimulationKernel`; this module only
+:class:`~repro.sim.kernel.core.SimulationKernel`; this module
 contributes the *flat* notion of arrival and priority via
-:class:`FlatStreamDriver`.
+:class:`FlatStreamDriver`, and :class:`EventDrivenBackend`, which holds
+every event option and builds the kernel for both the flat and the
+DAG (:mod:`repro.sched.engine`) driver.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -48,17 +51,22 @@ from repro.cluster.manager import ResourceManager
 from repro.sim.arrivals import (
     ArrivalModel,
     FixedArrivals,
+    WorkflowArrivals,
     iter_arrival_times,
     parse_arrival,
+    parse_workflow_arrival,
 )
 from repro.sim.interface import MemoryPredictor, TaskSubmission
-from repro.sim.kernel.collectors import ClusterMetricsCollector
+from repro.sim.kernel.collectors import (
+    ClusterMetricsCollector,
+    WorkflowMetricsCollector,
+)
 from repro.sim.kernel.core import SimulationKernel, TaskState
 from repro.sim.kernel.events import ARRIVAL
 from repro.sim.kernel.outage import NodeOutage, parse_node_outages
 from repro.sim.results import SimulationResult
 from repro.workflow.task import WorkflowTrace
-from repro.workload.base import WorkloadSource
+from repro.workload.base import WorkloadSource, as_source
 
 __all__ = ["EventDrivenBackend", "FlatStreamDriver"]
 
@@ -87,20 +95,13 @@ class _FlatQueue:
         self._upos = 0
         #: Kernel-internal contract (shared with ``_DagQueue``): the live
         #: heap list itself.  Entries sort FCFS and end with the state,
-        #: so the kernel peeks ``order[0][-1]`` and pops with ``heappop``
-        #: instead of calling :meth:`head`/:meth:`pop` per dispatch.
+        #: so the kernel peeks ``order[0][-1]`` and pops with ``heappop``.
         self.order = self._heap
 
     def push(self, state: TaskState) -> None:
         heapq.heappush(self._heap, (state.index, state))
         if state.allocation is None:
             self._unsized.append(state)
-
-    def head(self) -> TaskState:
-        return self._heap[0][1]
-
-    def pop(self) -> TaskState:
-        return heapq.heappop(self._heap)[1]
 
     def unsized(self, limit: int) -> list[TaskState]:
         wave: list[TaskState] = []
@@ -121,12 +122,6 @@ class _FlatQueue:
     def requeue(self, state: TaskState) -> None:
         # A re-queued task re-enters at its original priority.
         self.push(state)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 class FlatStreamDriver:
@@ -361,36 +356,28 @@ class FlatStreamDriver:
         pass
 
 
+@dataclass(frozen=True)
 class EventDrivenBackend:
     """Concurrent execution on a shared cluster with FCFS queueing.
 
+    The one place event-simulation options live: every field below is
+    validated and normalized once, here, and :meth:`build_kernel` is the
+    only builder of a :class:`~repro.sim.kernel.core.SimulationKernel`.
+    Derive a variant with :func:`dataclasses.replace`.
+
     Parameters
     ----------
-    arrival_interval_hours:
-        Gap between consecutive submissions (back-compat shorthand for
-        ``arrival=FixedArrivals(...)``).  0 (default) submits the whole
-        trace at once — a batch workload whose concurrency is limited
-        purely by cluster memory.  Ignored when ``arrival`` is given.
-    prediction_chunk:
-        How many queued tasks are sized per ``predict_batch`` call.  The
-        scheduler only requests predictions as its dispatch window
-        reaches unsized tasks, so tasks deep in the queue are predicted
-        *after* earlier completions were observed — preserving online
-        learning while still batching model queries.
     arrival:
         Arrival model: a spec string (``"fixed:0.25"``,
         ``"poisson:0.5"``, ``"bursty:8x0.5"``) or an
-        :class:`~repro.sim.arrivals.ArrivalModel` instance.
+        :class:`~repro.sim.arrivals.ArrivalModel` instance, stored
+        parsed.  ``None`` (default) submits the whole trace at once —
+        a batch workload whose concurrency is limited purely by cluster
+        memory.
     seed:
         Seed of the backend's private RNG, which drives every stochastic
         arrival draw — a fixed seed makes the whole simulation
         deterministic.
-    doubling_factor:
-        Escalation floor after a kill: when the predictor's retry
-        proposal does not grow, the next allocation is
-        ``failed * doubling_factor`` — the same factor
-        :class:`~repro.core.failure.FailureHandler` uses, so replay and
-        event runs stay attempt-for-attempt identical.
     dag:
         Switches the backend into DAG-aware scheduling
         (:mod:`repro.sched`): tasks are released only when their DAG
@@ -410,7 +397,8 @@ class EventDrivenBackend:
         Scheduled node drain windows — one spec string
         (``"start:duration:node"``), a
         :class:`~repro.sim.kernel.outage.NodeOutage`, or a list of
-        either.  Applied identically in flat and DAG modes.
+        either; stored as a tuple of :class:`NodeOutage`.  Applied
+        identically in flat and DAG modes.
     stream_collectors:
         Streaming-collector mode: collectors keep online aggregates and
         quantile sketches instead of per-task logs, timelines, and
@@ -425,7 +413,8 @@ class EventDrivenBackend:
         tasks by global submission index, DAG workflow instances by copy
         number — with arrival schedules and ids matching the unsharded
         run.  The sharded grid runner (:mod:`repro.sim.runner`) merges
-        the per-shard summaries.
+        the per-shard summaries.  In a sharded DAG run, prediction-log
+        timestamps are dense within the shard, not global.
     profile:
         Enable the kernel phase profiler (:mod:`repro.obs.profile`):
         ``result.profile`` carries per-phase wall-time/call counters.
@@ -435,186 +424,62 @@ class EventDrivenBackend:
         ``trace`` path (:class:`~repro.obs.trace.TraceCollector`);
         ``trace_limit`` bounds the retained events with a ring buffer
         for million-task runs.
+
+    The kernel sizes queued tasks :data:`~repro.sim.backends.base.
+    PREDICTION_CHUNK` at a time and re-sizes a killed task to at least
+    :data:`~repro.sim.backends.base.DOUBLING_FACTOR` times its failed
+    allocation — the replay backend's factor, so the two stay
+    attempt-for-attempt identical.
     """
 
     name = "event"
 
-    def __init__(
-        self,
-        arrival_interval_hours: float = 0.0,
-        prediction_chunk: int = 32,
-        arrival: str | ArrivalModel | None = None,
-        seed: int = 0,
-        doubling_factor: float = 2.0,
-        dag: object | None = None,
-        workflow_arrival: object | None = None,
-        node_outage: str | NodeOutage | Sequence[str | NodeOutage] | None = None,
-        stream_collectors: bool = False,
-        spill: str | None = None,
-        shard: int = 0,
-        shards: int = 1,
-        profile: bool = False,
-        trace: str | None = None,
-        trace_limit: int | None = None,
-    ) -> None:
-        if arrival_interval_hours < 0:
-            raise ValueError(
-                f"arrival_interval_hours must be >= 0, got {arrival_interval_hours}"
-            )
-        if prediction_chunk < 1:
-            raise ValueError(
-                f"prediction_chunk must be >= 1, got {prediction_chunk}"
-            )
-        if doubling_factor <= 1.0:
-            raise ValueError(
-                f"doubling_factor must exceed 1, got {doubling_factor}"
-            )
-        if shards < 1 or not 0 <= shard < shards:
+    arrival: str | ArrivalModel | None = None
+    seed: int = 0
+    dag: object | None = None
+    workflow_arrival: str | int | WorkflowArrivals | None = None
+    node_outage: str | NodeOutage | Sequence[str | NodeOutage] | None = None
+    stream_collectors: bool = False
+    spill: str | None = None
+    shard: int = 0
+    shards: int = 1
+    profile: bool = False
+    trace: str | None = None
+    trace_limit: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.shards < 1 or not 0 <= self.shard < self.shards:
             raise ValueError(
                 f"shard must satisfy 0 <= shard < shards, got "
-                f"shard={shard} shards={shards}"
+                f"shard={self.shard} shards={self.shards}"
             )
-        if arrival is None:
-            arrival = FixedArrivals(arrival_interval_hours)
-        self.arrival = parse_arrival(arrival)
-        self.arrival_interval_hours = arrival_interval_hours
-        self.prediction_chunk = prediction_chunk
-        self.seed = seed
-        self.doubling_factor = doubling_factor
-        self.stream_collectors = stream_collectors
-        self.spill = spill
-        self.shard = shard
-        self.shards = shards
-        self.profile = profile
-        self.trace = trace
-        self.trace_limit = trace_limit
-        self.dag = dag
-        if workflow_arrival is not None:
-            from repro.sim.arrivals import parse_workflow_arrival
-
-            workflow_arrival = parse_workflow_arrival(workflow_arrival)
-        self.workflow_arrival = workflow_arrival
-        self.node_outages = parse_node_outages(node_outage)
-        if dag is not None or workflow_arrival is not None:
+        arrival = parse_arrival(
+            FixedArrivals(0.0) if self.arrival is None else self.arrival
+        )
+        workflow_arrival = (
+            None
+            if self.workflow_arrival is None
+            else parse_workflow_arrival(self.workflow_arrival)
+        )
+        if self.dag is not None or workflow_arrival is not None:
             # DAG scheduling releases tasks as dependencies resolve;
             # a task-level arrival model would be silently ignored, so
             # reject the combination instead of picking a winner.
-            trivial_arrival = (
-                isinstance(self.arrival, FixedArrivals)
-                and self.arrival.interval_hours == 0.0
-            )
-            if not trivial_arrival:
+            if not (
+                isinstance(arrival, FixedArrivals)
+                and arrival.interval_hours == 0.0
+            ):
                 raise ValueError(
                     "dag/workflow_arrival replace the per-task arrival "
-                    "model; drop arrival/arrival_interval_hours (workflow "
-                    "arrivals carry their own fixed/poisson/bursty spec)"
+                    "model; drop arrival (workflow arrivals carry their "
+                    "own fixed/poisson/bursty spec)"
                 )
-
-    def with_workflow_options(
-        self,
-        dag: object | None = None,
-        workflow_arrival: object | None = None,
-        node_outage: object | None = None,
-    ) -> "EventDrivenBackend":
-        """A copy of this backend with DAG-scheduling options applied.
-
-        The seam :class:`~repro.sim.engine.OnlineSimulator` and the grid
-        runner use to layer ``dag=`` / ``workflow_arrival=`` /
-        ``node_outage=`` on top of a backend resolved by name, without
-        touching its other settings.
-        """
-        return EventDrivenBackend(
-            arrival_interval_hours=self.arrival_interval_hours,
-            prediction_chunk=self.prediction_chunk,
-            arrival=self.arrival,
-            seed=self.seed,
-            doubling_factor=self.doubling_factor,
-            dag=dag if dag is not None else self.dag,
-            workflow_arrival=(
-                workflow_arrival
-                if workflow_arrival is not None
-                else self.workflow_arrival
-            ),
-            node_outage=(
-                node_outage if node_outage is not None else self.node_outages
-            ),
-            stream_collectors=self.stream_collectors,
-            spill=self.spill,
-            shard=self.shard,
-            shards=self.shards,
-            profile=self.profile,
-            trace=self.trace,
-            trace_limit=self.trace_limit,
+        object.__setattr__(self, "arrival", arrival)
+        object.__setattr__(self, "workflow_arrival", workflow_arrival)
+        object.__setattr__(
+            self, "node_outage", parse_node_outages(self.node_outage)
         )
 
-    def with_scale_options(
-        self,
-        stream_collectors: bool | None = None,
-        spill: str | None = None,
-        shard: int | None = None,
-        shards: int | None = None,
-    ) -> "EventDrivenBackend":
-        """A copy of this backend with scale-out options applied.
-
-        The seam the grid runner and CLI use to layer
-        ``--stream-collectors`` / ``--shards`` onto a backend resolved
-        by name, mirroring :meth:`with_workflow_options`.
-        """
-        return EventDrivenBackend(
-            arrival_interval_hours=self.arrival_interval_hours,
-            prediction_chunk=self.prediction_chunk,
-            arrival=self.arrival,
-            seed=self.seed,
-            doubling_factor=self.doubling_factor,
-            dag=self.dag,
-            workflow_arrival=self.workflow_arrival,
-            node_outage=self.node_outages,
-            stream_collectors=(
-                stream_collectors
-                if stream_collectors is not None
-                else self.stream_collectors
-            ),
-            spill=spill if spill is not None else self.spill,
-            shard=shard if shard is not None else self.shard,
-            shards=shards if shards is not None else self.shards,
-            profile=self.profile,
-            trace=self.trace,
-            trace_limit=self.trace_limit,
-        )
-
-    def with_obs_options(
-        self,
-        profile: bool | None = None,
-        trace: str | None = None,
-        trace_limit: int | None = None,
-    ) -> "EventDrivenBackend":
-        """A copy of this backend with observability options applied.
-
-        The seam :class:`~repro.sim.engine.OnlineSimulator` and the CLI
-        use to layer ``--profile`` / ``--trace`` onto a backend resolved
-        by name, mirroring :meth:`with_workflow_options`.
-        """
-        return EventDrivenBackend(
-            arrival_interval_hours=self.arrival_interval_hours,
-            prediction_chunk=self.prediction_chunk,
-            arrival=self.arrival,
-            seed=self.seed,
-            doubling_factor=self.doubling_factor,
-            dag=self.dag,
-            workflow_arrival=self.workflow_arrival,
-            node_outage=self.node_outages,
-            stream_collectors=self.stream_collectors,
-            spill=self.spill,
-            shard=self.shard,
-            shards=self.shards,
-            profile=profile if profile is not None else self.profile,
-            trace=trace if trace is not None else self.trace,
-            trace_limit=(
-                trace_limit if trace_limit is not None else self.trace_limit
-            ),
-        )
-
-    # ------------------------------------------------------------------
     def build_kernel(
         self,
         workload: "WorkloadSource | WorkflowTrace | str",
@@ -624,40 +489,35 @@ class EventDrivenBackend:
     ) -> SimulationKernel:
         """Assemble (but do not run) this backend's configured kernel.
 
-        The checkpoint seam: callers that need pause/resume drive the
-        returned kernel via
+        The checkpoint and sharding seam: callers that need pause/resume
+        drive the returned kernel via
         :func:`repro.sim.kernel.checkpoint.drive_kernel` instead of
         calling :meth:`run`.
         """
-        if self.dag is not None or self.workflow_arrival is not None:
-            # DAG-aware scheduling plugs its own driver into the same
-            # kernel; the flat pre-ordered stream below stays
-            # byte-identical without it.
-            from repro.sched.engine import build_dag_kernel
-
-            return build_dag_kernel(
-                workload,
-                predictor,
-                manager,
-                time_to_failure,
-                dag=self.dag,
-                workflow_arrival=self.workflow_arrival,
-                prediction_chunk=self.prediction_chunk,
-                doubling_factor=self.doubling_factor,
-                seed=self.seed,
-                backend_name=self.name,
-                node_outage=self.node_outages,
-                stream_collectors=self.stream_collectors,
-                spill=self.spill,
-                shard=self.shard,
-                shards=self.shards,
-                profile=self.profile,
-                trace=self.trace,
-                trace_limit=self.trace_limit,
-            )
         collectors: list = [
             ClusterMetricsCollector(stream=self.stream_collectors)
         ]
+        if self.dag is None and self.workflow_arrival is None:
+            driver = FlatStreamDriver(
+                self.arrival, self.seed, shard=self.shard, shards=self.shards
+            )
+        else:
+            # DAG-aware scheduling plugs its own driver into the same
+            # kernel; flat runs never import it.
+            from repro.sched.engine import DagWorkflowDriver, resolve_dag
+
+            workload = as_source(workload)
+            # A missing or mismatched DAG fails here with resolve_dag's
+            # error rather than deep inside the run.
+            resolve_dag(self.dag, workload.trace())
+            driver = DagWorkflowDriver(
+                self.dag,
+                self.workflow_arrival or WorkflowArrivals(),
+                self.seed,
+                shard=self.shard,
+                shards=self.shards,
+            )
+            collectors.append(WorkflowMetricsCollector(driver.workflows))
         if self.trace is not None:
             from repro.obs.trace import TraceCollector
 
@@ -669,14 +529,9 @@ class EventDrivenBackend:
             predictor,
             manager,
             time_to_failure,
-            driver=FlatStreamDriver(
-                self.arrival, self.seed, shard=self.shard, shards=self.shards
-            ),
+            driver=driver,
             collectors=collectors,
-            prediction_chunk=self.prediction_chunk,
-            doubling_factor=self.doubling_factor,
-            outages=self.node_outages,
-            backend_name=self.name,
+            outages=self.node_outage,
             stream_collectors=self.stream_collectors,
             spill=self.spill,
             profile=self.profile,

@@ -22,7 +22,11 @@ from __future__ import annotations
 from repro.cluster.accounting import WastageLedger
 from repro.cluster.manager import ResourceManager
 from repro.provenance.records import TaskRecord
-from repro.sim.backends.base import MAX_ATTEMPTS, clamp_allocation_checked
+from repro.sim.backends.base import (
+    DOUBLING_FACTOR,
+    MAX_ATTEMPTS,
+    clamp_allocation_checked,
+)
 from repro.sim.interface import MemoryPredictor, TaskSubmission, TraceContext
 from repro.sim.results import PredictionLog, SimulationResult
 from repro.workflow.task import WorkflowTrace
@@ -34,24 +38,13 @@ __all__ = ["ReplayBackend"]
 class ReplayBackend:
     """One-task-at-a-time replay (paper fidelity; no concurrency).
 
-    Parameters
-    ----------
-    doubling_factor:
-        Escalation floor when a predictor's retry proposal does not grow
-        (paper §II-E: "continuously doubled").  The default of 2.0 keeps
-        the seed loop bit-for-bit identical; it is configurable so the
-        replay and event backends can share one factor and stay
-        attempt-for-attempt identical.
+    A retry proposal that does not grow falls back to
+    :data:`~repro.sim.backends.base.DOUBLING_FACTOR` times the failed
+    allocation — the event kernel's floor too, so the two backends stay
+    attempt-for-attempt identical.
     """
 
     name = "replay"
-
-    def __init__(self, doubling_factor: float = 2.0) -> None:
-        if doubling_factor <= 1.0:
-            raise ValueError(
-                f"doubling_factor must exceed 1, got {doubling_factor}"
-            )
-        self.doubling_factor = doubling_factor
 
     def run(
         self,
@@ -157,7 +150,7 @@ class ReplayBackend:
                 # Retries must strictly grow or the loop cannot terminate;
                 # a non-growing proposal falls back to the doubling factor.
                 if next_allocation <= verdict.allocated_mb:
-                    next_allocation = verdict.allocated_mb * self.doubling_factor
+                    next_allocation = verdict.allocated_mb * DOUBLING_FACTOR
                 allocation = clamp_allocation_checked(
                     manager, inst, next_allocation
                 )

@@ -1,25 +1,26 @@
 """The online simulator facade.
 
-:class:`OnlineSimulator` pairs a workflow trace with a cluster model and
-delegates the actual execution semantics to a pluggable
+:class:`OnlineSimulator` pairs a workload with a cluster model and
+delegates the actual execution semantics to a
 :class:`~repro.sim.backends.base.SimulatorBackend`:
 
 - ``backend="replay"`` (default) — the paper's serialized per-task
   replay loop, bit-for-bit identical to the original engine.
 - ``backend="event"`` — a discrete-event engine where tasks genuinely
   overlap on nodes, adding queueing wait, makespan, and per-node
-  utilization to the result.
+  utilization to the result; DAG-aware scheduling runs through it too.
 
-Any object satisfying the backend protocol can be passed directly, and
-new backends registered via
-:func:`repro.sim.backends.register_backend` become addressable by name.
+The two names come from :data:`repro.sim.backends.BACKENDS`; any other
+object satisfying the backend protocol can be passed as an instance.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.cluster.manager import ResourceManager
 from repro.cluster.policies import PlacementPolicy
-from repro.sim.backends import SimulatorBackend, resolve_backend
+from repro.sim.backends import BACKENDS, EventDrivenBackend, SimulatorBackend
 from repro.sim.interface import MemoryPredictor
 from repro.sim.results import SimulationResult
 from repro.workflow.task import WorkflowTrace
@@ -33,13 +34,12 @@ class OnlineSimulator:
 
     Parameters
     ----------
-    trace:
+    workload:
         The workload to replay: a materialized
         :class:`~repro.workflow.task.WorkflowTrace` (instances in
         submission order), a :class:`~repro.workload.base.WorkloadSource`,
         or a workload spec string such as ``"synthetic:iwd"`` /
-        ``"wfcommons:traces/blast.json"``.  The equivalent keyword
-        ``workload=`` reads better when not passing a trace object.
+        ``"wfcommons:traces/blast.json"``.
     manager:
         Cluster model; defaults to the paper's 8-node 128 GB cluster.
         Mutually exclusive with ``cluster``.
@@ -47,7 +47,7 @@ class OnlineSimulator:
         Fraction of a task's runtime after which an under-allocated task
         is killed (paper parameter; 1.0 in Fig. 8a, 0.5 in Fig. 8b).
     backend:
-        Execution semantics: a registered backend name (``"replay"`` or
+        Execution semantics: a backend name (``"replay"`` or
         ``"event"``) or a ready-made backend instance.
     cluster:
         Convenience shorthand for ``manager``: a cluster spec string
@@ -87,11 +87,15 @@ class OnlineSimulator:
         Write a Chrome ``trace_event`` JSON timeline of the run to
         ``trace_path`` (event backend only); ``trace_limit`` bounds the
         retained events with a ring buffer.
+
+    The event-backend options override the backend's own fields of the
+    same name (``trace_path`` is its ``trace``) when given; ``None`` and
+    ``False`` keep what the backend already says.
     """
 
     def __init__(
         self,
-        trace: WorkloadSource | WorkflowTrace | str | None = None,
+        workload: WorkloadSource | WorkflowTrace | str,
         manager: ResourceManager | None = None,
         time_to_failure: float = 1.0,
         backend: str | SimulatorBackend = "replay",
@@ -100,7 +104,6 @@ class OnlineSimulator:
         dag: object | None = None,
         workflow_arrival: object | None = None,
         node_outage: object | None = None,
-        workload: WorkloadSource | WorkflowTrace | str | None = None,
         stream_collectors: bool = False,
         spill: str | None = None,
         profile: bool = False,
@@ -113,11 +116,7 @@ class OnlineSimulator:
             )
         if manager is not None and cluster is not None:
             raise ValueError("pass either manager or cluster, not both")
-        if (trace is None) == (workload is None):
-            raise ValueError(
-                "pass exactly one of trace (positional) or workload="
-            )
-        self.source = as_source(workload if workload is not None else trace)
+        self.source = as_source(workload)
         if manager is not None:
             self.manager = manager
         elif cluster is not None:
@@ -127,51 +126,41 @@ class OnlineSimulator:
         else:
             self.manager = ResourceManager(placement=placement)
         self.time_to_failure = time_to_failure
-        self.backend = resolve_backend(backend)
-        if (
-            dag is not None
-            or workflow_arrival is not None
-            or node_outage is not None
-        ):
-            configure = getattr(self.backend, "with_workflow_options", None)
-            if configure is None:
+        if isinstance(backend, str):
+            try:
+                backend = BACKENDS[backend]()
+            except KeyError:
                 raise ValueError(
-                    f"dag/workflow_arrival/node_outage require a "
-                    f"kernel-driven backend (the event backend); got "
-                    f"{self.backend.name!r}"
-                )
-            self.backend = configure(
-                dag=dag,
-                workflow_arrival=workflow_arrival,
-                node_outage=node_outage,
+                    f"unknown backend {backend!r}; choose from "
+                    f"{sorted(BACKENDS)}"
+                ) from None
+        elif not isinstance(backend, SimulatorBackend):
+            raise TypeError(
+                f"backend must be a name or SimulatorBackend, got "
+                f"{type(backend)!r}"
             )
-        if stream_collectors or spill is not None:
-            scale = getattr(self.backend, "with_scale_options", None)
-            if scale is None:
+        options = {
+            name: value
+            for name, value in (
+                ("dag", dag),
+                ("workflow_arrival", workflow_arrival),
+                ("node_outage", node_outage),
+                ("stream_collectors", stream_collectors or None),
+                ("spill", spill),
+                ("profile", profile or None),
+                ("trace", trace_path),
+                ("trace_limit", trace_limit),
+            )
+            if value is not None
+        }
+        if options:
+            if not isinstance(backend, EventDrivenBackend):
                 raise ValueError(
-                    f"stream_collectors/spill require a kernel-driven "
-                    f"backend (the event backend); got {self.backend.name!r}"
+                    f"options {', '.join(options)} need a kernel-driven "
+                    f"backend (the event backend); got {backend.name!r}"
                 )
-            self.backend = scale(
-                stream_collectors=stream_collectors or None, spill=spill
-            )
-        if profile or trace_path is not None:
-            obs = getattr(self.backend, "with_obs_options", None)
-            if obs is None:
-                raise ValueError(
-                    f"profile/trace require a kernel-driven backend "
-                    f"(the event backend); got {self.backend.name!r}"
-                )
-            self.backend = obs(
-                profile=profile or None,
-                trace=trace_path,
-                trace_limit=trace_limit,
-            )
-
-    @property
-    def trace(self) -> WorkflowTrace:
-        """The workload's materialized trace (back-compat accessor)."""
-        return self.source.trace()
+            backend = dataclasses.replace(backend, **options)
+        self.backend = backend
 
     def run(
         self,
@@ -196,15 +185,14 @@ class OnlineSimulator:
             return self.backend.run(
                 self.source, predictor, self.manager, self.time_to_failure
             )
-        build = getattr(self.backend, "build_kernel", None)
-        if build is None:
+        if not isinstance(self.backend, EventDrivenBackend):
             raise ValueError(
                 f"checkpoint/stop_after require a kernel-driven backend "
                 f"(the event backend); got {self.backend.name!r}"
             )
         from repro.sim.kernel.checkpoint import drive_kernel
 
-        kernel = build(
+        kernel = self.backend.build_kernel(
             self.source, predictor, self.manager, self.time_to_failure
         )
         return drive_kernel(

@@ -1,9 +1,9 @@
 """The unified discrete-event simulation kernel.
 
-One event loop for every execution mode.  The flat event backend
-(:class:`~repro.sim.backends.event.EventDrivenBackend`) and the DAG
-scheduling engine (:mod:`repro.sched.engine`) are thin drivers over this
-package:
+One event loop for every execution mode.  The event backend
+(:class:`~repro.sim.backends.event.EventDrivenBackend`) builds every
+kernel, plugging in its flat-stream driver or the DAG scheduling driver
+(:mod:`repro.sched.engine`):
 
 - :mod:`repro.sim.kernel.events` — the typed event heap with
   deterministic three-level tie-breaking (time, kind, push sequence);

@@ -22,7 +22,9 @@ work *arrives* (per-task arrival times vs. whole workflow instances)
 and how completions *release* more work (a flat stream releases nothing;
 a DAG driver releases successor tasks).  Drivers own their
 :class:`ReadyQueue` so dispatch priority stays their business — the
-kernel only asks for the head, strict FCFS.
+kernel only takes the head, strict FCFS.
+:class:`~repro.sim.backends.event.EventDrivenBackend` is the one place
+that picks the driver and collectors and builds a kernel.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from repro.cluster.policies import FirstFit
 from repro.obs.profile import KernelProfile, PhaseTimer
 from repro.provenance.records import TaskRecord
 from repro.sim.backends.base import (
+    DOUBLING_FACTOR,
     MAX_ATTEMPTS,
+    PREDICTION_CHUNK,
     clamp_allocation_checked,
 )
 from repro.sim.errors import UnschedulableTaskError
@@ -118,19 +122,6 @@ class ReadyQueue(Protocol):
     #: The live FCFS heap list; entries end with the state.
     order: list
 
-    def __bool__(self) -> bool:
-        ...
-
-    def __len__(self) -> int:
-        ...
-
-    def head(self) -> TaskState:
-        """The state that must dispatch next."""
-        ...
-
-    def pop(self) -> TaskState:
-        ...
-
     def unsized(self, limit: int) -> list[TaskState]:
         """First ``limit`` queued states without an allocation, FCFS order."""
         ...
@@ -191,21 +182,11 @@ class SimulationKernel:
         Extra :class:`MetricsCollector` instances; a
         :class:`WastageCollector` is always installed first (the result
         schema is built from it).
-    prediction_chunk:
-        How many queued tasks are sized per ``predict_batch`` call;
-        chunking keeps predictions close to dispatch time so online
-        learning from earlier completions still reaches later tasks.
-    doubling_factor:
-        Escalation floor after a kill: when the predictor's retry
-        proposal does not grow, the next allocation is
-        ``failed * doubling_factor``.
     outages:
         Scheduled node drain windows
         (:class:`~repro.sim.kernel.outage.NodeOutage` or spec strings);
         each pauses placement on its node and preempts the attempts
         running there.
-    backend_name:
-        Reported in the predictor's trace context.
     stream_collectors:
         Streaming-collector mode: the always-installed
         :class:`WastageCollector` drops its per-task log and outcome
@@ -222,6 +203,12 @@ class SimulationKernel:
         are bit-for-bit identical with profiling on or off.  When off
         (the default) the loop skips every lap on an ``is not None``
         check, so the hot path never reads the clock.
+
+    The kernel sizes queued tasks :data:`~repro.sim.backends.base.
+    PREDICTION_CHUNK` at a time, so online learning from earlier
+    completions still reaches later tasks, and re-sizes a killed task
+    to at least :data:`~repro.sim.backends.base.DOUBLING_FACTOR` times
+    its failed allocation.
     """
 
     def __init__(
@@ -233,10 +220,7 @@ class SimulationKernel:
         *,
         driver: KernelDriver,
         collectors: Sequence[MetricsCollector] = (),
-        prediction_chunk: int = 32,
-        doubling_factor: float = 2.0,
         outages: Sequence[NodeOutage | str] = (),
-        backend_name: str = "event",
         stream_collectors: bool = False,
         spill: str | None = None,
         profile: bool = False,
@@ -283,10 +267,7 @@ class SimulationKernel:
         # False``) never release successors, so the per-success driver
         # call is skipped entirely.
         self._driver_releases = getattr(driver, "releases_on_success", True)
-        self.prediction_chunk = prediction_chunk
-        self.doubling_factor = doubling_factor
         self.outages = parse_node_outages(outages)
-        self.backend_name = backend_name
         #: Per-phase wall-time accounting; ``None`` unless ``profile=True``.
         self.profile: KernelProfile | None = (
             KernelProfile() if profile else None
@@ -362,7 +343,8 @@ class SimulationKernel:
                 workflow=self.source.workflow,
                 n_tasks=self.driver.n_tasks,
                 time_to_failure=self.time_to_failure,
-                backend=self.backend_name,
+                # Only the event backend builds kernels.
+                backend="event",
             )
         )
         for collector in self.collectors:
@@ -465,7 +447,6 @@ class SimulationKernel:
         time_to_failure = self.time_to_failure
         predictor = self.predictor
         predict_batch = predictor.predict_batch
-        prediction_chunk = self.prediction_chunk
         kill = self._kill
         try:
           while True:
@@ -615,9 +596,10 @@ class SimulationKernel:
                 head = qorder[0][-1]
                 allocation = head.allocation
                 if allocation is None:
-                    # Inlined :func:`size_first_attempts` — same bound,
-                    # same typed error for impossible tasks.
-                    states = take_unsized(prediction_chunk)
+                    # Size the next chunk of unsized states with one
+                    # batch query; the bound and the typed error for
+                    # impossible tasks are clamp_allocation_checked's.
+                    states = take_unsized(PREDICTION_CHUNK)
                     allocations = predict_batch(
                         [st.submission for st in states]
                     )
@@ -812,12 +794,12 @@ class SimulationKernel:
                 )
             )
         # Retries must strictly grow or the task can never finish; the
-        # escalation floor is the configured doubling factor.
+        # escalation floor is the doubling factor.
         next_allocation = float(
             self.predictor.on_failure(state.submission, allocated, state.attempt)
         )
         if next_allocation <= allocated:
-            next_allocation = allocated * self.doubling_factor
+            next_allocation = allocated * DOUBLING_FACTOR
         state.allocation = clamp_allocation_checked(
             self.manager, inst, next_allocation
         )

@@ -67,7 +67,6 @@ LOG_FIELDS = (
 )
 
 _ROW_TIMESTAMP = itemgetter(LOG_FIELDS.index("timestamp"))
-_ROW_TASK_TYPE = itemgetter(LOG_FIELDS.index("task_type"))
 
 
 @dataclass(frozen=True)
@@ -414,9 +413,9 @@ class SimulationResult:
     compact :data:`LOG_FIELDS`-ordered row tuples, and the sorted
     :class:`PredictionLog` list is built (and cached) on first access —
     so result assembly stays off the simulation's timed path.
-    ``num_tasks`` and ``failure_distribution()`` read the pending rows
-    without building it.  Assigning a list directly works as before and
-    discards any pending rows.
+    ``num_tasks`` counts the pending rows without building it, and
+    ``failure_distribution()`` reads only the ledger.  Assigning a list
+    directly works as before and discards any pending rows.
     """
 
     def __init__(
@@ -500,13 +499,18 @@ class SimulationResult:
         """Failures aggregated by task type (the Fig. 8c box-plot data).
 
         Includes zero entries for task types that never failed, so the
-        distribution is over *all* task types of the workflow.
+        distribution is over *all* task types of the workflow.  The
+        types are the keys of the ledger's per-type wastage, which holds
+        every type with an attempt — for a finished run the same types
+        as the prediction logs, which streaming and sharded runs drop.
         """
-        types = {p.task_type for p in self._predictions}
-        types.update(map(_ROW_TASK_TYPE, self._prediction_rows or ()))
         per_type = self.ledger.failures_by_task_type()
         return np.array(
-            [per_type.get(t, 0) for t in sorted(types)], dtype=np.int64
+            [
+                per_type.get(t, 0)
+                for t in sorted(self.ledger.wastage_by_task_type())
+            ],
+            dtype=np.int64,
         )
 
     def over_allocation_ratio(self) -> float:

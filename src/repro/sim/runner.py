@@ -14,6 +14,7 @@ across the pool; workers construct the source locally.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ from repro.cluster.accounting import WastageLedger
 from repro.cluster.machine import parse_cluster_spec
 from repro.cluster.manager import ResourceManager
 from repro.obs.log import get_logger, log_context
-from repro.sim.backends import SimulatorBackend
+from repro.sim.backends import EventDrivenBackend, SimulatorBackend
 from repro.sim.engine import OnlineSimulator
 from repro.sim.interface import MemoryPredictor
 from repro.sim.results import (
@@ -104,8 +105,8 @@ def partition_cluster(cluster: str, shards: int) -> list[str]:
 
 
 def run_cell(
-    trace: WorkloadSource | WorkflowTrace | str | None = None,
-    factory: PredictorFactory | None = None,
+    workload: WorkloadSource | WorkflowTrace | str,
+    factory: PredictorFactory,
     time_to_failure: float = 1.0,
     backend: str | SimulatorBackend = "replay",
     cluster: str | None = None,
@@ -113,16 +114,14 @@ def run_cell(
     dag: str | None = None,
     workflow_arrival: str | None = None,
     node_outage: str | tuple[str, ...] | None = None,
-    workload: WorkloadSource | WorkflowTrace | str | None = None,
     stream_collectors: bool = False,
     shards: int = 1,
     profile: bool = False,
 ) -> SimulationResult:
     """Run one (workload, method) cell with a fresh predictor and cluster.
 
-    The workload goes in either positionally (``trace``, the historical
-    name) or as ``workload=`` — a trace object, a source, or a spec
-    string.  ``cluster`` is a spec string (``"128g:4,256g:4"``; ``None``
+    ``workload`` is a trace object, a source, or a spec string.
+    ``cluster`` is a spec string (``"128g:4,256g:4"``; ``None``
     = the paper's 8-node 128 GB cluster) and ``placement`` the
     node-placement policy name — both are plain strings so cells stay
     picklable for the process pool.  ``dag`` (``"trace"`` /
@@ -139,14 +138,9 @@ def run_cell(
     ``result.profile`` carries the :class:`~repro.obs.profile.
     KernelProfile`, merged across shards when sharded).
     """
-    if factory is None:
-        raise ValueError("run_cell requires a predictor factory")
-    if (trace is None) == (workload is None):
-        raise ValueError("pass exactly one of trace or workload=")
-    cell_workload = trace if trace is not None else workload
     if shards > 1:
         return run_sharded(
-            cell_workload,
+            workload,
             factory,
             shards=shards,
             time_to_failure=time_to_failure,
@@ -163,7 +157,7 @@ def run_cell(
     else:
         manager = ResourceManager(placement=placement)
     sim = OnlineSimulator(
-        cell_workload,
+        workload,
         manager=manager,
         time_to_failure=time_to_failure,
         backend=backend,
@@ -186,7 +180,7 @@ def _run_shard(
     workload: "WorkloadSource | WorkflowTrace | str",
     factory: PredictorFactory,
     time_to_failure: float,
-    backend: str | SimulatorBackend,
+    backend: EventDrivenBackend,
     cluster: str,
     placement: str,
     dag: str | None,
@@ -203,25 +197,16 @@ def _run_shard(
     crosses the process boundary; sketches and counters, never per-task
     lists.
     """
-    from repro.sim.backends import resolve_backend
-
-    resolved = resolve_backend(backend)
-    scale = getattr(resolved, "with_scale_options", None)
-    if scale is None:
-        raise ValueError(
-            f"sharded runs require a kernel-driven backend (the event "
-            f"backend); got {resolved.name!r}"
-        )
-    resolved = scale(
-        stream_collectors=True, spill=spill, shard=shard, shards=shards
-    )
     sim = OnlineSimulator(
         workload,
         manager=ResourceManager.from_spec(cluster, placement=placement),
         time_to_failure=time_to_failure,
-        backend=resolved,
+        backend=dataclasses.replace(
+            backend, stream_collectors=True, shard=shard, shards=shards
+        ),
         dag=dag,
         workflow_arrival=workflow_arrival,
+        spill=spill,
         profile=profile,
     )
     with log_context(shard=shard):
@@ -305,6 +290,13 @@ def run_sharded(
             "node_outage cannot be combined with sharding: node ids are "
             "renumbered within each shard's sub-cluster"
         )
+    if backend == "event":
+        backend = EventDrivenBackend()
+    if not isinstance(backend, EventDrivenBackend):
+        raise ValueError(
+            f"sharded runs require a kernel-driven backend (the event "
+            f"backend); got {backend!r}"
+        )
     spec = cluster if cluster is not None else DEFAULT_CLUSTER_SPEC
     shard_specs = partition_cluster(spec, shards)
     _log.info(
@@ -365,8 +357,8 @@ def run_sharded(
 
 
 def run_grid(
-    traces: Mapping[str, WorkloadSource | WorkflowTrace | str] | None = None,
-    factories: Mapping[str, PredictorFactory] | None = None,
+    workloads: Mapping[str, WorkloadSource | WorkflowTrace | str],
+    factories: Mapping[str, PredictorFactory],
     time_to_failure: float = 1.0,
     n_workers: int = 1,
     backend: str | SimulatorBackend = "replay",
@@ -375,19 +367,17 @@ def run_grid(
     dag: str | None = None,
     workflow_arrival: str | None = None,
     node_outage: str | tuple[str, ...] | None = None,
-    workloads: Mapping[str, WorkloadSource | WorkflowTrace | str] | None = None,
     stream_collectors: bool = False,
     shards: int = 1,
 ) -> dict[str, dict[str, SimulationResult]]:
     """Run every method on every workload.
 
-    Returns ``results[method][workload_name]``.  The workloads go in
-    either as ``traces`` (the historical name) or ``workloads`` — one
-    mapping of name to trace object, source, or spec string.  With
+    Returns ``results[method][workload_name]``.  ``workloads`` maps each
+    name to a trace object, source, or spec string.  With
     ``n_workers > 1`` the cells run in separate processes; workloads and
     factories must then be picklable (spec strings always are; the
     built-in sources drop their caches on pickling).  ``backend``
-    selects the simulation backend for every cell — a registry name, or
+    selects the simulation backend for every cell — a backend name, or
     a backend instance (picklable when fanning out over processes).
     ``cluster`` and ``placement`` describe the per-cell cluster (spec
     string and placement-policy name, as in :func:`run_cell`); ``dag``
@@ -398,11 +388,6 @@ def run_grid(
     ``n_workers=1`` when sharding cells, so the shard fan-out is the
     only process-level parallelism.
     """
-    if factories is None:
-        raise ValueError("run_grid requires predictor factories")
-    if (traces is None) == (workloads is None):
-        raise ValueError("pass exactly one of traces or workloads=")
-    cells_in = traces if traces is not None else workloads
     cells = [
         (
             method,
@@ -417,13 +402,12 @@ def run_grid(
                 dag,
                 workflow_arrival,
                 node_outage,
-                None,  # workload= (the positional slot carries it)
                 stream_collectors,
                 shards,
             ),
         )
         for method, factory in factories.items()
-        for wf, cell_workload in cells_in.items()
+        for wf, cell_workload in workloads.items()
     ]
     results: dict[str, dict[str, SimulationResult]] = {
         m: {} for m in factories

@@ -320,9 +320,7 @@ def test_checkpoint_resume_keeps_profiling(tmp_path):
 
     spec = MODES["flat-kills"]
     trace = build_workflow_trace(**spec["workflow_kwargs"])
-    backend = EventDrivenBackend(
-        **spec["backend_kwargs"]
-    ).with_obs_options(profile=True)
+    backend = EventDrivenBackend(**spec["backend_kwargs"], profile=True)
     predictor = method_factories()["Witt-Percentile"]()
     sim = OnlineSimulator(trace, backend=backend, **spec["sim_kwargs"])
     ckpt = str(tmp_path / "state.ckpt")

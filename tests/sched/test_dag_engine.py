@@ -1,5 +1,7 @@
 """Tests for the DAG-aware scheduling engine and its plumbing."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.machine import MachineConfig
@@ -7,6 +9,7 @@ from repro.cluster.manager import ResourceManager
 from repro.sched.engine import resolve_dag
 from repro.sim import (
     EventDrivenBackend,
+    NodeOutage,
     OnlineSimulator,
     UnschedulableTaskError,
     run_cell,
@@ -284,26 +287,27 @@ class TestPlumbing:
         with pytest.raises(ValueError, match="replace the per-task"):
             EventDrivenBackend(arrival="poisson:1", dag="trace")
         with pytest.raises(ValueError, match="replace the per-task"):
-            EventDrivenBackend(
-                arrival_interval_hours=0.5, workflow_arrival="2"
-            )
+            EventDrivenBackend(arrival="fixed:0.5", workflow_arrival="2")
         # The batch default (everything at t=0) stays compatible.
         assert EventDrivenBackend(dag="trace").dag == "trace"
 
-    def test_with_workflow_options_preserves_settings(self):
+    def test_replace_preserves_settings(self):
         backend = EventDrivenBackend(
-            prediction_chunk=7, seed=13, doubling_factor=3.0
+            seed=13, node_outage="0.5:1:0", spill="run.jsonl", profile=True
         )
-        configured = backend.with_workflow_options(
-            dag="linear", workflow_arrival="2"
+        configured = dataclasses.replace(
+            backend, dag="linear", workflow_arrival="2"
         )
-        assert configured.prediction_chunk == 7
         assert configured.seed == 13
-        assert configured.doubling_factor == 3.0
+        assert configured.node_outage == (NodeOutage(0.5, 1.0, 0),)
+        assert configured.spill == "run.jsonl"
+        assert configured.profile is True
         assert configured.dag == "linear"
         assert configured.workflow_arrival.n_instances == 2
-        # The original stays flat.
+        # The original stays flat, and cannot be changed in place.
         assert backend.dag is None and backend.workflow_arrival is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            backend.dag = "linear"
 
     def test_unschedulable_task_still_raises(self):
         dag = WorkflowDAG.linear_pipeline(["a"])

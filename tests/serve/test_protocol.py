@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve.protocol import (
+    MAX_QUANTITY,
     MAX_TASKS_PER_REQUEST,
     ProtocolError,
     parse_observe_request,
@@ -156,7 +157,8 @@ class TestObserveParsing:
 
 # ---------------------------------------------------------------------------
 # Numbers a float cannot hold: json.loads accepts NaN and +-Infinity, and
-# a Python int may be any size.
+# a Python int may be any size.  A finite float past MAX_QUANTITY holds,
+# but the models' sums of squares over it do not.
 
 NUMERIC_FIELDS = [
     (_predict_body, parse_predict_request, "tasks", "input_size_mb"),
@@ -175,8 +177,8 @@ NUMERIC_FIELDS = [
 
 @pytest.mark.parametrize(
     "value",
-    [math.nan, math.inf, -math.inf, 10**400],
-    ids=["nan", "inf", "-inf", "10**400"],
+    [math.nan, math.inf, -math.inf, 10**400, 1e308],
+    ids=["nan", "inf", "-inf", "10**400", "1e308"],
 )
 @pytest.mark.parametrize(
     "body,parse,items,name",
@@ -187,6 +189,21 @@ def test_unrepresentable_numbers_are_typed_errors(body, parse, items, name, valu
     with pytest.raises(ProtocolError) as exc:
         parse(body(**{name: value}))
     assert exc.value.field == f"{items}[0].{name}"
+
+
+def test_quantities_accept_up_to_the_ceiling():
+    _, (item,) = parse_observe_request(
+        _observe_body(
+            input_size_mb=MAX_QUANTITY,
+            peak_memory_mb=MAX_QUANTITY,
+            allocated_mb=MAX_QUANTITY,
+            runtime_hours=MAX_QUANTITY,
+        )
+    )
+    assert item.record.peak_memory_mb == MAX_QUANTITY
+    with pytest.raises(ProtocolError) as exc:
+        parse_predict_request(_predict_body(input_size_mb=MAX_QUANTITY * 2))
+    assert exc.value.field == "tasks[0].input_size_mb"
 
 
 def test_integer_fields_accept_the_int64_range():

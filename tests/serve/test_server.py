@@ -134,12 +134,17 @@ class TestErrorContract:
         assert exc.value.status == 400
         assert exc.value.field == "observations[0].allocated_mb"
 
+    @pytest.mark.parametrize(
+        "bad_peak", [float("nan"), 1e308], ids=["nan", "1e308"]
+    )
     def test_nan_peak_is_typed_400_and_pool_stays_trainable(
-        self, server, client
+        self, server, client, bad_peak
     ):
-        # json.loads reads the bare NaN token that json.dumps writes.
-        nan_peak = _observation(300.0, peak_memory_mb=float("nan"))
-        body = json.dumps({"tenant": "nan-peak", "observations": [nan_peak]})
+        # json.loads reads the bare NaN token that json.dumps writes; a
+        # huge finite peak would overflow the tenant's models instead.
+        tenant = f"bad-peak-{bad_peak}"
+        bad = _observation(300.0, peak_memory_mb=bad_peak)
+        body = json.dumps({"tenant": tenant, "observations": [bad]})
         conn = http.client.HTTPConnection(server.host, server.port)
         conn.request("POST", "/observe", body=body.encode())
         response = conn.getresponse()
@@ -149,8 +154,8 @@ class TestErrorContract:
         assert payload["error"]["field"] == "observations[0].peak_memory_mb"
 
         valid = [_observation(x) for x in (200, 500, 900, 1400, 1900)]
-        assert client.observe("nan-peak", valid)["n_observed"] == len(valid)
-        session = server.server.registry.peek("nan-peak")
+        assert client.observe(tenant, valid)["n_observed"] == len(valid)
+        session = server.server.registry.peek(tenant)
         (pool,) = session.predictor.pools.values()
         assert pool.n_observations == len(valid)
         assert pool._history.y.tolist() == [o["peak_memory_mb"] for o in valid]

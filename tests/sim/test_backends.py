@@ -1,18 +1,24 @@
-"""Tests for the pluggable simulation backends."""
+"""Tests for the simulation backends."""
 
 import pytest
 
 from repro.cluster.machine import MachineConfig
 from repro.cluster.manager import ResourceManager
+from repro.obs.trace import TraceCollector
+from repro.sched.engine import DagWorkflowDriver
 from repro.sim import (
+    BACKENDS,
+    ClusterMetricsCollector,
     EventDrivenBackend,
+    NodeOutage,
     OnlineSimulator,
     ReplayBackend,
     UnschedulableTaskError,
-    backend_names,
-    resolve_backend,
+    WorkflowMetricsCollector,
 )
+from repro.sim.backends.event import FlatStreamDriver
 from repro.sim.interface import MemoryPredictor, TaskSubmission, TraceContext
+from repro.workflow.dag import WorkflowDAG
 from repro.workflow.task import TaskInstance, TaskType, WorkflowTrace
 
 
@@ -55,9 +61,8 @@ class FixedPredictor(MemoryPredictor):
 
 
 class TestBackendResolution:
-    def test_registered_names(self):
-        assert "replay" in backend_names()
-        assert "event" in backend_names()
+    def test_backend_names(self):
+        assert BACKENDS == {"replay": ReplayBackend, "event": EventDrivenBackend}
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -69,9 +74,64 @@ class TestBackendResolution:
         )
         assert sim.backend.name == "event"
 
-    def test_resolve_rejects_non_backend(self):
+    def test_rejects_non_backend(self):
         with pytest.raises(TypeError, match="SimulatorBackend"):
-            resolve_backend(42)
+            OnlineSimulator(make_trace([100.0]), backend=42)
+
+
+class TestBuildKernel:
+    """Every :class:`EventDrivenBackend` field reaches the kernel it builds."""
+
+    @pytest.mark.parametrize("mode", ["flat", "dag"])
+    def test_every_field_reaches_the_kernel(self, mode, tmp_path):
+        trace = make_trace([100.0, 200.0, 300.0, 400.0])
+        if mode == "flat":
+            arrival = dict(arrival="poisson:2")
+        else:
+            trace = WorkflowTrace("wf", list(trace), dag=WorkflowDAG(["t"]))
+            arrival = dict(dag="trace", workflow_arrival="4@poisson:2")
+        spill = str(tmp_path / "spill.jsonl")
+        trace_path = str(tmp_path / "trace.json")
+        backend = EventDrivenBackend(
+            **arrival,
+            seed=5,
+            node_outage="0.5:1:1",
+            shard=1,
+            shards=2,
+            stream_collectors=True,
+            spill=spill,
+            profile=True,
+            trace=trace_path,
+            trace_limit=64,
+        )
+        kernel = backend.build_kernel(
+            trace, FixedPredictor(1024.0), ResourceManager(), 1.0
+        )
+        driver = kernel.driver
+        if mode == "flat":
+            assert type(driver) is FlatStreamDriver
+            assert driver.arrival is backend.arrival
+        else:
+            assert type(driver) is DagWorkflowDriver
+            assert driver.dag == "trace"
+            assert driver.arrivals is backend.workflow_arrival
+        assert (driver.rng_seed, driver.shard, driver.shards) == (5, 1, 2)
+        wastage, cluster, *rest = kernel.collectors
+        assert wastage is kernel.wastage
+        assert not wastage.keep_logs and wastage.spill == spill
+        assert type(cluster) is ClusterMetricsCollector and cluster.stream
+        if mode == "dag":
+            workflows, *rest = rest
+            assert type(workflows) is WorkflowMetricsCollector
+        (tracer,) = rest
+        assert type(tracer) is TraceCollector
+        assert (tracer.path, tracer.limit) == (trace_path, 64)
+        assert kernel.outages == (NodeOutage(0.5, 1.0, 1),)
+        assert kernel.stream_collectors and kernel.profile is not None
+        result = kernel.run()
+        # Shard 1 of 2: two of the 4 tasks, or two of the 4 instances.
+        assert result.summary.n_tasks == (2 if mode == "flat" else 8)
+        assert result.profile is kernel.profile
 
 
 class TestReplayBackendFidelity:
@@ -169,10 +229,10 @@ class TestEventBackendConcurrency:
         res = OnlineSimulator(trace, backend="event").run(FixedPredictor(2048.0))
         assert [p.instance_id for p in res.predictions] == [0, 1, 2]
 
-    def test_arrival_interval_staggers_submissions(self):
+    def test_fixed_arrivals_stagger_submissions(self):
         trace = make_trace([1000.0, 1000.0])
         res = OnlineSimulator(
-            trace, backend=EventDrivenBackend(arrival_interval_hours=0.25)
+            trace, backend=EventDrivenBackend(arrival="fixed:0.25")
         ).run(FixedPredictor(2048.0))
         # Second task arrives at 0.25 h and runs 1 h with no queueing.
         assert res.cluster.makespan_hours == pytest.approx(1.25)
@@ -194,10 +254,10 @@ class TestEventBackendConcurrency:
         assert timeline[-1][1] == pytest.approx(0.0)  # everything released
 
     def test_invalid_backend_options(self):
-        with pytest.raises(ValueError, match="arrival_interval_hours"):
-            EventDrivenBackend(arrival_interval_hours=-1.0)
-        with pytest.raises(ValueError, match="prediction_chunk"):
-            EventDrivenBackend(prediction_chunk=0)
+        with pytest.raises(ValueError, match="interval_hours"):
+            EventDrivenBackend(arrival="fixed:-1")
+        with pytest.raises(ValueError, match="shard"):
+            EventDrivenBackend(shard=2, shards=2)
 
     def test_empty_trace(self):
         res = OnlineSimulator(make_trace([]), backend="event").run(

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster.manager import ResourceManager
 from repro.sim import EventDrivenBackend, OnlineSimulator, ReplayBackend
+from repro.sim.backends.base import DOUBLING_FACTOR
 from repro.sim.interface import MemoryPredictor, TaskSubmission
 from repro.workflow.task import TaskInstance, TaskType, WorkflowTrace
 
@@ -188,30 +189,23 @@ class TestQueueWaitAccounting:
 
 
 class TestDoublingFactor:
-    def test_floor_routes_through_configured_factor(self):
+    def test_floor_doubles_the_failed_allocation(self):
         # A stubborn predictor re-proposes the failed allocation, so the
-        # escalation floor drives growth: 1000 -> 3000 -> 9000 with a
-        # factor of 3.
-        trace = make_trace([8000.0])
-        for backend in (
-            ReplayBackend(doubling_factor=3.0),
-            EventDrivenBackend(doubling_factor=3.0),
-        ):
+        # escalation floor drives growth: 1000 -> 2000 -> 4000 -> 8000.
+        trace = make_trace([7000.0])
+        for backend in (ReplayBackend(), EventDrivenBackend()):
             res = OnlineSimulator(trace, backend=backend).run(
                 StubbornPredictor(1000.0)
             )
             (log,) = res.predictions
-            assert log.n_attempts == 3
-            assert log.final_allocation_mb == pytest.approx(9000.0)
+            assert log.n_attempts == 4
+            assert log.final_allocation_mb == 1000.0 * DOUBLING_FACTOR**3
 
-    def test_backends_stay_attempt_identical_for_any_factor(self):
+    def test_backends_stay_attempt_identical_on_the_floor(self):
         trace = make_trace([5000.0, 2000.0], inputs=[1200.0, 1200.0])
         logs = {}
-        for name, backend in (
-            ("replay", ReplayBackend(doubling_factor=2.5)),
-            ("event", EventDrivenBackend(doubling_factor=2.5)),
-        ):
-            res = OnlineSimulator(trace, backend=backend).run(
+        for name in ("replay", "event"):
+            res = OnlineSimulator(trace, backend=name).run(
                 StubbornPredictor(1200.0)
             )
             logs[name] = [
@@ -219,9 +213,3 @@ class TestDoublingFactor:
                 for p in res.predictions
             ]
         assert logs["replay"] == logs["event"]
-
-    def test_invalid_doubling_factor_rejected(self):
-        with pytest.raises(ValueError, match="doubling_factor"):
-            ReplayBackend(doubling_factor=1.0)
-        with pytest.raises(ValueError, match="doubling_factor"):
-            EventDrivenBackend(doubling_factor=0.5)

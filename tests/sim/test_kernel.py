@@ -132,12 +132,12 @@ class TestRequeueAfterKill:
         manager = ResourceManager(
             MachineConfig(name="tiny", memory_mb=2048.0), n_nodes=1
         )
-        backend = EventDrivenBackend(doubling_factor=3.0)
+        backend = EventDrivenBackend()
         res = backend.run(trace, FixedPredictor(100.0), manager, 1.0)
         allocs = [o.allocated_mb for o in res.ledger.outcomes]
         # FixedPredictor never grows its proposal, so the kernel's
-        # escalation floor drives the retries: 100 -> 300 -> 900.
-        assert allocs == [100.0, 300.0, 900.0]
+        # escalation floor drives the retries: 100 -> 200 -> ... -> 1600.
+        assert allocs == [100.0, 200.0, 400.0, 800.0, 1600.0]
 
 
 class _CountingCollector(BaseCollector):

@@ -156,6 +156,15 @@ class TestShardedDag:
         )
         assert res.num_failures == res.summary.n_failures
 
+    def test_merged_failure_distribution(self):
+        # Fig. 8c data survives the merge: one entry per task type, from
+        # the merged ledger, even though shards keep no prediction logs.
+        res = self.run_sharded_dag(n_workers=1)
+        trace, _, _ = scenario_inputs(self.NAME)
+        distribution = res.failure_distribution()
+        assert len(distribution) == len(trace.task_types)
+        assert distribution.sum() == res.num_failures > 0
+
     def test_merged_quantiles_monotone(self):
         s = self.run_sharded_dag(n_workers=1).summary
         for sketch in (s.wastage_sketch, s.queue_wait_sketch):

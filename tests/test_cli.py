@@ -80,12 +80,6 @@ class TestParser:
                   "--arrival", "poisson:0.5"])
         assert "--backend event" in capsys.readouterr().err
 
-    def test_arrival_and_interval_conflict(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--workflow", "iwd", "--backend", "event",
-                  "--arrival", "poisson:0.5", "--arrival-interval", "0.5"])
-        assert "mutually" in capsys.readouterr().err
-
     def test_dag_options_default_off(self):
         args = build_parser().parse_args(["simulate", "--workflow", "iwd"])
         assert args.dag is None
@@ -120,12 +114,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["simulate", "--workflow", "iwd", "--backend", "event",
                   "--dag", "linear", "--arrival", "poisson:5"])
-        assert "replaces per-task arrivals" in capsys.readouterr().err
-
-    def test_dag_conflicts_with_arrival_interval(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--workflow", "iwd", "--backend", "event",
-                  "--dag", "trace", "--arrival-interval", "0.5"])
         assert "replaces per-task arrivals" in capsys.readouterr().err
 
 
@@ -182,6 +170,16 @@ class TestCommands:
         assert rc == 0
         assert "makespan h" in out
         assert "backend=event" in out
+
+    def test_compare_fixed_arrivals(self, capsys):
+        # '--arrival fixed:H' is the spelling of a fixed submission gap.
+        rc = main(
+            ["compare", "--workflows", "iwd", "--scale", "0.05",
+             "--backend", "event", "--arrival", "fixed:0.05"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "makespan h" in out
 
     def test_figures_single_artifact(self, capsys):
         rc = main(["figures", "--only", "table1"])

@@ -187,14 +187,14 @@ class TestOnlineSimulatorWorkloads:
         assert c.num_tasks > 0
 
     def test_requires_exactly_one_workload(self, small_trace):
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(TypeError):
             OnlineSimulator()
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(TypeError):
             OnlineSimulator(small_trace, workload="synthetic:iwd")
 
-    def test_trace_property_materializes(self):
+    def test_source_trace_materializes(self):
         sim = OnlineSimulator(workload=NfCoreSource("iwd", scale=0.05))
-        assert sim.trace.workflow == "iwd"
+        assert sim.source.trace().workflow == "iwd"
 
     def test_event_backend_streams_jsonl(self, small_trace, tmp_path):
         """A streaming source runs through the kernel's times() path and
@@ -238,9 +238,9 @@ class TestRunnerWorkloads:
         from repro.sim.runner import run_cell
 
         factory = method_factories()["Workflow-Presets"]
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(TypeError):
             run_cell(small_trace, factory, workload="synthetic:iwd")
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(TypeError):
             run_cell(factory=factory)
 
     def test_run_grid_workloads_mapping(self, small_trace, tmp_path):
@@ -293,7 +293,7 @@ class TestRunnerWorkloads:
         factories = {
             "Workflow-Presets": method_factories()["Workflow-Presets"]
         }
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(TypeError):
             run_grid(
                 {"t": small_trace},
                 factories,
