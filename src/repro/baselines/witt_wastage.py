@@ -16,7 +16,11 @@ plus a doubling retry for under-allocations — and the cheapest line is
 used for prediction.  Because over-allocation dominates the objective on
 well-behaved tasks, the selection gravitates to low quantiles, which is
 exactly why this baseline shows the most failures in the paper's
-Fig. 8c while remaining the strongest baseline on total wastage.
+Fig. 8c.  On total wastage it is not the paper's strongest baseline:
+Witt-LR wastes less in Fig. 8a (4,754.9 against 5,437.1 GBh at ttf 1.0)
+and Fig. 8b (3,628.0 against 4,963.4 GBh at ttf 0.5); see
+``PAPER_FIG8A``/``PAPER_FIG8B`` in
+:mod:`repro.experiments.fig8_main_results`.
 
 The quantile fits solve small LPs; to keep the online loop fast they are
 re-run every ``refit_interval`` completions (cheap closed-form methods

@@ -531,6 +531,9 @@ def _validate_scale_args(
     if args.trace is not None and args.shards > 1:
         parser.error("--trace cannot be combined with --shards (each "
                      "shard would overwrite the same trace file)")
+    if args.spill is not None and args.shards > 1:
+        parser.error("--spill cannot be combined with --shards (it names "
+                     "one JSONL file; each shard would need its own)")
     _validate_trace_limit(parser, args)
     if args.shards < 1:
         parser.error(f"--shards must be >= 1, got {args.shards}")

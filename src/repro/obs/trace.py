@@ -114,7 +114,7 @@ class TraceCollector(BaseCollector):
                 node.node_id,
                 lane,
                 {
-                    "instance_id": state.inst.instance_id,
+                    "instance_id": state.instance_id,
                     "attempt": state.attempt,
                     "allocated_mb": state.running[2],
                 },
@@ -135,7 +135,7 @@ class TraceCollector(BaseCollector):
                 pid,
                 lane,
                 {
-                    "instance_id": state.inst.instance_id,
+                    "instance_id": state.instance_id,
                     "attempt": state.attempt,
                     "allocated_mb": allocated_mb,
                     "peak_memory_mb": state.inst.peak_memory_mb,
@@ -147,7 +147,7 @@ class TraceCollector(BaseCollector):
                 now,
                 pid,
                 lane,
-                {"instance_id": state.inst.instance_id},
+                {"instance_id": state.instance_id},
             )
 
     def on_outage(self, node_id, now, active) -> None:
@@ -204,7 +204,7 @@ class TraceCollector(BaseCollector):
                 "pid": pid,
                 "tid": tid,
                 "args": {
-                    "instance_id": inst.instance_id,
+                    "instance_id": state.instance_id,
                     "attempt": state.attempt,
                     "peak_memory_mb": inst.peak_memory_mb,
                 },

@@ -37,11 +37,10 @@ import numpy as np
 from repro.sched.instance import WorkflowInstance
 from repro.sched.ready import ReadySetScheduler
 from repro.sim.arrivals import WorkflowArrivals
-from repro.sim.interface import TaskSubmission
 from repro.sim.kernel.core import SimulationKernel, TaskState
 from repro.sim.kernel.events import ARRIVAL
 from repro.workflow.dag import WorkflowDAG
-from repro.workflow.task import TaskInstance, WorkflowTrace
+from repro.workflow.task import WorkflowTrace
 from repro.workload.base import WorkloadSource
 
 __all__ = ["resolve_dag", "DagWorkflowDriver"]
@@ -86,28 +85,6 @@ def resolve_dag(dag: object | None, trace: WorkflowTrace) -> WorkflowDAG:
     return resolved
 
 
-def _offset_task_ids(
-    trace: WorkflowTrace, id_offset: int
-) -> list[TaskInstance]:
-    """Copy a trace's tasks with ``instance_id`` shifted by ``id_offset``.
-
-    Copy 0 (offset 0) shares the trace's frozen instances directly; later
-    copies clone via ``__dict__`` instead of ``dataclasses.replace`` —
-    every field except the id comes from an already-validated instance,
-    so re-running ``__post_init__`` per task is pure overhead (it
-    dominated the DAG driver's seed phase at high replication counts).
-    """
-    if id_offset == 0:
-        return list(trace)
-    tasks: list[TaskInstance] = []
-    for inst in trace:
-        clone = object.__new__(TaskInstance)
-        clone.__dict__.update(inst.__dict__)
-        clone.__dict__["instance_id"] = inst.instance_id + id_offset
-        tasks.append(clone)
-    return tasks
-
-
 def _instantiate_workflows(
     source: WorkloadSource,
     dag_option: object | None,
@@ -122,14 +99,14 @@ def _instantiate_workflows(
     The source's traces are consumed in order; when it yields fewer
     traces than ``arrivals.n_instances``, the produced ones are reused
     round-robin — a single-trace source (every synthetic workload)
-    therefore replicates exactly as before.  Each copy keeps the
-    ground-truth task data; copy ``k`` offsets every task's *original*
-    instance id past all earlier copies' id ranges (``k * stride`` for
-    a single-trace source, stride = largest trace id + 1), so ids stay
-    globally unique yet joinable back to the source trace — copy 0
-    preserves them exactly, even for subsampled traces with sparse ids.
-    Each copy gets its sampled submit time, a round-robin tenant, and
-    its trace's resolved DAG.
+    therefore replicates exactly as before.  Every copy shares its
+    trace's frozen task instances; copy ``k``'s ``id_offset`` moves the
+    *original* instance ids past all earlier copies' id ranges
+    (``k * stride`` for a single-trace source, stride = largest trace
+    id + 1), so reported ids stay globally unique yet joinable back to
+    the source trace — copy 0 preserves them exactly, even for
+    subsampled traces with sparse ids.  Each copy gets its sampled
+    submit time, a round-robin tenant, and its trace's resolved DAG.
 
     Sharding (``shard`` of ``shards``): only copies with
     ``k % shards == shard`` are materialized, but the arrival schedule,
@@ -169,9 +146,10 @@ def _instantiate_workflows(
                 key=f"{trace.workflow}#{k}",
                 workflow=trace.workflow,
                 dag=resolved[id(trace)],
-                tasks=_offset_task_ids(trace, offset),
+                tasks=list(trace),
                 submit_time=float(times[k]),
                 tenant=arrivals.tenant(k),
+                id_offset=offset,
             )
         )
     return instances
@@ -257,31 +235,19 @@ class DagWorkflowDriver:
         for wi in self.workflows:
             # ``index`` is the dense submission position (copy k owns
             # the positions past all earlier copies' tasks) — the flat
-            # backends' timestamp convention — while instance ids keep
-            # their trace values.  In a sharded run the positions are
-            # dense *within the shard*.  Submission/state assembly
-            # bypasses the dataclass constructors (``object.__new__`` +
-            # direct stores — one pair per task, seed hot path at
-            # million-task scale).
+            # backends' timestamp convention — while instance ids are
+            # the trace's, shifted by the copy's offset.  In a sharded
+            # run the positions are dense *within the shard*.  State
+            # assembly bypasses the dataclass constructor
+            # (``object.__new__`` + direct stores — one state per task,
+            # seed hot path at million-task scale).
             submit = wi.submit_time
+            id_offset = wi.id_offset
             states = {}
             for i, t in enumerate(wi.tasks, offset):
-                task_type = t.task_type
-                sub = new(TaskSubmission)
-                # Direct __dict__ bind: one dict build instead of
-                # build-then-merge (frozen dataclass, no slots).
-                sub.__dict__.update(
-                    task_type=task_type.name,
-                    workflow=task_type.workflow,
-                    machine=t.machine,
-                    instance_id=t.instance_id,
-                    input_size_mb=t.input_size_mb,
-                    preset_memory_mb=task_type.preset_memory_mb,
-                    timestamp=i,
-                )
                 state = new(TaskState)
                 state.inst = t
-                state.submission = sub
+                state.instance_id = t.instance_id + id_offset
                 state.index = i
                 state.arrival = submit
                 state.wi = wi

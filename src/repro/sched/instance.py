@@ -46,6 +46,11 @@ class WorkflowInstance:
         Simulation time (hours) the whole workflow was submitted.
     tenant:
         Owning user — many tenants' instances contend for one cluster.
+    id_offset:
+        Added to each task's ``instance_id`` to give the id this
+        execution reports.  Copies of one trace share its task
+        instances; copy ``k`` of a run is offset past all earlier
+        copies' id ranges, so reported ids stay unique.
     """
 
     key: str
@@ -54,6 +59,7 @@ class WorkflowInstance:
     tasks: list[TaskInstance]
     submit_time: float = 0.0
     tenant: str = "default"
+    id_offset: int = 0
 
     # -- live dependency state (managed via release/complete below) -----
     _tasks_by_type: dict[str, list[TaskInstance]] = field(

@@ -56,7 +56,7 @@ from repro.sim.arrivals import (
     parse_arrival,
     parse_workflow_arrival,
 )
-from repro.sim.interface import MemoryPredictor, TaskSubmission
+from repro.sim.interface import MemoryPredictor
 from repro.sim.kernel.collectors import (
     ClusterMetricsCollector,
     WorkflowMetricsCollector,
@@ -228,7 +228,7 @@ class FlatStreamDriver:
                         continue
                     state = TaskState(
                         inst=inst,
-                        submission=TaskSubmission.from_instance(inst, k),
+                        instance_id=inst.instance_id,
                         index=k,
                         arrival=times[k],
                     )
@@ -254,7 +254,7 @@ class FlatStreamDriver:
         for timestamp, (inst, arrival_time) in enumerate(zip(tasks, times)):
             state = TaskState(
                 inst=inst,
-                submission=TaskSubmission.from_instance(inst, timestamp),
+                instance_id=inst.instance_id,
                 index=timestamp,
                 arrival=float(arrival_time),
             )
@@ -269,11 +269,11 @@ class FlatStreamDriver:
         """Prebuild the next block of task states from the source.
 
         One ``islice`` drain per block instead of one generator resume
-        per arrival; submission/state assembly bypasses the dataclass
-        constructors with ``object.__new__`` + direct slot stores (all
-        non-identity fields are defaults).  ``arrival`` is stamped when
-        the scheduled event pops — the popped timestamp *is* this
-        task's sampled arrival time.
+        per arrival; state assembly bypasses the dataclass constructor
+        with ``object.__new__`` + direct slot stores (all non-identity
+        fields are defaults).  ``arrival`` is stamped when the scheduled
+        event pops — the popped timestamp *is* this task's sampled
+        arrival time.
         """
         it = self._tasks
         if it is None:
@@ -290,22 +290,9 @@ class FlatStreamDriver:
         block: list[TaskState] = []
         append = block.append
         for inst in islice(it, self._BLOCK):
-            task_type = inst.task_type
-            sub = new(TaskSubmission)
-            # Direct __dict__ bind: one dict build instead of
-            # build-then-merge (frozen dataclass, no slots).
-            sub.__dict__.update(
-                task_type=task_type.name,
-                workflow=task_type.workflow,
-                machine=inst.machine,
-                instance_id=inst.instance_id,
-                input_size_mb=inst.input_size_mb,
-                preset_memory_mb=task_type.preset_memory_mb,
-                timestamp=index,
-            )
             state = new(TaskState)
             state.inst = inst
-            state.submission = sub
+            state.instance_id = inst.instance_id
             state.index = index
             state.arrival = 0.0
             state.wi = None

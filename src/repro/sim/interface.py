@@ -95,17 +95,23 @@ class TaskSubmission:
     timestamp: int
 
     @classmethod
-    def from_instance(cls, inst: TaskInstance, timestamp: int) -> "TaskSubmission":
+    def from_instance(
+        cls, inst: TaskInstance, timestamp: int, instance_id: int | None = None
+    ) -> "TaskSubmission":
+        """``inst`` as submitted at ``timestamp``, reporting ``instance_id``
+        (default: the instance's own; a DAG copy's is shifted)."""
         # Built via __dict__ rather than the generated __init__: frozen
-        # dataclasses pay object.__setattr__ per field, and every task
-        # arrival in the simulation kernel constructs one submission.
+        # dataclasses pay object.__setattr__ per field, and the
+        # simulation kernel constructs one submission per sized task.
         sub = object.__new__(cls)
         task_type = inst.task_type
         sub.__dict__.update(
             task_type=task_type.name,
             workflow=task_type.workflow,
             machine=inst.machine,
-            instance_id=inst.instance_id,
+            instance_id=(
+                inst.instance_id if instance_id is None else instance_id
+            ),
             input_size_mb=inst.input_size_mb,
             preset_memory_mb=task_type.preset_memory_mb,
             timestamp=timestamp,

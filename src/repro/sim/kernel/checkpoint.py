@@ -1,7 +1,10 @@
 """Kernel checkpoint/resume: pause, serialize, continue bit-for-bit.
 
-A checkpoint is one pickle of the whole paused
-:class:`~repro.sim.kernel.core.SimulationKernel` behind a small header.
+A checkpoint is two pickles in one file: a small header (format,
+version, clock, workflow, method), then the whole paused
+:class:`~repro.sim.kernel.core.SimulationKernel`.  The header is read
+without rebuilding any object, so a file of another version is refused
+with a typed error before its kernel is unpickled.
 Pickling the kernel *as one object graph* is what makes resume exact:
 the event heap, the driver's ready queue, and the running-task table all
 reference the same :class:`~repro.sim.kernel.core.TaskState` objects,
@@ -63,7 +66,34 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # Version 6: quantile sketches cluster in one pass on floor(k(q)) and
 # keep their centroids in float64 arrays.  A v5 file holds centroids of
 # the older greedy pass, so resuming it would match no uninterrupted run.
-CHECKPOINT_VERSION = 6
+# Version 7: a task state carries its run's ``instance_id`` and no
+# prebuilt submission; DAG copies share their trace's instances.  The
+# header became its own pickle, read first: a v6 kernel holds states
+# with a ``submission`` slot this build lacks and cannot be unpickled.
+CHECKPOINT_VERSION = 7
+
+
+class _Opaque:
+    """Stands in for every object a :class:`_HeaderReader` meets."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        pass
+
+    def _ignore(self, *args) -> None:
+        pass
+
+    __setstate__ = __setitem__ = append = extend = _ignore
+
+
+class _HeaderReader(pickle.Unpickler):
+    """Unpickles containers and scalars; every class is :class:`_Opaque`.
+
+    Nothing is imported or called, so the header of any version reads,
+    also the one-pickle payload of versions up to 6.
+    """
+
+    def find_class(self, module: str, name: str) -> type:
+        return _Opaque
 
 
 def save_checkpoint(kernel: "SimulationKernel", path: str) -> None:
@@ -73,17 +103,17 @@ def save_checkpoint(kernel: "SimulationKernel", path: str) -> None:
             "cannot checkpoint a kernel that has not started running; "
             "call run(until=...) first"
         )
-    payload = {
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "clock": kernel.now,
         "workflow": kernel.source.workflow,
         "method": kernel.predictor.name,
-        "kernel": kernel,
     }
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(header, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(kernel, fh, protocol=pickle.HIGHEST_PROTOCOL)
     os.replace(tmp, path)
     _log.info(
         "checkpoint saved",
@@ -94,28 +124,29 @@ def save_checkpoint(kernel: "SimulationKernel", path: str) -> None:
 def load_checkpoint(path: str) -> "SimulationKernel":
     """Load a checkpoint written by :func:`save_checkpoint`."""
     with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != CHECKPOINT_FORMAT
-    ):
-        raise ValueError(f"{path!r} is not a repro simulation checkpoint")
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint {path!r} has format version {version}; this "
-            f"build reads version {CHECKPOINT_VERSION}"
-        )
+        header = _HeaderReader(fh).load()
+        if (
+            not isinstance(header, dict)
+            or header.get("format") != CHECKPOINT_FORMAT
+        ):
+            raise ValueError(f"{path!r} is not a repro simulation checkpoint")
+        version = header.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"checkpoint {path!r} has format version {version}; this "
+                f"build reads version {CHECKPOINT_VERSION}"
+            )
+        kernel = pickle.load(fh)
     _log.info(
         "checkpoint loaded",
         extra={
             "path": path,
-            "clock_hours": payload.get("clock"),
-            "workflow": payload.get("workflow"),
-            "method": payload.get("method"),
+            "clock_hours": header.get("clock"),
+            "workflow": header.get("workflow"),
+            "method": header.get("method"),
         },
     )
-    return payload["kernel"]
+    return kernel
 
 
 def drive_kernel(

@@ -245,7 +245,7 @@ class WastageCollector(BaseCollector):
                 out = ledger.record_failure(
                     task_type.name,
                     task_type.workflow,
-                    inst.instance_id,
+                    state.instance_id,
                     attempt,
                     allocated_mb,
                     inst.peak_memory_mb,
@@ -273,7 +273,7 @@ class WastageCollector(BaseCollector):
                     (
                         name,
                         task_type.workflow,
-                        inst.instance_id,
+                        state.instance_id,
                         state.attempt,
                         allocated_mb,
                         peak,
@@ -295,7 +295,7 @@ class WastageCollector(BaseCollector):
             if keep_rows:
                 logs.append(
                     (
-                        inst.instance_id,
+                        state.instance_id,
                         name,
                         task_type.workflow,
                         state.index,

@@ -29,6 +29,7 @@ that picks the driver and collectors and builds a kernel.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
@@ -42,7 +43,6 @@ from repro.sim.backends.base import (
     DOUBLING_FACTOR,
     MAX_ATTEMPTS,
     PREDICTION_CHUNK,
-    clamp_allocation_checked,
 )
 from repro.sim.errors import UnschedulableTaskError
 from repro.sim.interface import MemoryPredictor, TaskSubmission, TraceContext
@@ -71,6 +71,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["TaskState", "ReadyQueue", "KernelDriver", "SimulationKernel"]
 
+#: Young-generation collection threshold while :meth:`SimulationKernel.run`
+#: runs (the interpreter's default is 700).  A run keeps every task's
+#: state alive and allocates tuples on every event, so at the default
+#: the middle and full collections traverse that live state over and
+#: over and find nothing to free: a 74k-task DAG run spent a fifth of
+#: its wall time there.  Reference cycles a predictor makes are still
+#: collected during the run, just in larger batches.
+GC_YOUNG_THRESHOLD = 7000
+
 
 @dataclass(slots=True)
 class TaskState:
@@ -78,11 +87,17 @@ class TaskState:
 
     Slotted: the kernel allocates one of these per task instance and
     reads/writes its fields on every lifecycle transition, so the dict
-    per instance was measurable at bench scale.
+    per instance was measurable at bench scale.  The predictor's
+    :class:`~repro.sim.interface.TaskSubmission` is not kept here: the
+    kernel builds it from ``inst``, ``instance_id`` and ``index`` when
+    it sizes or re-sizes the task.
     """
 
+    #: Ground truth; every DAG copy of a trace shares its instances.
     inst: TaskInstance
-    submission: TaskSubmission
+    #: The id every record, log, ledger row, span and error reports:
+    #: ``inst.instance_id`` shifted past earlier DAG copies' id ranges.
+    instance_id: int
     #: Dense submission position — the prediction-log timestamp and the
     #: flat FCFS priority.
     index: int
@@ -303,7 +318,23 @@ class SimulationKernel:
         Calling ``run()`` on a paused or resumed kernel continues where
         it left off and is bit-for-bit identical to an uninterrupted
         run.
+
+        For the whole call the young-generation collection threshold is
+        :data:`GC_YOUNG_THRESHOLD`; the caller's ``gc.get_threshold()``
+        comes back on every exit.  A caller who switched automatic
+        collection off (threshold 0) or set a higher threshold keeps it.
         """
+        thresholds = gc.get_threshold()
+        raise_young = 0 < thresholds[0] < GC_YOUNG_THRESHOLD
+        if raise_young:
+            gc.set_threshold(GC_YOUNG_THRESHOLD, *thresholds[1:])
+        try:
+            return self._run(until)
+        finally:
+            if raise_young:
+                gc.set_threshold(*thresholds)
+
+    def _run(self, until: float | None) -> SimulationResult | None:
         timer = self._timer
         if timer is None:
             if not self._started:
@@ -447,6 +478,7 @@ class SimulationKernel:
         time_to_failure = self.time_to_failure
         predictor = self.predictor
         predict_batch = predictor.predict_batch
+        submission = TaskSubmission.from_instance
         kill = self._kill
         try:
           while True:
@@ -539,7 +571,7 @@ class SimulationKernel:
                                     success=True,
                                     attempt=state.attempt,
                                     allocated_mb=allocated,
-                                    instance_id=inst.instance_id,
+                                    instance_id=state.instance_id,
                                 )
                             )
                         if driver_releases:
@@ -601,14 +633,17 @@ class SimulationKernel:
                     # impossible tasks are clamp_allocation_checked's.
                     states = take_unsized(PREDICTION_CHUNK)
                     allocations = predict_batch(
-                        [st.submission for st in states]
+                        [
+                            submission(st.inst, st.index, st.instance_id)
+                            for st in states
+                        ]
                     )
                     for st, alloc in zip(states, allocations):
                         st_inst = st.inst
                         if st_inst.peak_memory_mb > cap:
                             raise UnschedulableTaskError(
                                 task_type=st_inst.task_type.key,
-                                instance_id=st_inst.instance_id,
+                                instance_id=st.instance_id,
                                 peak_memory_mb=st_inst.peak_memory_mb,
                                 capacity_mb=cap,
                             )
@@ -660,7 +695,7 @@ class SimulationKernel:
                 attempt = head.attempt + 1
                 if attempt > MAX_ATTEMPTS:
                     raise RuntimeError(
-                        f"task {head.inst.instance_id} "
+                        f"task {head.instance_id} "
                         f"({head.inst.task_type.key}) did not finish within "
                         f"{MAX_ATTEMPTS} attempts; last allocation "
                         f"{allocation:.0f} MB, "
@@ -790,19 +825,24 @@ class SimulationKernel:
                     success=False,
                     attempt=state.attempt,
                     allocated_mb=allocated,
-                    instance_id=inst.instance_id,
+                    instance_id=state.instance_id,
                 )
             )
         # Retries must strictly grow or the task can never finish; the
         # escalation floor is the doubling factor.
         next_allocation = float(
-            self.predictor.on_failure(state.submission, allocated, state.attempt)
+            self.predictor.on_failure(
+                TaskSubmission.from_instance(
+                    inst, state.index, state.instance_id
+                ),
+                allocated,
+                state.attempt,
+            )
         )
         if next_allocation <= allocated:
             next_allocation = allocated * DOUBLING_FACTOR
-        state.allocation = clamp_allocation_checked(
-            self.manager, inst, next_allocation
-        )
+        # The sizing wave already refused tasks that fit no node.
+        state.allocation = self.manager.clamp_allocation(next_allocation)
         state.queued_at = now
         self.driver.queue.requeue(state)
         for collector in self._ready_collectors:

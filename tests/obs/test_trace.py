@@ -163,6 +163,32 @@ class TestSchema:
         assert spans == [("preempt", 1), ("success", 1)]
         assert [o.attempt for o in result.ledger.outcomes] == [1]
 
+    def test_dag_copies_keep_their_ids(self, tmp_path):
+        # DAG copies share their trace's task instances; every span and
+        # marker must carry the copy's shifted id, as the logs do.
+        trace = build_workflow_trace("iwd", seed=3, scale=0.05)
+        path = tmp_path / "dag.json"
+        sim = OnlineSimulator(
+            trace,
+            backend=EventDrivenBackend(
+                dag="trace", workflow_arrival="3@fixed:0.05", seed=1
+            ),
+            cluster="64g:2",
+            trace_path=str(path),
+        )
+        result = sim.run(method_factories()["Witt-LR"]())
+        events = json.loads(path.read_text())["traceEvents"]
+        logged = sorted(p.instance_id for p in result.predictions)
+        assert len(set(logged)) == 3 * len(trace)
+        spans = [e for e in events if e["ph"] == "X" and e["cat"] != "outage"]
+        assert sorted(
+            e["args"]["instance_id"] for e in spans if e["cat"] == "success"
+        ) == logged
+        marked = {e["args"]["instance_id"] for e in events if e["ph"] == "i"}
+        assert {e["args"]["instance_id"] for e in spans} | marked <= set(
+            logged
+        )
+
 
 class TestLanes:
     def test_occupancy_spans_never_overlap_within_a_lane(self, traced):
@@ -223,7 +249,9 @@ def _state(iid: int, attempt: int = 1) -> SimpleNamespace:
         task_type=SimpleNamespace(name="task"),
         peak_memory_mb=100.0,
     )
-    return SimpleNamespace(inst=inst, attempt=attempt, running=(0, 0.0, 2048.0))
+    return SimpleNamespace(
+        inst=inst, instance_id=iid, attempt=attempt, running=(0, 0.0, 2048.0)
+    )
 
 
 _NODE = SimpleNamespace(node_id=0)

@@ -1,6 +1,7 @@
 """Tests for the DAG-aware scheduling engine and its plumbing."""
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -375,3 +376,87 @@ class TestPlumbing:
         for w in res.workflows.instances:
             assert w.finish_time_hours >= w.submit_time_hours
             assert w.critical_path_hours > 0
+
+
+class TestSharedTaskInstances:
+    """DAG copies share their trace's frozen task instances; each task
+    state carries its copy's shifted id instead of a cloned instance."""
+
+    @staticmethod
+    def _kernel(trace, workflow_arrival, **backend):
+        return EventDrivenBackend(
+            workflow_arrival=workflow_arrival, **backend
+        ).build_kernel(trace, FixedPredictor(8192.0), ResourceManager(), 1.0)
+
+    @pytest.mark.parametrize("shard, shards", [(0, 1), (1, 2)])
+    def test_states_point_at_the_trace_with_shifted_ids(self, shard, shards):
+        trace = build_workflow_trace("iwd", seed=3, scale=0.05)
+        by_id = {t.instance_id: t for t in trace}
+        assert sorted(by_id) != list(range(len(trace)))  # sparse ids
+        stride = max(by_id) + 1
+        kernel = self._kernel(
+            trace, "5@fixed:0.05", seed=2, shard=shard, shards=shards
+        )
+        result = kernel.run()
+        driver = kernel.driver
+        ids = []
+        for wi in driver.workflows:
+            k = int(wi.key.rsplit("#", 1)[1])
+            assert k % shards == shard
+            states = driver._states[wi.key].values()
+            assert len(states) == len(trace)
+            for state in states:
+                assert state.inst is by_id[state.inst.instance_id]
+                assert state.instance_id == (
+                    state.inst.instance_id + k * stride
+                )
+                ids.append(state.instance_id)
+        assert len(driver.workflows) == len(range(shard, 5, shards))
+        assert sorted(ids) == sorted(p.instance_id for p in result.predictions)
+
+    def test_submissions_at_sizing_and_resizing_agree(self):
+        # Submissions are built when a task is sized and again when a
+        # kill re-sizes it; both carry the copy's id and dense position.
+        trace = build_workflow_trace("iwd", seed=3, scale=0.05)
+        sized: dict[int, TaskSubmission] = {}
+        resized: list[TaskSubmission] = []
+
+        class Recording(MemoryPredictor):
+            name = "recording"
+
+            def predict(self, task):
+                sized[task.instance_id] = task
+                return 1024.0
+
+            def on_failure(self, task, failed_allocation_mb, attempt):
+                resized.append(task)
+                return failed_allocation_mb * 2.0
+
+        result = EventDrivenBackend(workflow_arrival="3@fixed:0.05").run(
+            trace, Recording(), ResourceManager(), 1.0
+        )
+        assert sorted(sized) == sorted(p.instance_id for p in result.predictions)
+        assert sorted(t.timestamp for t in sized.values()) == list(
+            range(3 * len(trace))
+        )
+        assert len(resized) == result.num_failures > 0
+        assert all(task == sized[task.instance_id] for task in resized)
+
+    def test_seed_adds_about_one_tracked_object_per_task(self):
+        # One slotted state per task; no per-copy instance clones and no
+        # prebuilt submissions.
+        trace = build_workflow_trace("rnaseq", seed=3, scale=0.3)
+        kernel = self._kernel(trace, "16@poisson:2", seed=1)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            kernel.driver.seed(kernel)
+            added = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        n_tasks = kernel.driver.n_tasks
+        assert n_tasks == 16 * len(trace)
+        assert added <= 1.5 * n_tasks

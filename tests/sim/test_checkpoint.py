@@ -14,6 +14,7 @@ plus dedicated mid-outage-window and mid-DAG-release cases.
 """
 
 import pickle
+import sys
 
 import pytest
 
@@ -163,3 +164,25 @@ def test_load_rejects_foreign_files(tmp_path):
         )
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(str(path))
+
+
+class _Gone:
+    """Pickled into a checkpoint, then removed: no build can rebuild it."""
+
+
+def test_load_checks_the_version_before_unpickling_the_kernel(
+    tmp_path, monkeypatch
+):
+    # Up to version 6 header and kernel were one pickled dict, and a v6
+    # kernel holds task states this build cannot rebuild; the version
+    # error must come first.
+    path = tmp_path / "old.ckpt"
+    old = CHECKPOINT_VERSION - 1
+    path.write_bytes(
+        pickle.dumps(
+            {"format": CHECKPOINT_FORMAT, "version": old, "kernel": _Gone()}
+        )
+    )
+    monkeypatch.delattr(sys.modules[__name__], "_Gone")
+    with pytest.raises(ValueError, match=f"format version {old};"):
+        load_checkpoint(str(path))

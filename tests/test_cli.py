@@ -379,6 +379,17 @@ class TestScaleOptions:
                   "--shards", "2", "--checkpoint", "x.ckpt"])
         assert "--shards" in capsys.readouterr().err
 
+    def test_shards_exclude_spill(self, tmp_path, capsys):
+        spill = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--workflow", "iwd", "--scale", "0.05",
+                  "--backend", "event", "--shards", "2",
+                  "--shard-workers", "1", "--spill", str(spill)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--spill" in err and "--shards" in err
+        assert not spill.exists()
+
     def test_shards_exclude_node_outage(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--workflow", "iwd", "--backend", "event",
