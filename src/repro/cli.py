@@ -52,6 +52,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import repro
@@ -86,7 +87,7 @@ _ARTIFACTS = (
 
 def _positive_hours(value: str) -> float:
     hours = float(value)
-    if hours <= 0:
+    if not math.isfinite(hours) or hours <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0 hours, got {hours}")
     return hours
 

@@ -11,6 +11,7 @@ resource manager is built from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -31,7 +32,7 @@ class MachineConfig:
     cores: int = 32
 
     def __post_init__(self) -> None:
-        if self.memory_mb <= 0:
+        if not math.isfinite(self.memory_mb) or self.memory_mb <= 0:
             raise ValueError(f"memory_mb must be positive, got {self.memory_mb}")
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
@@ -62,7 +63,7 @@ def parse_memory_mb(token: str) -> float:
     except ValueError:
         raise ValueError(f"cannot parse memory size {token!r}") from None
     mb = value * factor
-    if mb <= 0:
+    if not math.isfinite(mb) or mb <= 0:
         raise ValueError(f"memory size must be positive, got {token!r}")
     return mb
 

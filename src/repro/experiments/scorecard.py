@@ -68,6 +68,8 @@ __all__ = [
 
 #: The gate applies to this method's rows only.
 GATED_METHOD = "Sizey"
+#: Wastage is reported as a share of this method's, here and in the paper.
+PRESETS = "Workflow-Presets"
 SCORECARD_FORMAT = "repro-scorecard"
 SCORECARD_VERSION = 1
 #: The paper's aggregated wastage (Fig. 8a, 8b) per time-to-failure.
@@ -193,7 +195,12 @@ def _spread(values, ndigits: int = 1) -> str:
 
 
 def render_scorecard(card: dict) -> str:
-    """Per-ttf tables: medians [q1, q3] over seeds next to the paper."""
+    """Per-ttf tables: medians [q1, q3] over seeds next to the paper.
+
+    When Workflow-Presets is in the card, each method's row also shows
+    its median wastage as a share of the presets' median here, the same
+    share in the paper, and the ratio of the two (a report, not a gate).
+    """
     spec = card["spec"]
     methods = spec["methods"]
     seeds = ", ".join(str(s) for s in spec["seeds"])
@@ -202,19 +209,25 @@ def render_scorecard(card: dict) -> str:
         paper = PAPER_WASTAGE.get(ttf, {})
         panel = {1.0: "8a", 0.5: "8b"}.get(ttf, "8")
         totals = {m: _totals(card, m, ttf, "wastage_gbh") for m in methods}
-        rows = [
-            [
-                m,
-                _spread(totals[m].values()),
-                paper.get(m, float("nan")),
+        medians = {m: _quartiles(totals[m].values())[1] for m in methods}
+        shares = _preset_shares(medians, paper)
+        headers = ["method", "wastage GBh", f"paper Fig. {panel} GBh"]
+        if shares:
+            headers += ["share of presets", "paper share", "share / paper"]
+        headers += ["failures", "runtime h"]
+        rows = []
+        for m in methods:
+            row = [m, _spread(totals[m].values()), paper.get(m, float("nan"))]
+            if shares:
+                row += [fmt(x, 3) for x in shares[m]]
+            row += [
                 _spread(_totals(card, m, ttf, "failures").values(), 0),
                 _spread(_totals(card, m, ttf, "runtime_h").values()),
             ]
-            for m in methods
-        ]
+            rows.append(row)
         blocks.append(
             render_table(
-                ["method", "wastage GBh", f"paper Fig. {panel} GBh", "failures", "runtime h"],
+                headers,
                 rows,
                 ndigits=1,
                 title=(
@@ -223,7 +236,6 @@ def render_scorecard(card: dict) -> str:
                 ),
             )
         )
-        medians = {m: _quartiles(totals[m].values())[1] for m in methods}
         line = _reduction_line(medians, paper)
         if line:
             blocks.append(line)
@@ -252,6 +264,26 @@ def render_scorecard(card: dict) -> str:
             f"median {med:.1f} s [{q1:.1f}, {q3:.1f}] over {len(wall)} runs"
         )
     return "\n\n".join(blocks)
+
+
+def _preset_shares(
+    medians: dict[str, float], paper: dict[str, float]
+) -> dict[str, tuple[float, float, float]]:
+    """``{method: (share here, share in the paper, here / paper)}``.
+
+    A share is a method's wastage over Workflow-Presets' wastage; NaN
+    where the paper has no number.  Empty without a presets row.
+    """
+    if PRESETS not in medians:
+        return {}
+    nan = float("nan")
+    presets = medians[PRESETS]
+    out = {}
+    for m, median in medians.items():
+        here = median / presets if presets > 0 else nan
+        there = paper[m] / paper[PRESETS] if m in paper and PRESETS in paper else nan
+        out[m] = (here, there, here / there if there > 0 else nan)
+    return out
 
 
 def _reduction_line(medians: dict[str, float], paper: dict[str, float]) -> str | None:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workflow.task import TaskInstance
 
 __all__ = ["TaskRecord"]
 
@@ -45,6 +49,10 @@ class TaskRecord:
     instance_id:
         Trace-level id of the task instance, used to match completion
         records to earlier predictions (offset bookkeeping).
+
+    The simulators build one record per attempt with
+    :meth:`from_attempt`, which equals the generated constructor's
+    record field for field and runs the same checks.
     """
 
     task_type: str
@@ -70,6 +78,49 @@ class TaskRecord:
             )
         if self.attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {self.attempt}")
+
+    @classmethod
+    def from_attempt(
+        cls,
+        inst: "TaskInstance",
+        timestamp: int,
+        *,
+        peak_memory_mb: float,
+        runtime_hours: float,
+        success: bool,
+        attempt: int,
+        allocated_mb: float,
+        instance_id: int,
+    ) -> "TaskRecord":
+        """The record of one attempt of ``inst`` submitted at ``timestamp``.
+
+        Task type, workflow, machine and input size come from ``inst``.
+        """
+        # Built via __dict__ rather than the generated __init__ (as
+        # TaskSubmission.from_instance is): frozen dataclasses pay
+        # object.__setattr__ per field, and a simulation builds one
+        # record per attempt.  Same field order, same checks.  The copy
+        # gives each record its own key table (about 350 bytes more than
+        # the generated __init__'s record); one store per key would share
+        # the class's table but sends every attribute read down CPython's
+        # slow path.
+        rec = object.__new__(cls)
+        task_type = inst.task_type
+        rec.__dict__.update(
+            task_type=task_type.name,
+            workflow=task_type.workflow,
+            machine=inst.machine,
+            timestamp=timestamp,
+            input_size_mb=inst.input_size_mb,
+            peak_memory_mb=peak_memory_mb,
+            runtime_hours=runtime_hours,
+            success=success,
+            attempt=attempt,
+            allocated_mb=allocated_mb,
+            instance_id=instance_id,
+        )
+        rec.__post_init__()
+        return rec
 
     @property
     def features(self) -> np.ndarray:

@@ -174,9 +174,7 @@ class _DagQueue:
         self.order = self._ready
 
     def unsized(self, limit: int) -> list[TaskState]:
-        return self._scheduler.take_unsized(
-            lambda st: st.allocation is None, limit
-        )
+        return self._scheduler.take_unsized(limit)
 
     def requeue(self, state: TaskState) -> None:
         assert state.wi is not None

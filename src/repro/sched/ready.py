@@ -11,17 +11,20 @@ queue FCFS by release time.  A killed-and-requeued task re-enters at its
 and — because its type stays unsatisfied — continues to hold all of its
 DAG successors back until the retry lands.
 
-The scheduler is generic over the engine's per-task state objects: it
-never inspects them beyond identity, so the engine keeps ownership of
-allocation/attempt bookkeeping.
+The scheduler is generic over the engine's per-task state objects, so
+the engine keeps ownership of allocation/attempt bookkeeping: it never
+inspects a state beyond its identity, except that a sizing wave
+(:meth:`ReadySetScheduler.take_unsized`) skips states whose
+``allocation`` is already set.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Generic, Hashable, TypeVar
+from typing import Generic, TypeVar
 
 from repro.sched.instance import WorkflowInstance
+from repro.sim.kernel.core import consume_unsized
 from repro.workflow.task import TaskInstance
 
 __all__ = ["ReadySetScheduler"]
@@ -36,20 +39,32 @@ class ReadySetScheduler(Generic[S]):
     :meth:`admit`, then drives the queue through :meth:`pop` /
     :meth:`head` during scheduling passes and reports outcomes through
     :meth:`on_success` / :meth:`requeue`.
+
+    Per admitted copy the scheduler keeps two maps keyed by the copy's
+    :attr:`~repro.sched.instance.WorkflowInstance.key`: the engine's own
+    ``{instance_id: state}`` dict (held by reference, never copied) and
+    ``{instance_id: release priority}``.  The ready heap holds
+    ``(priority, state)`` entries, where the priority is the release
+    sequence.  A state has at most one queued entry, and a requeue
+    reuses the priority of the entry that was popped, so priorities are
+    unique while queued and the heap never compares two states.  Fresh
+    releases are also appended to a plain list read through a cursor
+    (:meth:`take_unsized`): the release sequence only grows, so that
+    list is already in heap order.
     """
 
     def __init__(self) -> None:
-        #: (priority, tie, state) heap; priority is the release sequence.
-        self._ready: list[tuple[int, int, S]] = []
-        #: Index heap over *fresh* releases (same (priority, tie) keys):
-        #: every state enters the queue exactly once through
-        #: :meth:`_push_all`, so :meth:`take_unsized` can drain sizing
-        #: waves from here without scanning the whole ready set.
-        self._unsized: list[tuple[int, int, S]] = []
-        self._priority: dict[Hashable, int] = {}
-        self._states: dict[tuple[str, int], S] = {}
+        #: (priority, state) heap; priority is the release sequence.
+        self._ready: list[tuple[int, S]] = []
+        #: Every state once, at its release, in release order; read from
+        #: ``_upos`` on and compacted by :meth:`take_unsized`.
+        self._unsized: list[S] = []
+        self._upos = 0
+        #: copy key -> the engine's {instance_id: state} dict.
+        self._states: dict[str, dict[int, S]] = {}
+        #: copy key -> {instance_id: release priority}.
+        self._priority: dict[str, dict[int, int]] = {}
         self._seq = 0
-        self._tie = 0
 
     # ------------------------------------------------------------------
     def admit(
@@ -58,8 +73,9 @@ class ReadySetScheduler(Generic[S]):
         """Register a workflow instance's task states and release roots.
 
         ``states`` maps each task's ``instance_id`` to the engine's state
-        object.  Returns the states made ready immediately (root types),
-        which are also pushed onto the queue.
+        object; the scheduler keeps the dict itself, not a copy.
+        Returns the states made ready immediately (root types), which
+        are also pushed onto the queue.
         """
         missing = {t.instance_id for t in wi.tasks} - set(states)
         if missing:
@@ -67,8 +83,8 @@ class ReadySetScheduler(Generic[S]):
                 f"admit of {wi.key!r} is missing states for instance ids "
                 f"{sorted(missing)}"
             )
-        for instance_id, state in states.items():
-            self._states[(wi.key, instance_id)] = state
+        self._states[wi.key] = states
+        self._priority[wi.key] = {}
         return self._push_all(wi, wi.release_roots())
 
     def on_success(self, wi: WorkflowInstance, task: TaskInstance) -> list[S]:
@@ -77,9 +93,10 @@ class ReadySetScheduler(Generic[S]):
 
     def requeue(self, wi: WorkflowInstance, task: TaskInstance) -> S:
         """Re-enqueue a killed task at its original release priority."""
-        state = self._states[(wi.key, task.instance_id)]
-        priority = self._priority[(wi.key, task.instance_id)]
-        heapq.heappush(self._ready, (priority, self._next_tie(), state))
+        instance_id = task.instance_id
+        state = self._states[wi.key][instance_id]
+        priority = self._priority[wi.key][instance_id]
+        heapq.heappush(self._ready, (priority, state))
         return state
 
     # ------------------------------------------------------------------
@@ -91,67 +108,46 @@ class ReadySetScheduler(Generic[S]):
 
     def head(self) -> S:
         """The state that must dispatch next (strict FCFS)."""
-        return self._ready[0][2]
+        return self._ready[0][1]
 
     def pop(self) -> S:
-        return heapq.heappop(self._ready)[2]
+        return heapq.heappop(self._ready)[1]
 
     def queued(self) -> list[S]:
         """All queued states, FCFS order (non-destructive)."""
-        return [s for _, _, s in sorted(self._ready)]
+        return [s for _, s in sorted(self._ready)]
 
-    def queued_matching(self, predicate, limit: int) -> list[S]:
-        """The first ``limit`` queued states (FCFS) passing ``predicate``.
+    def take_unsized(self, limit: int) -> list[S]:
+        """The next ``limit`` fresh releases still unsized, FCFS order.
 
-        ``nsmallest`` over the filtered heap entries is O(n log limit)
-        versus ``queued()``'s full O(n log n) sort — the sizing wave asks
-        for a small fixed chunk out of a ready set that can hold every
-        queued task on a saturated cluster.
+        Entries are *consumed*: a state returned here is never returned
+        again, and one skipped because its ``allocation`` is set is
+        dropped.  The kernel sizes every returned state immediately and
+        a sized state never loses its allocation, so nothing unsized is
+        lost.  Requeued states are always sized and never enter here.
         """
-        return [
-            s
-            for _, _, s in heapq.nsmallest(
-                limit, (e for e in self._ready if predicate(e[2]))
-            )
-        ]
-
-    def take_unsized(self, predicate, limit: int) -> list[S]:
-        """Pop up to ``limit`` index entries (FCFS) passing ``predicate``.
-
-        Amortized replacement for :meth:`queued_matching` on the sizing
-        hot path: entries are *consumed* from the fresh-release index —
-        skipped entries (predicate false) are discarded too, so the
-        caller's predicate must be permanently false once false (true
-        for "still unsized": the kernel sizes every returned state
-        immediately and a sized state never loses its allocation).
-        Fresh releases are pushed with the same (priority, tie) keys as
-        the ready heap, so the wave order matches
-        ``queued_matching(predicate, limit)`` exactly.
-        """
-        wave: list[S] = []
-        index = self._unsized
-        while index and len(wave) < limit:
-            state = heapq.heappop(index)[2]
-            if predicate(state):
-                wave.append(state)
+        wave, self._upos = consume_unsized(self._unsized, self._upos, limit)
         return wave
 
     # ------------------------------------------------------------------
     def _push_all(
         self, wi: WorkflowInstance, released: list[TaskInstance]
     ) -> list[S]:
+        if not released:
+            return []
+        states = self._states[wi.key]
+        priority = self._priority[wi.key]
+        ready = self._ready
+        fresh = self._unsized.append
+        seq = self._seq
         out: list[S] = []
         for task in released:
-            key = (wi.key, task.instance_id)
-            state = self._states[key]
-            self._priority[key] = self._seq
-            entry = (self._seq, self._next_tie(), state)
-            heapq.heappush(self._ready, entry)
-            heapq.heappush(self._unsized, entry)
-            self._seq += 1
+            instance_id = task.instance_id
+            state = states[instance_id]
+            priority[instance_id] = seq
+            heapq.heappush(ready, (seq, state))
+            fresh(state)
             out.append(state)
+            seq += 1
+        self._seq = seq
         return out
-
-    def _next_tie(self) -> int:
-        self._tie += 1
-        return self._tie

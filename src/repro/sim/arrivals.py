@@ -40,6 +40,7 @@ tenant round-robin.  Spec strings, accepted everywhere a
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -74,7 +75,7 @@ class FixedArrivals:
     name = "fixed"
 
     def __init__(self, interval_hours: float = 0.0) -> None:
-        if interval_hours < 0:
+        if not math.isfinite(interval_hours) or interval_hours < 0:
             raise ValueError(
                 f"interval_hours must be >= 0, got {interval_hours}"
             )
@@ -93,7 +94,7 @@ class PoissonArrivals:
     name = "poisson"
 
     def __init__(self, rate_per_hour: float) -> None:
-        if rate_per_hour <= 0:
+        if not math.isfinite(rate_per_hour) or rate_per_hour <= 0:
             raise ValueError(
                 f"rate_per_hour must be positive, got {rate_per_hour}"
             )
@@ -131,7 +132,7 @@ class BurstyArrivals:
     def __init__(self, burst_size: int, gap_hours: float) -> None:
         if burst_size < 1:
             raise ValueError(f"burst_size must be >= 1, got {burst_size}")
-        if gap_hours < 0:
+        if not math.isfinite(gap_hours) or gap_hours < 0:
             raise ValueError(f"gap_hours must be >= 0, got {gap_hours}")
         self.burst_size = burst_size
         self.gap_hours = gap_hours

@@ -61,7 +61,7 @@ from repro.sim.kernel.collectors import (
     ClusterMetricsCollector,
     WorkflowMetricsCollector,
 )
-from repro.sim.kernel.core import SimulationKernel, TaskState
+from repro.sim.kernel.core import SimulationKernel, TaskState, consume_unsized
 from repro.sim.kernel.events import ARRIVAL
 from repro.sim.kernel.outage import NodeOutage, parse_node_outages
 from repro.sim.results import SimulationResult
@@ -84,7 +84,9 @@ class _FlatQueue:
     :meth:`unsized` returns is sized immediately by the caller, so
     consumed entries never come back; an entry whose state was sized as
     part of an earlier wave is simply skipped.  The consumed prefix is
-    compacted once it dominates the list, keeping memory O(pending).
+    compacted once it dominates the list, keeping memory O(pending)
+    (:func:`~repro.sim.kernel.core.consume_unsized`, shared with the DAG
+    scheduler's list of fresh releases).
     """
 
     __slots__ = ("_heap", "_unsized", "_upos", "order")
@@ -104,19 +106,7 @@ class _FlatQueue:
             self._unsized.append(state)
 
     def unsized(self, limit: int) -> list[TaskState]:
-        wave: list[TaskState] = []
-        index = self._unsized
-        pos = self._upos
-        n = len(index)
-        while pos < n and len(wave) < limit:
-            state = index[pos]
-            pos += 1
-            if state.allocation is None:
-                wave.append(state)
-        if pos > 512 and pos * 2 > n:
-            del index[:pos]
-            pos = 0
-        self._upos = pos
+        wave, self._upos = consume_unsized(self._unsized, self._upos, limit)
         return wave
 
     def requeue(self, state: TaskState) -> None:

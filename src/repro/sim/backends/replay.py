@@ -102,12 +102,9 @@ class ReplayBackend:
                         runtime_hours=inst.runtime_hours,
                     )
                     predictor.observe(
-                        TaskRecord(
-                            task_type=inst.task_type.name,
-                            workflow=inst.task_type.workflow,
-                            machine=inst.machine,
-                            timestamp=timestamp,
-                            input_size_mb=inst.input_size_mb,
+                        TaskRecord.from_attempt(
+                            inst,
+                            timestamp,
                             peak_memory_mb=inst.peak_memory_mb,
                             runtime_hours=inst.runtime_hours,
                             success=True,
@@ -130,12 +127,9 @@ class ReplayBackend:
                 # The failure record's "peak" is the exceeded limit — a
                 # lower bound, flagged via success=False.
                 predictor.observe(
-                    TaskRecord(
-                        task_type=inst.task_type.name,
-                        workflow=inst.task_type.workflow,
-                        machine=inst.machine,
-                        timestamp=timestamp,
-                        input_size_mb=inst.input_size_mb,
+                    TaskRecord.from_attempt(
+                        inst,
+                        timestamp,
                         peak_memory_mb=verdict.allocated_mb,
                         runtime_hours=verdict.occupied_hours,
                         success=False,

@@ -70,7 +70,12 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # prebuilt submission; DAG copies share their trace's instances.  The
 # header became its own pickle, read first: a v6 kernel holds states
 # with a ``submission`` slot this build lacks and cannot be unpickled.
-CHECKPOINT_VERSION = 7
+# Version 8: the DAG scheduler keeps the driver's per-copy state dicts
+# and per-copy priority dicts, heap entries are ``(priority, state)``
+# and fresh releases a cursor-read list.  A v7 scheduler holds
+# ``(key, id)``-keyed maps, so its first requeue would fail with a
+# ``KeyError``.
+CHECKPOINT_VERSION = 8
 
 
 class _Opaque:

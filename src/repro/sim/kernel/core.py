@@ -69,7 +69,13 @@ from repro.workload.base import WorkloadSource, as_source
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sched.instance import WorkflowInstance
 
-__all__ = ["TaskState", "ReadyQueue", "KernelDriver", "SimulationKernel"]
+__all__ = [
+    "TaskState",
+    "ReadyQueue",
+    "KernelDriver",
+    "SimulationKernel",
+    "consume_unsized",
+]
 
 #: Young-generation collection threshold while :meth:`SimulationKernel.run`
 #: runs (the interpreter's default is 700).  A run keeps every task's
@@ -144,6 +150,32 @@ class ReadyQueue(Protocol):
     def requeue(self, state: TaskState) -> None:
         """Re-enter ``state`` at its original dispatch priority."""
         ...
+
+
+def consume_unsized(
+    pending: list[TaskState], pos: int, limit: int
+) -> tuple[list[TaskState], int]:
+    """Read up to ``limit`` still-unsized states from ``pending`` at ``pos``.
+
+    ``pending`` is a queue's append-only list of fresh (unsized)
+    entries in FCFS order, read through the cursor ``pos``.  Returns
+    the wave and the new cursor.  The caller sizes every returned state
+    at once and a sized state never loses its allocation, so consumed
+    entries never come back; an entry whose state is already sized is
+    skipped.  Once the consumed prefix dominates the list it is deleted
+    (the cursor returns to 0), keeping the list O(pending).
+    """
+    wave: list[TaskState] = []
+    n = len(pending)
+    while pos < n and len(wave) < limit:
+        state = pending[pos]
+        pos += 1
+        if state.allocation is None:
+            wave.append(state)
+    if pos > 512 and pos * 2 > n:
+        del pending[:pos]
+        pos = 0
+    return wave, pos
 
 
 class KernelDriver(Protocol):
@@ -479,6 +511,7 @@ class SimulationKernel:
         predictor = self.predictor
         predict_batch = predictor.predict_batch
         submission = TaskSubmission.from_instance
+        record = TaskRecord.from_attempt
         kill = self._kill
         try:
           while True:
@@ -560,12 +593,9 @@ class SimulationKernel:
                             call(state, now, node, allocated, occupied, SUCCESS)
                         if observe:
                             predictor.observe(
-                                TaskRecord(
-                                    task_type=inst.task_type.name,
-                                    workflow=inst.task_type.workflow,
-                                    machine=inst.machine,
-                                    timestamp=state.index,
-                                    input_size_mb=inst.input_size_mb,
+                                record(
+                                    inst,
+                                    state.index,
                                     peak_memory_mb=inst.peak_memory_mb,
                                     runtime_hours=inst.runtime_hours,
                                     success=True,
@@ -814,12 +844,9 @@ class SimulationKernel:
         # bound, flagged via ``success=False``.
         if self._observe:
             self.predictor.observe(
-                TaskRecord(
-                    task_type=inst.task_type.name,
-                    workflow=inst.task_type.workflow,
-                    machine=inst.machine,
-                    timestamp=state.index,
-                    input_size_mb=inst.input_size_mb,
+                TaskRecord.from_attempt(
+                    inst,
+                    state.index,
                     peak_memory_mb=allocated,
                     runtime_hours=occupied,
                     success=False,

@@ -21,6 +21,7 @@ Spec strings (CLI ``--node-outage``, repeatable)::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,18 +30,23 @@ __all__ = ["NodeOutage", "parse_node_outage", "parse_node_outages"]
 
 @dataclass(frozen=True)
 class NodeOutage:
-    """One drain window: ``node_id`` is gone during ``[start, start+duration)``."""
+    """One drain window: ``node_id`` is gone during ``[start, start+duration)``.
+
+    The start is a finite number of hours.  An infinite duration is a
+    permanent drain: the node never returns during the run (its end
+    event sorts after every other event).
+    """
 
     start_hours: float
     duration_hours: float
     node_id: int
 
     def __post_init__(self) -> None:
-        if self.start_hours < 0:
+        if not math.isfinite(self.start_hours) or self.start_hours < 0:
             raise ValueError(
                 f"outage start must be >= 0 hours, got {self.start_hours}"
             )
-        if self.duration_hours <= 0:
+        if math.isnan(self.duration_hours) or self.duration_hours <= 0:
             raise ValueError(
                 f"outage duration must be positive, got {self.duration_hours}"
             )

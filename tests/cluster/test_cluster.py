@@ -3,7 +3,12 @@
 import pytest
 
 from repro.cluster.accounting import WastageLedger
-from repro.cluster.machine import EPYC_7282_128G, Machine, MachineConfig
+from repro.cluster.machine import (
+    EPYC_7282_128G,
+    Machine,
+    MachineConfig,
+    parse_memory_mb,
+)
 from repro.cluster.manager import ResourceManager
 
 
@@ -17,6 +22,16 @@ class TestMachine:
             MachineConfig("x", memory_mb=0.0)
         with pytest.raises(ValueError, match="cores"):
             MachineConfig("x", memory_mb=1.0, cores=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite_memory(self, bad):
+        with pytest.raises(ValueError, match="memory_mb must be positive"):
+            MachineConfig("x", memory_mb=bad)
+
+    @pytest.mark.parametrize("token", ["nang", "infg", "nan", "-infm", "1e308g"])
+    def test_memory_token_rejects_non_finite_sizes(self, token):
+        with pytest.raises(ValueError, match="memory size must be positive"):
+            parse_memory_mb(token)
 
     def test_allocate_release_cycle(self):
         m = Machine(config=MachineConfig("t", 1000.0))

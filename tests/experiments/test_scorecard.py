@@ -111,6 +111,63 @@ class TestGateRule:
         assert spec["methods"] == list(method_factories())
 
 
+def _row(rendered, title, method):
+    """One method's cells from the table titled ``title``."""
+    block = rendered.split(title, 1)[1].split("\n\n", 1)[0]
+    lines = block.splitlines()[1:]  # below the title line
+    header = [h.strip() for h in lines[0].split("|")]
+    for line in lines[2:]:
+        cells = [c.strip() for c in line.split("|")]
+        if cells[0] == method:
+            return dict(zip(header, cells))
+    raise AssertionError(f"no {method} row")
+
+
+class TestFidelityShares:
+    """Each method's wastage as a share of the presets', here and in the
+    paper (Fig. 8a/8b), and their ratio: a report, not a gate."""
+
+    @staticmethod
+    def card():
+        card = make_card()  # Sizey's median total wastage is 1000 GBh
+        card["cells"] += [
+            {**c, "method": "Workflow-Presets", "wastage_gbh": 10 * c["wastage_gbh"]}
+            for c in card["cells"]
+        ]
+        card["spec"]["methods"] = ["Sizey", "Workflow-Presets"]
+        return card
+
+    @pytest.mark.parametrize(
+        "ttf, paper_share, ratio",
+        # 1684.21 / 28370.77 and 1429.28 / 28370.77 (Fig. 8a, 8b).
+        [(1.0, "0.059", "1.685"), (0.5, "0.050", "1.985")],
+    )
+    def test_shares_next_to_the_papers(self, ttf, paper_share, ratio):
+        rendered = sc.render_scorecard(self.card())
+        title = f"Quality scorecard, ttf={ttf}"
+        sizey = _row(rendered, title, "Sizey")
+        assert sizey["share of presets"] == "0.100"
+        assert sizey["paper share"] == paper_share
+        assert sizey["share / paper"] == ratio
+        presets = _row(rendered, title, "Workflow-Presets")
+        assert [presets[k] for k in ("share of presets", "paper share", "share / paper")] == [
+            "1.000", "1.000", "1.000"
+        ]
+
+    def test_no_paper_number_leaves_a_dash(self):
+        card = self.card()
+        card["cells"] = [c for c in card["cells"] if c["ttf"] == 1.0]
+        card["cells"] += [{**c, "ttf": 0.25} for c in card["cells"]]
+        card["spec"]["time_to_failure"] = [0.25]
+        sizey = _row(sc.render_scorecard(card), "Quality scorecard, ttf=0.25", "Sizey")
+        assert sizey["share of presets"] == "0.100"
+        assert sizey["paper share"] == sizey["share / paper"] == "-"
+
+    def test_no_columns_without_the_presets(self):
+        rendered = sc.render_scorecard(make_card())
+        assert "share of presets" not in rendered and "paper share" not in rendered
+
+
 @pytest.fixture(scope="module")
 def smoke(tmp_path_factory):
     """A real scorecard: Sizey and Workflow-Presets, seed 0, scale 0.05."""

@@ -460,3 +460,26 @@ class TestSharedTaskInstances:
         n_tasks = kernel.driver.n_tasks
         assert n_tasks == 16 * len(trace)
         assert added <= 1.5 * n_tasks
+
+
+class TestSchedulerMaps:
+    def test_one_map_entry_per_copy_after_every_admit(self):
+        # The scheduler keeps the driver's {instance_id: state} dict per
+        # copy (by reference) and one priority dict per copy, not a map
+        # entry per task.
+        trace = build_workflow_trace("iwd", seed=3, scale=0.05)
+        kernel = EventDrivenBackend(
+            workflow_arrival="4@fixed:0.05", seed=1
+        ).build_kernel(trace, FixedPredictor(8192.0), ResourceManager(), 1.0)
+        driver = kernel.driver
+        assert kernel.run(until=0.0) is None  # seeds the copies
+        last_arrival = driver.workflows[-1].submit_time
+        assert kernel.run(until=last_arrival) is None
+        scheduler = driver.scheduler
+        keys = [wi.key for wi in driver.workflows]
+        assert len(keys) == 4 and driver.n_tasks == 4 * len(trace)
+        assert list(scheduler._states) == keys
+        assert list(scheduler._priority) == keys
+        for key in keys:
+            assert scheduler._states[key] is driver._states[key]
+        assert kernel.run() is not None

@@ -166,6 +166,110 @@ class TestReadySetScheduler:
         assert len(sched) == 3
 
 
+class _State:
+    """A stand-in engine state: the scheduler reads only ``allocation``."""
+
+    def __init__(self, name):
+        self.name = name
+        self.allocation = None
+
+    def __repr__(self):
+        return self.name
+
+
+class TestReadySetSchedulerQueues:
+    """The fresh-release list, the per-copy maps and ``(priority, state)``
+    heap entries."""
+
+    @staticmethod
+    def _admit(sched, wi):
+        states = {t.instance_id: _State(f"{wi.key}/{t.instance_id}") for t in wi.tasks}
+        sched.admit(wi, states)
+        return states
+
+    def test_take_unsized_follows_release_order_across_a_compaction(self):
+        dag = WorkflowDAG(["a"])
+        copies = [make_wi(dag, {"a": (700, 1.0)}, key=f"wf#{k}") for k in range(3)]
+        sched = ReadySetScheduler()
+        released = []
+        for wi in copies[:2]:
+            states = self._admit(sched, wi)
+            released += [states[t.instance_id] for t in wi.tasks]
+        taken, compactions = [], 0
+        while len(taken) < 1200:
+            wave = sched.take_unsized(64)
+            for state in wave:
+                state.allocation = 1.0  # the kernel sizes every state it takes
+            taken += wave
+            compactions += sched._upos == 0
+        # A copy admitted after the compaction keeps releasing in order.
+        states = self._admit(sched, copies[2])
+        released += [states[t.instance_id] for t in copies[2].tasks]
+        while wave:
+            wave = sched.take_unsized(64)
+            for state in wave:
+                state.allocation = 1.0
+            taken += wave
+        assert compactions >= 1
+        assert taken == released
+        assert sched.take_unsized(64) == []
+
+    def test_take_unsized_skips_states_sized_elsewhere(self):
+        wi = make_wi(WorkflowDAG(["a"]), {"a": (4, 1.0)})
+        sched = ReadySetScheduler()
+        states = self._admit(sched, wi)
+        states[1].allocation = 2.0
+        assert sched.take_unsized(2) == [states[0], states[2]]
+        assert sched.take_unsized(8) == [states[3]]
+
+    def test_requeue_reenters_ahead_of_later_releases(self):
+        # A kill (or a drain preemption) requeues a popped state at the
+        # priority it was released with: ahead of the successors its
+        # siblings released meanwhile, and never back in the fresh list.
+        dag = WorkflowDAG.linear_pipeline(["a", "b"])
+        wi = make_wi(dag, {"a": (2, 1.0), "b": (2, 1.0)})
+        sched = ReadySetScheduler()
+        states = self._admit(sched, wi)
+        a0, a1, b0, b1 = (states[i] for i in range(4))
+        assert sched.take_unsized(8) == [a0, a1]
+        for state in (a0, a1):
+            state.allocation = 1.0
+        assert sched.pop() is a0
+        assert sched.pop() is a1
+        sched.requeue(wi, wi.tasks[1])  # a1 killed
+        assert sched.on_success(wi, wi.tasks[0]) == []  # a still unsatisfied
+        assert sched.queued() == [a1]
+        assert sched.pop() is a1
+        assert sched.on_success(wi, wi.tasks[1]) == [b0, b1]
+        assert sched.pop() is b0
+        sched.requeue(wi, wi.tasks[2])  # b0 preempted by a drain
+        assert sched.queued() == [b0, b1]
+        assert sched.take_unsized(8) == [b0, b1]
+
+    def test_heap_entries_never_compare_states(self):
+        # Priorities are unique while queued, so states need no order.
+        wi = make_wi(WorkflowDAG(["a"]), {"a": (3, 1.0)})
+        sched = ReadySetScheduler()
+        states = {t.instance_id: object() for t in wi.tasks}
+        sched.admit(wi, states)
+        first = sched.pop()
+        sched.requeue(wi, wi.tasks[0])
+        assert sched.queued() == [first, states[1], states[2]]
+        assert all(len(entry) == 2 for entry in sched._ready)
+
+    def test_one_map_entry_per_copy(self):
+        dag = WorkflowDAG(["a"])
+        sched = ReadySetScheduler()
+        per_copy = {}
+        for k in range(3):
+            wi = make_wi(dag, {"a": (5, 1.0)}, key=f"wf#{k}")
+            per_copy[wi.key] = self._admit(sched, wi)
+        assert len(sched._states) == len(sched._priority) == 3
+        for key, states in per_copy.items():
+            assert sched._states[key] is states  # kept, not copied
+            assert sorted(sched._priority[key]) == sorted(states)
+
+
 class TestWorkflowArrivals:
     def test_defaults(self):
         wa = WorkflowArrivals()

@@ -69,6 +69,29 @@ class TestBurstyArrivals:
             BurstyArrivals(2, -0.5)
 
 
+class TestNonFiniteRejected:
+    """NaN passes every ``< 0`` test, and an infinite gap or rate makes no
+    schedule: each is refused with the model's own message."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_models(self, value):
+        with pytest.raises(ValueError, match="interval_hours must be >= 0"):
+            FixedArrivals(value)
+        with pytest.raises(ValueError, match="rate_per_hour must be positive"):
+            PoissonArrivals(value)
+        with pytest.raises(ValueError, match="gap_hours must be >= 0"):
+            BurstyArrivals(2, value)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["fixed:inf", "fixed:nan", "poisson:nan", "poisson:inf",
+         "bursty:2xinf", "bursty:2xnan"],
+    )
+    def test_specs(self, spec):
+        with pytest.raises(ValueError, match=f"bad arrival spec '{spec}'"):
+            parse_arrival(spec)
+
+
 class TestParseArrival:
     def test_fixed_specs(self):
         assert isinstance(parse_arrival("fixed"), FixedArrivals)

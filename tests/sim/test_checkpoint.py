@@ -186,3 +186,22 @@ def test_load_checks_the_version_before_unpickling_the_kernel(
     monkeypatch.delattr(sys.modules[__name__], "_Gone")
     with pytest.raises(ValueError, match=f"format version {old};"):
         load_checkpoint(str(path))
+
+
+def test_a_v7_checkpoint_gets_the_version_error(tmp_path, baselines, monkeypatch):
+    # A v7 file pickles a DAG scheduler whose maps are keyed by
+    # (copy key, instance id); this build keys them by copy, so resuming
+    # one would fail at its first requeue (KeyError) instead of here.
+    from repro.sim.kernel import checkpoint as ckpt
+
+    path = str(tmp_path / "v7.ckpt")
+    stop = baselines["dag_engine_pr3"]["cluster"]["makespan_hours"] * 0.5
+    sim, predictor = build_sim("dag_engine_pr3")
+    with monkeypatch.context() as patch:
+        patch.setattr(ckpt, "CHECKPOINT_VERSION", 7)
+        assert sim.run(predictor, checkpoint=path, stop_after=stop) is None
+    assert CHECKPOINT_VERSION == 8
+    with pytest.raises(
+        ValueError, match="has format version 7; this build reads version 8"
+    ):
+        load_checkpoint(path)

@@ -49,6 +49,33 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown node 9"):
             backend.run(trace, FixedPredictor(200.0), manager, 1.0)
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf")])
+    def test_non_finite_start_rejected(self, start):
+        with pytest.raises(ValueError, match="outage start must be >= 0"):
+            NodeOutage(start, 1.0, 0)
+
+    def test_nan_duration_rejected(self):
+        with pytest.raises(ValueError, match="outage duration must be positive"):
+            NodeOutage(1.0, float("nan"), 0)
+        with pytest.raises(ValueError, match="bad node-outage spec 'nan:0.1:0'"):
+            parse_node_outage("nan:0.1:0")
+
+    def test_infinite_duration_is_a_permanent_drain(self):
+        outage = parse_node_outage("1:inf:0")
+        assert outage == NodeOutage(1.0, float("inf"), 0)
+        assert outage.end_hours == float("inf")
+        # Node 0 goes at t = 1 h and never returns: the task that would
+        # have used it waits for node 1 instead.
+        trace = make_trace([("a", 100.0, 2.0), ("a", 100.0, 2.0), ("a", 100.0, 2.0)])
+        backend = EventDrivenBackend(node_outage=outage)
+        res = backend.run(
+            trace, FixedPredictor(300.0), one_node_manager(n_nodes=2), 1.0
+        )
+        assert res.num_failures == 0
+        # Tasks 0 and 1 start at t = 0; task 0 is preempted at t = 1 and
+        # restarts on node 1 after task 1 ends (t = 2), task 2 after it.
+        assert res.cluster.makespan_hours == pytest.approx(6.0)
+
 
 def one_node_manager(memory_mb=512.0, n_nodes=1):
     return ResourceManager(

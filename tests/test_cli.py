@@ -98,6 +98,34 @@ class TestParser:
                 ["simulate", "--workflow", "iwd", "--dag", "spaghetti"]
             )
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--arrival", "fixed:inf"),
+            ("--arrival", "fixed:nan"),
+            ("--arrival", "poisson:nan"),
+            ("--arrival", "bursty:2xinf"),
+            ("--arrival", "bursty:2xnan"),
+            ("--node-outage", "nan:0.1:0"),
+            ("--workflow-arrival", "2@fixed:nan"),
+            ("--cluster", "nang:2"),
+            ("--cluster", "infg:2"),
+            ("--stop-after", "nan"),
+            ("--stop-after", "inf"),
+            ("--checkpoint-every", "nan"),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, capsys, flag, value):
+        # Parsed only: a run with one of these used to loop forever or
+        # print NaN-sized nodes.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["simulate", "--workflow", "iwd", "--backend", "event",
+                 f"{flag}={value}"]
+            )
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
     def test_dag_requires_event_backend(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--workflow", "iwd", "--dag", "trace"])
