@@ -20,8 +20,13 @@ Workloads are addressed by spec strings (``--workload``): the six
 synthetic paper workflows (``synthetic:iwd``), recorded repro-trace
 files including streaming JSONL (``trace:runs/mag.jsonl``), and
 WfCommons instance JSON (``wfcommons:traces/blast.json``).
-``--workflow iwd`` remains as the historical alias for
-``--workload synthetic:iwd``.
+``--workflow iwd`` stays as the short form of ``--workload
+synthetic:iwd``, since ``trace --workflow NAME`` names one the same way.
+
+Each layer checks the options it owns and raises
+:class:`~repro.errors.ConfigError`; :func:`main` turns that into a
+usage error (exit 2) with the layer's message.  This module checks only
+the flags that reach no layer.
 
 Examples::
 
@@ -57,6 +62,7 @@ import sys
 
 import repro
 from repro.cluster.policies import placement_names
+from repro.errors import ConfigError
 from repro.experiments.factories import METHOD_ORDER, method_factories
 from repro.experiments.report import render_table
 from repro.sim.backends import BACKENDS, EventDrivenBackend
@@ -92,74 +98,44 @@ def _positive_hours(value: str) -> float:
     return hours
 
 
-def _cluster_spec(value: str) -> str:
-    """Validate a --cluster spec eagerly so bad specs fail at parse time."""
-    from repro.cluster.machine import parse_cluster_spec
-
-    try:
-        parse_cluster_spec(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
-def _arrival_spec(value: str) -> str:
-    """Validate an --arrival spec eagerly so bad specs fail at parse time."""
-    from repro.sim.arrivals import parse_arrival
+def _spec(parse):
+    """An argparse ``type`` that checks a spec string with ``parse``,
+    the layer's own parser, so a bad spec fails at parse time naming
+    its flag; the value stays a string."""
 
-    try:
-        parse_arrival(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+    def check(value: str) -> str:
+        try:
+            parse(value)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-
-def _node_outage_spec(value: str) -> str:
-    """Validate a --node-outage spec eagerly so bad specs fail at parse time."""
-    from repro.sim.kernel.outage import parse_node_outage
-
-    try:
-        parse_node_outage(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _workflow_arrival_spec(value: str) -> str:
-    """Validate a --workflow-arrival spec eagerly (fail at parse time)."""
-    from repro.sim.arrivals import parse_workflow_arrival
-
-    try:
-        parse_workflow_arrival(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _workload_spec(value: str) -> str:
-    """Validate a --workload spec eagerly so bad specs fail at parse time.
-
-    Construction checks the scheme and (for file-backed sources) that
-    the file exists; the actual parse/ingestion stays lazy.
-    """
-    from repro.workload import parse_workload
-
-    try:
-        parse_workload(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+    return check
 
 
 def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
-    """Cluster-scenario options shared by ``simulate`` and ``compare``."""
-    sub.add_argument("--cluster", type=_cluster_spec, default=None,
+    """Cluster-scenario options shared by ``simulate``, ``profile`` and
+    ``compare``."""
+    from repro.cluster.machine import parse_cluster_spec
+    from repro.sim.arrivals import parse_arrival, parse_workflow_arrival
+    from repro.sim.kernel.outage import parse_node_outage
+
+    sub.add_argument("--cluster", type=_spec(parse_cluster_spec),
+                     default=None,
                      help="cluster spec as SIZE:COUNT pools, e.g. "
-                          "'128g:4,256g:4' (default: the paper's 8x128g)")
+                          "'128g:4,256g:4' (default: the paper's cluster of "
+                          "128 GB nodes)")
     sub.add_argument("--placement", choices=placement_names(),
                      default="first-fit",
                      help="node-placement policy")
-    sub.add_argument("--arrival", type=_arrival_spec, default=None,
+    sub.add_argument("--arrival", type=_spec(parse_arrival), default=None,
                      help="arrival model for the event backend: "
                           "'fixed:H' (one task every H hours), "
                           "'poisson:0.5', or 'bursty:8x0.5' "
@@ -169,12 +145,13 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
                           "release tasks as dependencies resolve, using "
                           "the trace's generated DAG ('trace') or a "
                           "linear task-type chain ('linear')")
-    sub.add_argument("--workflow-arrival", type=_workflow_arrival_spec,
+    sub.add_argument("--workflow-arrival",
+                     type=_spec(parse_workflow_arrival),
                      default=None, metavar="SPEC",
                      help="inject whole workflow instances (implies "
                           "--dag trace): 'N', 'N@poisson:R', 'N@fixed:H', "
                           "'N@bursty:SxG', optionally '@tenants:K'")
-    sub.add_argument("--node-outage", type=_node_outage_spec,
+    sub.add_argument("--node-outage", type=_spec(parse_node_outage),
                      action="append", default=None, metavar="SPEC",
                      help="schedule a node drain 'START:DURATION:NODE' "
                           "(hours, hours, node id): placement on the node "
@@ -183,7 +160,36 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
                           "modes (event backend)")
 
 
+def _add_run_options(sub: argparse.ArgumentParser, workload_spec):
+    """One run's options, shared by ``simulate`` and ``profile``.
+
+    Returns the required group naming the workload, so ``simulate``
+    can add ``--resume`` as its third member.
+    """
+    which = sub.add_mutually_exclusive_group(required=True)
+    which.add_argument("--workflow", choices=WORKFLOW_NAMES,
+                       help="synthetic paper workflow (short for "
+                            "--workload synthetic:NAME)")
+    which.add_argument("--workload", type=workload_spec, metavar="SPEC",
+                       help="workload source spec: 'synthetic:iwd', "
+                            "'wfcommons:path.json', or 'trace:path.json[l]'")
+    sub.add_argument("--method", choices=METHOD_ORDER, default="Sizey")
+    sub.add_argument("--scale", type=float, default=1.0)
+    sub.add_argument("--seed", type=_seed, default=0)
+    sub.add_argument("--ttf", type=float, default=1.0,
+                     help="time-to-failure fraction (paper parameter)")
+    sub.add_argument("--trace", metavar="PATH", default=None,
+                     help="write a Chrome trace_event JSON timeline of the "
+                          "run here (load in Perfetto or chrome://tracing)")
+    sub.add_argument("--trace-limit", type=int, default=None, metavar="N",
+                     help="keep only the last N trace events (bounded ring "
+                          "buffer)")
+    return which
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.workload import parse_workload
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Sizey reproduction (CLUSTER 2024) command-line tools",
@@ -207,27 +213,22 @@ def build_parser() -> argparse.ArgumentParser:
                             default=argparse.SUPPRESS,
                             help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
+    workload_spec = _spec(parse_workload)
 
     sim = sub.add_parser("simulate", parents=[log_parent],
                          help="replay one workload with one method")
-    # Not required=True: --resume carries the workload inside the
-    # checkpoint; _validate_args enforces the choice for fresh runs.
-    which = sim.add_mutually_exclusive_group(required=False)
-    which.add_argument("--workflow", choices=WORKFLOW_NAMES,
-                       help="synthetic paper workflow (alias for "
-                            "--workload synthetic:NAME)")
-    which.add_argument("--workload", type=_workload_spec, metavar="SPEC",
-                       help="workload source spec: 'synthetic:iwd', "
-                            "'wfcommons:path.json', or 'trace:path.json[l]'")
-    sim.add_argument("--method", choices=METHOD_ORDER, default="Sizey")
-    sim.add_argument("--scale", type=float, default=1.0)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--ttf", type=float, default=1.0,
-                     help="time-to-failure fraction (paper parameter)")
+    which = _add_run_options(sim, workload_spec)
+    which.add_argument("--resume", metavar="PATH", default=None,
+                       help="continue a checkpointed run (bit-for-bit "
+                            "equal to the uninterrupted run); replaces "
+                            "the workload/method/cluster options")
     sim.add_argument("--backend", choices=tuple(BACKENDS), default="replay",
                      help="simulation backend (replay = paper-faithful "
                           "serial loop; event = concurrent discrete-event "
                           "engine with cluster metrics)")
+    sim.add_argument("--profile", action="store_true",
+                     help="time the kernel phases and print the "
+                          "per-phase table after the run summary")
     _add_cluster_options(sim)
     scale_grp = sim.add_argument_group(
         "scale-out (event backend only)",
@@ -259,27 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None, metavar="HOURS",
                            help="stop once the simulation clock passes "
                                 "HOURS, leaving --checkpoint resumable")
-    scale_grp.add_argument("--resume", metavar="PATH", default=None,
-                           help="continue a checkpointed run (bit-for-bit "
-                                "equal to the uninterrupted run); replaces "
-                                "the workload/method/cluster options")
     scale_grp.add_argument("--summary-json", metavar="PATH", default=None,
                            help="write the run summary as JSON ('-' for "
                                 "stdout)")
-    obs_grp = sim.add_argument_group(
-        "observability (event backend only)",
-        "kernel phase profiler and Chrome trace_event export",
-    )
-    obs_grp.add_argument("--profile", action="store_true",
-                         help="time the kernel phases and print the "
-                              "per-phase table after the run summary")
-    obs_grp.add_argument("--trace", metavar="PATH", default=None,
-                         help="write a Chrome trace_event JSON timeline "
-                              "of the run here (load in Perfetto or "
-                              "chrome://tracing)")
-    obs_grp.add_argument("--trace-limit", type=int, default=None, metavar="N",
-                         help="keep only the last N trace events "
-                              "(bounded ring buffer)")
 
     prof = sub.add_parser(
         "profile",
@@ -290,22 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "wall-time table (calls, seconds, %% of total) and "
                     "the events/sec throughput.",
     )
-    which_prof = prof.add_mutually_exclusive_group(required=True)
-    which_prof.add_argument("--workflow", choices=WORKFLOW_NAMES,
-                            help="synthetic paper workflow (alias for "
-                                 "--workload synthetic:NAME)")
-    which_prof.add_argument("--workload", type=_workload_spec, metavar="SPEC",
-                            help="workload source spec (see simulate "
-                                 "--workload)")
-    prof.add_argument("--method", choices=METHOD_ORDER, default="Sizey")
-    prof.add_argument("--scale", type=float, default=1.0)
-    prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument("--ttf", type=float, default=1.0,
-                      help="time-to-failure fraction (paper parameter)")
-    prof.add_argument("--trace", metavar="PATH", default=None,
-                      help="also write a Chrome trace_event JSON timeline")
-    prof.add_argument("--trace-limit", type=int, default=None, metavar="N",
-                      help="keep only the last N trace events")
+    _add_run_options(prof, workload_spec)
     prof.add_argument("--repeat", type=int, default=1, metavar="N",
                       help="profile the workload N times and merge the "
                            "runs (phase shares average out scheduler "
@@ -314,21 +282,20 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the profile as JSON ('-' for stdout)")
     _add_cluster_options(prof)
     # The profiler lives in the kernel, so this command is always
-    # event-backend; the default makes _validate_args and the backend
-    # resolver treat it exactly like `simulate --backend event`.
+    # event-backend, exactly like `simulate --backend event`.
     prof.set_defaults(backend="event")
 
     fig = sub.add_parser("figures", parents=[log_parent],
                          help="regenerate paper artifacts")
     fig.add_argument("--only", nargs="*", choices=_ARTIFACTS, default=None)
     fig.add_argument("--scale", type=float, default=0.15)
-    fig.add_argument("--seed", type=int, default=0)
+    fig.add_argument("--seed", type=_seed, default=0)
 
     tr = sub.add_parser("trace", parents=[log_parent],
                         help="generate a synthetic trace")
     tr.add_argument("--workflow", choices=WORKFLOW_NAMES, required=True)
     tr.add_argument("--scale", type=float, default=1.0)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_seed, default=0)
     tr.add_argument("--out", help="write JSON trace here")
     tr.add_argument("--jsonl", help="write streaming JSONL trace here")
     tr.add_argument("--csv", help="write CSV table here")
@@ -340,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     which_cmp = cmp_.add_mutually_exclusive_group()
     which_cmp.add_argument("--workflows", nargs="+", choices=WORKFLOW_NAMES,
                            default=None)
-    which_cmp.add_argument("--workloads", nargs="+", type=_workload_spec,
+    which_cmp.add_argument("--workloads", nargs="+", type=workload_spec,
                            default=None, metavar="SPEC",
                            help="workload source specs (see simulate "
                                 "--workload)")
     cmp_.add_argument("--scale", type=float, default=0.2)
-    cmp_.add_argument("--seed", type=int, default=0)
+    cmp_.add_argument("--seed", type=_seed, default=0)
     cmp_.add_argument("--ttf", type=float, default=1.0)
     cmp_.add_argument("--workers", type=int, default=1)
     cmp_.add_argument("--backend", choices=tuple(BACKENDS), default="replay",
@@ -369,11 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--spec", default="QUALITY.json",
                     help="the scorecard declaration (default: %(default)s)")
 
-    _add_serve_parsers(sub, log_parent)
+    _add_serve_parsers(sub, log_parent, workload_spec)
     return parser
 
 
-def _add_serve_parsers(sub, log_parent) -> None:
+def _add_serve_parsers(sub, log_parent, workload_spec) -> None:
     """The ``serve`` / ``client`` / ``loadgen`` command trio."""
     from repro.serve.server import DEFAULT_PORT
 
@@ -429,7 +396,7 @@ def _add_serve_parsers(sub, log_parent) -> None:
         help="replay a workload against a running server"
     )
     _endpoint(lg)
-    lg.add_argument("--workload", type=_workload_spec, required=True,
+    lg.add_argument("--workload", type=workload_spec, required=True,
                     metavar="SPEC",
                     help="workload source spec (see simulate --workload)")
     lg.add_argument("--tenants", type=int, default=2)
@@ -439,116 +406,64 @@ def _add_serve_parsers(sub, log_parent) -> None:
                     help="tasks per /predict request")
     lg.add_argument("--max-tasks", type=int, default=256,
                     help="stop after this many tasks (0 = whole workload)")
-    lg.add_argument("--seed", type=int, default=0)
+    lg.add_argument("--seed", type=_seed, default=0)
     lg.add_argument("--no-observe", action="store_true",
                     help="skip the /observe feedback after each batch")
     lg.add_argument("--json", dest="json_out", default=None, metavar="PATH",
                     help="also write the report as JSON here")
 
 
-def _validate_args(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    """Reject option combinations that would be silently ignored."""
-    has_arrival = args.arrival is not None
-    if has_arrival and args.backend != "event":
-        parser.error("--arrival only shapes the event backend; add "
-                     "--backend event")
-    has_dag = args.dag is not None or args.workflow_arrival is not None
-    if has_dag and args.backend != "event":
-        parser.error("--dag/--workflow-arrival only shape the event "
-                     "backend; add --backend event")
-    node_outages = args.node_outage
-    if node_outages:
-        if args.backend != "event":
-            parser.error("--node-outage only shapes the event backend; "
-                         "add --backend event")
-        # Check node ids against the cluster now, so a typo fails with a
-        # clean message like every other bad CLI combination.
-        from repro.cluster.machine import parse_cluster_spec
-        from repro.sim.kernel.outage import parse_node_outage
-
-        if args.cluster is not None:
-            n_nodes = sum(c for _, c in parse_cluster_spec(args.cluster))
-        else:
-            n_nodes = 8  # the paper's default cluster
-        for spec in node_outages:
-            node_id = parse_node_outage(spec).node_id
-            if node_id >= n_nodes:
-                parser.error(
-                    f"--node-outage {spec} names node {node_id}, but the "
-                    f"cluster has nodes 0..{n_nodes - 1}")
-    if has_dag and has_arrival:
-        parser.error("DAG-aware scheduling replaces per-task arrivals; "
-                     "drop --arrival")
-    if args.command == "simulate":
-        _validate_scale_args(parser, args, node_outages)
-    if args.command == "profile":
-        _validate_trace_limit(parser, args)
+#: The flags only a kernel run reads, by dest, with their defaults: a
+#: flag is given when its value differs from its default.
+_EVENT_FLAGS = {
+    **dict.fromkeys(("arrival", "dag", "workflow_arrival", "node_outage")),
+    "stream_collectors": False, "spill": None, "shards": 1,
+    **dict.fromkeys(("checkpoint", "checkpoint_every", "stop_after")),
+    "summary_json": None, "profile": False, "trace": None, "trace_limit": None,
+}
+_CHECKPOINT_FLAGS = ("checkpoint", "checkpoint_every", "stop_after")
+#: All a resumed run takes besides its checkpoint.
+_RESUME_FLAGS = (*_CHECKPOINT_FLAGS, "summary_json")
 
 
-def _validate_trace_limit(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    if args.trace_limit is not None:
-        if args.trace is None:
-            parser.error("--trace-limit needs --trace")
-        if args.trace_limit <= 0:
-            parser.error(f"--trace-limit must be >= 1, got {args.trace_limit}")
+def _given(args: argparse.Namespace, dests) -> list[str]:
+    """The flags among ``dests`` that this command line sets."""
+    return [
+        "--" + dest.replace("_", "-")
+        for dest in dests
+        if getattr(args, dest, _EVENT_FLAGS[dest]) != _EVENT_FLAGS[dest]
+    ]
 
 
-def _validate_scale_args(
-    parser: argparse.ArgumentParser,
-    args: argparse.Namespace,
-    node_outages,
-) -> None:
-    """Scale-out flag combinations for ``simulate``."""
-    resume = args.resume is not None
-    if not resume and args.workflow is None and args.workload is None:
-        parser.error("one of --workflow or --workload is required "
-                     "(or --resume to continue a checkpointed run)")
-    if resume and (args.workflow is not None or args.workload is not None):
-        parser.error("--resume restores the workload from the checkpoint; "
-                     "drop --workflow/--workload")
-    scale_flags = (
-        args.stream_collectors
-        or args.spill is not None
-        or args.shards != 1
-        or args.checkpoint is not None
-        or args.checkpoint_every is not None
-        or args.stop_after is not None
-    )
-    if scale_flags and not resume and args.backend != "event":
-        parser.error("--stream-collectors/--spill/--shards/--checkpoint "
-                     "options only shape the event backend; add "
-                     "--backend event")
-    obs_flags = args.profile or args.trace is not None
-    if obs_flags and not resume and args.backend != "event":
-        parser.error("--profile/--trace instrument the kernel; add "
-                     "--backend event")
-    if obs_flags and resume:
-        parser.error("--profile/--trace cannot be combined with --resume "
-                     "(the checkpoint pins the kernel's collectors)")
-    if args.trace is not None and args.shards > 1:
-        parser.error("--trace cannot be combined with --shards (each "
-                     "shard would overwrite the same trace file)")
-    if args.spill is not None and args.shards > 1:
-        parser.error("--spill cannot be combined with --shards (it names "
-                     "one JSONL file; each shard would need its own)")
-    _validate_trace_limit(parser, args)
-    if args.shards < 1:
-        parser.error(f"--shards must be >= 1, got {args.shards}")
-    if args.shards > 1:
-        if args.checkpoint or args.checkpoint_every or args.stop_after or resume:
-            parser.error("--shards cannot be combined with checkpoint/"
-                         "resume options (checkpoint single-shard runs)")
-        if node_outages:
-            parser.error("--shards cannot be combined with --node-outage "
-                         "(node ids are renumbered per shard)")
-    if (args.checkpoint_every is not None or args.stop_after is not None) \
-            and args.checkpoint is None and not resume:
-        parser.error("--checkpoint-every/--stop-after need --checkpoint "
-                     "(or --resume) to keep the paused state")
+def _check_flags(args: argparse.Namespace) -> None:
+    """The rules about flags that reach no layer; the layers check the rest.
+
+    Without ``--backend event`` no event backend is built, so its flags
+    would be ignored; a resumed run is configured by its checkpoint.
+    """
+    if getattr(args, "resume", None) is not None:
+        fresh = _given(
+            args, [d for d in _EVENT_FLAGS if d not in _RESUME_FLAGS]
+        )
+        if fresh:
+            raise ConfigError(
+                f"--resume continues the run its checkpoint configures; "
+                f"drop {', '.join(fresh)}"
+            )
+    elif getattr(args, "backend", "replay") != "event":
+        given = _given(args, _EVENT_FLAGS)
+        if given:
+            raise ConfigError(
+                f"{', '.join(given)} only shape the event backend; add "
+                f"--backend event"
+            )
+    if getattr(args, "shards", 1) != 1:
+        checkpointing = _given(args, _CHECKPOINT_FLAGS)
+        if checkpointing:
+            raise ConfigError(
+                f"--shards cannot be combined with "
+                f"{', '.join(checkpointing)} (checkpoint single-shard runs)"
+            )
 
 
 def _resolve_cli_workload(args: argparse.Namespace):
@@ -602,86 +517,67 @@ def _render_profile_table(profile) -> str:
     )
 
 
-def _write_summary_json(res, path: str) -> None:
+def _write_json(payload: dict, path: str) -> None:
+    """Write ``payload`` as sorted, indented JSON (``"-"``: stdout)."""
     import json
 
-    from repro.sim.results import summary_to_dict
-
-    payload = json.dumps(summary_to_dict(res.summary), indent=1,
-                         sort_keys=True)
+    text = json.dumps(payload, indent=1, sort_keys=True)
     if path == "-":
-        print(payload)
+        print(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+            fh.write(text + "\n")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    pause = {
+        "checkpoint": args.checkpoint,
+        "checkpoint_every": args.checkpoint_every,
+        "stop_after": args.stop_after,
+    }
+    workload_name = None
     if args.resume is not None:
-        res = OnlineSimulator.resume(
-            args.resume,
-            checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            stop_after=args.stop_after,
-        )
-        if res is None:
-            ck = args.checkpoint or args.resume
-            print(f"paused at --stop-after; state checkpointed to {ck}")
-            return 0
-        workload_name = res.workflow
+        res = OnlineSimulator.resume(args.resume, **pause)
         args.backend = "event"  # checkpoints only come from kernel runs
-    elif args.shards > 1:
-        from repro.sim.runner import run_sharded
-
-        source = _resolve_cli_workload(args)
-        res = run_sharded(
-            source,
-            method_factories()[args.method],
-            shards=args.shards,
-            time_to_failure=args.ttf,
-            backend=_resolve_cli_backend(args, profile=args.profile),
-            cluster=args.cluster,
-            placement=args.placement,
-            n_workers=args.shard_workers,
-        )
-        workload_name = source.name
     else:
-        source = _resolve_cli_workload(args)
-        predictor = method_factories()[args.method]()
-        res = OnlineSimulator(
-            source,
-            time_to_failure=args.ttf,
-            backend=_resolve_cli_backend(
-                args,
-                stream_collectors=args.stream_collectors,
-                spill=args.spill,
-                profile=args.profile,
-                trace=args.trace,
-                trace_limit=args.trace_limit,
-            ),
-            cluster=args.cluster,
-            placement=args.placement,
-        ).run(
-            predictor,
-            checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            stop_after=args.stop_after,
+        backend = _resolve_cli_backend(
+            args,
+            stream_collectors=args.stream_collectors,
+            spill=args.spill,
+            profile=args.profile,
+            trace=args.trace,
+            trace_limit=args.trace_limit,
         )
-        if res is None:
-            print(f"paused at --stop-after; state checkpointed to "
-                  f"{args.checkpoint}")
-            return 0
+        source = _resolve_cli_workload(args)
         workload_name = source.name
-    if args.summary_json is not None:
-        if res.summary is None:
-            raise SystemExit(
-                "--summary-json needs a kernel run (event backend)"
+        factory = method_factories()[args.method]
+        run = {
+            "time_to_failure": args.ttf,
+            "backend": backend,
+            "cluster": args.cluster,
+            "placement": args.placement,
+        }
+        if args.shards != 1:
+            from repro.sim.runner import run_sharded
+
+            res = run_sharded(
+                source, factory, shards=args.shards,
+                n_workers=args.shard_workers, **run,
             )
-        _write_summary_json(res, args.summary_json)
+        else:
+            res = OnlineSimulator(source, **run).run(factory(), **pause)
+    if res is None:
+        print(f"paused at --stop-after; state checkpointed to "
+              f"{args.checkpoint or args.resume}")
+        return 0
+    if args.summary_json is not None:
+        from repro.sim.results import summary_to_dict
+
+        _write_json(summary_to_dict(res.summary), args.summary_json)
         if args.summary_json == "-":
             return 0
     rows = [
-        ["workload", workload_name],
+        ["workload", workload_name or res.workflow],
         ["workflow", res.workflow],
         ["method", res.method],
         ["backend", args.backend],
@@ -763,6 +659,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     repeat = max(1, args.repeat)
+    backend = _resolve_cli_backend(
+        args, profile=True, trace=args.trace, trace_limit=args.trace_limit
+    )
     profile = None
     best_eps = 0.0
     for _ in range(repeat):
@@ -773,12 +672,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         res = OnlineSimulator(
             source,
             time_to_failure=args.ttf,
-            backend=_resolve_cli_backend(
-                args,
-                profile=True,
-                trace=args.trace,
-                trace_limit=args.trace_limit,
-            ),
+            backend=backend,
             cluster=args.cluster,
             placement=args.placement,
         ).run(predictor)
@@ -788,14 +682,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             profile.merge(res.profile)
         best_eps = max(best_eps, res.profile.events_per_sec)
     if args.json_out is not None:
-        import json
-
-        payload = json.dumps(profile.to_dict(), indent=1, sort_keys=True)
-        if args.json_out == "-":
-            print(payload)
-        else:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
+        _write_json(profile.to_dict(), args.json_out)
     if args.json_out != "-":
         print(
             f"{source.name} x {res.method}: {res.num_tasks} tasks, "
@@ -897,21 +784,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.workloads is not None:
-        from repro.workload import parse_workload
+    from repro.workload import parse_workload
 
-        workloads = {
-            spec: parse_workload(spec, seed=args.seed, scale=args.scale)
-            for spec in args.workloads
-        }
-        names = list(workloads)
+    if args.workloads is not None:
+        specs = {spec: spec for spec in args.workloads}
     else:
-        wanted = args.workflows or list(WORKFLOW_NAMES)
-        workloads = {
-            wf: build_workflow_trace(wf, seed=args.seed, scale=args.scale)
-            for wf in wanted
+        specs = {
+            wf: f"synthetic:{wf}" for wf in args.workflows or WORKFLOW_NAMES
         }
-        names = list(workloads)
+    workloads = {
+        name: parse_workload(spec, seed=args.seed, scale=args.scale)
+        for name, spec in specs.items()
+    }
+    names = list(workloads)
     results = run_grid(
         workloads,
         method_factories(),
@@ -983,31 +868,25 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
 
     compare = args.compare or []
     if len(compare) > 2 or (len(compare) == 2) == (args.out is not None):
-        print(
-            "repro scorecard: error: use --out PATH [--compare PARENT.json], "
-            "or --compare PARENT.json CHANGE.json",
-            file=sys.stderr,
+        raise ConfigError(
+            "use --out PATH [--compare PARENT.json], or --compare "
+            "PARENT.json CHANGE.json"
         )
-        return 2
-    try:
-        parent = sc.load_scorecard(compare[0]) if compare else None
-        if len(compare) == 2:
-            card = sc.load_scorecard(compare[1])
-        else:
-            card = sc.run_scorecard(
-                sc.load_spec(args.spec),
-                n_workers=args.workers,
-                progress=lambda line: print(line, flush=True),
-            )
-            sc.save_scorecard(card, args.out)
-            print(f"wrote {args.out}\n")
-        print(sc.render_scorecard(card))
-        if parent is None:
-            return 0
-        checks = sc.compare(parent, card)
-    except (OSError, ValueError) as exc:
-        print(f"repro scorecard: error: {exc}", file=sys.stderr)
-        return 2
+    parent = sc.load_scorecard(compare[0]) if compare else None
+    if len(compare) == 2:
+        card = sc.load_scorecard(compare[1])
+    else:
+        card = sc.run_scorecard(
+            sc.load_spec(args.spec),
+            n_workers=args.workers,
+            progress=lambda line: print(line, flush=True),
+        )
+        sc.save_scorecard(card, args.out)
+        print(f"wrote {args.out}\n")
+    print(sc.render_scorecard(card))
+    if parent is None:
+        return 0
+    checks = sc.compare(parent, card)
     print("\n" + sc.render_verdict(checks))
     return 0 if all(c.passed for c in checks) else 1
 
@@ -1138,18 +1017,17 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.log_level is not None or args.log_json:
-        from repro.obs.log import configure_logging
+    try:
+        if args.log_level is not None or args.log_json:
+            from repro.obs.log import configure_logging
 
-        try:
             configure_logging(
                 level=args.log_level or "info", json_mode=args.log_json
             )
-        except ValueError as exc:
-            parser.error(str(exc))
-    if hasattr(args, "backend"):
-        _validate_args(parser, args)
-    return _COMMANDS[args.command](args)
+        _check_flags(args)
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

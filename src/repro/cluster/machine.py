@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigError
+
 __all__ = [
     "MachineConfig",
     "Machine",
@@ -33,9 +35,9 @@ class MachineConfig:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.memory_mb) or self.memory_mb <= 0:
-            raise ValueError(f"memory_mb must be positive, got {self.memory_mb}")
+            raise ConfigError(f"memory_mb must be positive, got {self.memory_mb}")
         if self.cores < 1:
-            raise ValueError(f"cores must be >= 1, got {self.cores}")
+            raise ConfigError(f"cores must be >= 1, got {self.cores}")
 
 
 #: The paper's node type: AMD EPYC 7282, 128 GB DDR4.
@@ -51,7 +53,7 @@ def parse_memory_mb(token: str) -> float:
     """
     text = token.strip().lower()
     if not text:
-        raise ValueError("empty memory size token")
+        raise ConfigError("empty memory size token")
     factor = 1.0
     for suffix, mult in (("gb", 1024.0), ("g", 1024.0), ("mb", 1.0), ("m", 1.0)):
         if text.endswith(suffix):
@@ -61,10 +63,10 @@ def parse_memory_mb(token: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"cannot parse memory size {token!r}") from None
+        raise ConfigError(f"cannot parse memory size {token!r}") from None
     mb = value * factor
     if not math.isfinite(mb) or mb <= 0:
-        raise ValueError(f"memory size must be positive, got {token!r}")
+        raise ConfigError(f"memory size must be positive, got {token!r}")
     return mb
 
 
@@ -80,26 +82,26 @@ def parse_cluster_spec(spec: str) -> list[tuple[MachineConfig, int]]:
     for entry in spec.split(","):
         entry = entry.strip()
         if not entry:
-            raise ValueError(f"empty entry in cluster spec {spec!r}")
+            raise ConfigError(f"empty entry in cluster spec {spec!r}")
         size_token, _, count_token = entry.partition(":")
         memory_mb = parse_memory_mb(size_token)
         if count_token:
             try:
                 count = int(count_token)
             except ValueError:
-                raise ValueError(
+                raise ConfigError(
                     f"cannot parse node count in {entry!r}"
                 ) from None
         else:
             count = 1
         if count < 1:
-            raise ValueError(f"node count must be >= 1 in {entry!r}")
+            raise ConfigError(f"node count must be >= 1 in {entry!r}")
         config = MachineConfig(
             name=f"node-{size_token.strip().lower()}", memory_mb=memory_mb
         )
         pools.append((config, count))
     if not pools:
-        raise ValueError(f"cluster spec {spec!r} describes no nodes")
+        raise ConfigError(f"cluster spec {spec!r} describes no nodes")
     return pools
 
 

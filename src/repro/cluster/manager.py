@@ -38,6 +38,7 @@ from repro.cluster.policies import (
     PlacementPolicy,
     resolve_placement,
 )
+from repro.errors import ConfigError
 
 __all__ = ["ResourceManager", "ExecutionVerdict"]
 
@@ -83,13 +84,13 @@ class ResourceManager:
     ) -> None:
         if pools is None:
             if n_nodes < 1:
-                raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+                raise ConfigError(f"n_nodes must be >= 1, got {n_nodes}")
             pools = [(config, n_nodes)]
         self.pools: list[tuple[MachineConfig, int]] = []
         self.nodes: list[Machine] = []
         for cfg, count in pools:
             if count < 1:
-                raise ValueError(
+                raise ConfigError(
                     f"pool count must be >= 1, got {count} for {cfg.name!r}"
                 )
             self.pools.append((cfg, int(count)))

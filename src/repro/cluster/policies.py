@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from repro.cluster.machine import Machine
+from repro.errors import ConfigError
 
 __all__ = [
     "PlacementPolicy",
@@ -128,7 +129,7 @@ def resolve_placement(
         try:
             return _REGISTRY[placement]()
         except KeyError:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown placement policy {placement!r}; "
                 f"registered: {sorted(_REGISTRY)}"
             ) from None

@@ -30,6 +30,7 @@ from tempfile import TemporaryDirectory
 
 from repro.experiments.factories import method_factories
 from repro.experiments.wfcommons_replay import fabricate_instance
+from repro.sim.backends import EventDrivenBackend
 from repro.sim.results import SimulationResult
 from repro.sim.runner import peak_rss_mb, run_sharded
 from repro.workload import WfCommonsSource
@@ -84,10 +85,9 @@ def _collect_from(instance: Path, cfg: ScaleConfig) -> dict[str, object]:
         factory,
         shards=cfg.shards,
         time_to_failure=cfg.time_to_failure,
+        backend=EventDrivenBackend(dag="trace", workflow_arrival=arrival),
         cluster=cluster,
         placement=cfg.placement,
-        dag="trace",
-        workflow_arrival=arrival,
         n_workers=cfg.n_workers,
     )
     wall_clock = time.perf_counter() - t0

@@ -44,6 +44,7 @@ from typing import Callable
 import numpy as np
 
 import repro
+from repro.errors import ConfigError
 from repro.experiments.factories import method_factories
 from repro.experiments.fig8_main_results import (
     PAPER_FIG8A,
@@ -79,16 +80,23 @@ _SPEC_KEYS = ("scale", "seeds", "time_to_failure", "methods", "gate")
 _GATE_KEYS = ("median_wastage_ratio", "median_failures_ratio", "workflow_quantile")
 
 
+def _read_json(path: str | Path) -> dict:
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_spec(path: str | Path) -> dict:
     """Read and check a scorecard declaration (``QUALITY.json``)."""
-    spec = json.loads(Path(path).read_text())
+    spec = _read_json(path)
     missing = [k for k in _SPEC_KEYS if k not in spec]
     missing += [f"gate.{k}" for k in _GATE_KEYS if k not in spec.get("gate", {})]
     if missing:
-        raise ValueError(f"{path}: missing {', '.join(missing)}")
+        raise ConfigError(f"{path}: missing {', '.join(missing)}")
     unknown = set(spec["methods"]) - set(method_factories())
     if unknown:
-        raise ValueError(f"{path}: unknown methods {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown methods {sorted(unknown)}")
     return spec
 
 
@@ -156,13 +164,16 @@ def run_scorecard(
 
 
 def save_scorecard(card: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(card, indent=1) + "\n")
+    try:
+        Path(path).write_text(json.dumps(card, indent=1) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_scorecard(path: str | Path) -> dict:
-    card = json.loads(Path(path).read_text())
+    card = _read_json(path)
     if card.get("format") != SCORECARD_FORMAT or card.get("version") != SCORECARD_VERSION:
-        raise ValueError(f"{path}: not a version {SCORECARD_VERSION} {SCORECARD_FORMAT}")
+        raise ConfigError(f"{path}: not a version {SCORECARD_VERSION} {SCORECARD_FORMAT}")
     return card
 
 
@@ -326,11 +337,11 @@ def compare(parent: dict, change: dict) -> list[Check]:
     The change passes if every returned check passed.  Both scorecards
     must hold Sizey cells for the same times-to-failure, seeds and
     workflows at the same scale (the seeds are paired); otherwise
-    ``ValueError``.
+    :class:`~repro.errors.ConfigError`.
     """
     gate = parent["spec"]["gate"]
     if parent["spec"]["scale"] != change["spec"]["scale"]:
-        raise ValueError(
+        raise ConfigError(
             f"scorecards differ in scale: {parent['spec']['scale']!r} vs "
             f"{change['spec']['scale']!r}"
         )
@@ -339,11 +350,11 @@ def compare(parent: dict, change: dict) -> list[Check]:
         before = _table(parent, GATED_METHOD, ttf, "wastage_gbh")
         after = _table(change, GATED_METHOD, ttf, "wastage_gbh")
         if not before:
-            raise ValueError(f"the parent scorecard has no {GATED_METHOD} cells at ttf={ttf}")
+            raise ConfigError(f"the parent scorecard has no {GATED_METHOD} cells at ttf={ttf}")
         if set(before) != set(after) or any(
             set(before[s]) != set(after[s]) for s in before
         ):
-            raise ValueError(
+            raise ConfigError(
                 f"{GATED_METHOD} cells at ttf={ttf} differ in seeds or workflows; "
                 "the gate pairs seeds"
             )

@@ -88,10 +88,10 @@ def collect(
             dag = run_cell(
                 workload=WfCommonsSource(instance_path, seed=seed),
                 factory=factories[method],
-                backend="event",
+                backend=EventDrivenBackend(
+                    dag="trace", workflow_arrival=workflow_arrival
+                ),
                 cluster=cluster,
-                dag="trace",
-                workflow_arrival=workflow_arrival,
             )
             wm = dag.workflows
             out["dag"][method] = {

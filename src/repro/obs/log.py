@@ -27,6 +27,8 @@ import json
 import logging
 import time
 
+from repro.errors import ConfigError
+
 __all__ = [
     "CONTEXT_FIELDS",
     "JsonFormatter",
@@ -138,7 +140,7 @@ def configure_logging(
     if isinstance(level, str):
         resolved = logging.getLevelName(level.upper())
         if not isinstance(resolved, int):
-            raise ValueError(f"unknown log level {level!r}")
+            raise ConfigError(f"unknown log level {level!r}")
         level = resolved
     handler = logging.StreamHandler(stream)
     handler.setFormatter(JsonFormatter() if json_mode else TextFormatter())

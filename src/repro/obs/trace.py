@@ -37,6 +37,7 @@ import json
 from collections import deque
 from heapq import heappop, heappush
 
+from repro.errors import ConfigError
 from repro.sim.kernel.collectors import KILL, PREEMPT, SUCCESS, BaseCollector
 
 __all__ = ["CLUSTER_PID", "US_PER_HOUR", "TraceCollector"]
@@ -71,7 +72,7 @@ class TraceCollector(BaseCollector):
 
     def __init__(self, path: str | None = None, limit: int | None = None):
         if limit is not None and limit <= 0:
-            raise ValueError(f"trace limit must be positive, got {limit}")
+            raise ConfigError(f"trace_limit must be >= 1, got {limit}")
         self.path = str(path) if path is not None else None
         self.limit = limit
         self._events: deque = deque(maxlen=limit)

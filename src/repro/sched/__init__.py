@@ -25,9 +25,10 @@ dependency-driven, multi-tenant:
   wastage metrics.
 
 Reached through ``EventDrivenBackend(dag=..., workflow_arrival=...)``
-(the one builder of its kernel),
-``OnlineSimulator(..., dag=..., workflow_arrival=...)``, ``run_cell`` /
-``run_grid``, and the CLI's ``--dag`` / ``--workflow-arrival``.
+(the one builder of its kernel), which ``OnlineSimulator``,
+``run_cell`` / ``run_grid`` and ``run_sharded`` take as their backend
+(``OnlineSimulator`` also takes the two as keywords), and the CLI's
+``--dag`` / ``--workflow-arrival``.
 """
 
 from repro.sim.arrivals import WorkflowArrivals, parse_workflow_arrival

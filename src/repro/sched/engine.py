@@ -34,6 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.sched.instance import WorkflowInstance
 from repro.sched.ready import ReadySetScheduler
 from repro.sim.arrivals import WorkflowArrivals
@@ -59,7 +60,7 @@ def resolve_dag(dag: object | None, trace: WorkflowTrace) -> WorkflowDAG:
     """
     if dag is None or dag == "trace":
         if trace.dag is None:
-            raise ValueError(
+            raise ConfigError(
                 f"trace {trace.workflow!r} carries no DAG; generate it via "
                 f"generate_trace (which exports the spec's DAG) or pass "
                 f"dag='linear' / an explicit WorkflowDAG"
@@ -72,13 +73,13 @@ def resolve_dag(dag: object | None, trace: WorkflowTrace) -> WorkflowDAG:
     elif isinstance(dag, WorkflowDAG):
         resolved = dag
     else:
-        raise ValueError(
+        raise ConfigError(
             f"dag must be None, 'trace', 'linear', or a WorkflowDAG, "
             f"got {dag!r}"
         )
     missing = {t.name for t in trace.task_types} - set(resolved.nodes)
     if missing:
-        raise ValueError(
+        raise ConfigError(
             f"DAG is missing task types present in trace "
             f"{trace.workflow!r}: {sorted(missing)}"
         )
@@ -131,7 +132,7 @@ def _instantiate_workflows(
                 produced.append(trace)
         if trace is None:
             if not produced:
-                raise ValueError(
+                raise ConfigError(
                     f"workload source {source.name!r} yielded no traces"
                 )
             trace = produced[k % len(produced)]

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.obs.metrics import LatencyHistogram
 from repro.workflow.task import TaskInstance
 from repro.workload.base import WorkloadSource
@@ -224,7 +225,7 @@ async def _run_async(
         if max_tasks is not None and len(tasks) >= max_tasks:
             break
     if not tasks:
-        raise ValueError(f"workload {source.name!r} yielded no tasks")
+        raise ConfigError(f"workload {source.name!r} yielded no tasks")
     batches = [tasks[i : i + batch] for i in range(0, len(tasks), batch)]
     # Seeded Poisson arrivals; batch k goes to tenant k round-robin.
     rng = np.random.default_rng(seed)
@@ -306,16 +307,16 @@ def run_loadgen(
         source = workload
     if isinstance(tenants, int):
         if tenants < 1:
-            raise ValueError(f"tenants must be >= 1, got {tenants}")
+            raise ConfigError(f"tenants must be >= 1, got {tenants}")
         tenant_names = [f"tenant-{i}" for i in range(tenants)]
     else:
         tenant_names = list(tenants)
         if not tenant_names:
-            raise ValueError("tenant name list must not be empty")
+            raise ConfigError("tenant name list must not be empty")
     if rate_rps <= 0:
-        raise ValueError(f"rate_rps must be > 0, got {rate_rps}")
+        raise ConfigError(f"rate_rps must be > 0, got {rate_rps}")
     if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+        raise ConfigError(f"batch must be >= 1, got {batch}")
     return asyncio.run(
         _run_async(
             source,

@@ -27,6 +27,7 @@ from dataclasses import replace
 from repro.cluster.accounting import WastageLedger
 from repro.core.config import SizeyConfig
 from repro.core.predictor import SizeyPredictor
+from repro.errors import ConfigError
 from repro.obs.metrics import LatencyHistogram
 from repro.serve.protocol import ObserveItem
 from repro.sim.interface import TaskSubmission
@@ -189,7 +190,7 @@ class TenantRegistry:
         max_tenants: int = 64,
     ) -> None:
         if max_tenants < 1:
-            raise ValueError(f"max_tenants must be >= 1, got {max_tenants}")
+            raise ConfigError(f"max_tenants must be >= 1, got {max_tenants}")
         self.config = config
         self.base_seed = base_seed
         self.max_tenants = max_tenants

@@ -45,6 +45,8 @@ from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = [
     "ArrivalModel",
     "FixedArrivals",
@@ -76,7 +78,7 @@ class FixedArrivals:
 
     def __init__(self, interval_hours: float = 0.0) -> None:
         if not math.isfinite(interval_hours) or interval_hours < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"interval_hours must be >= 0, got {interval_hours}"
             )
         self.interval_hours = interval_hours
@@ -95,7 +97,7 @@ class PoissonArrivals:
 
     def __init__(self, rate_per_hour: float) -> None:
         if not math.isfinite(rate_per_hour) or rate_per_hour <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"rate_per_hour must be positive, got {rate_per_hour}"
             )
         self.rate_per_hour = rate_per_hour
@@ -131,9 +133,9 @@ class BurstyArrivals:
 
     def __init__(self, burst_size: int, gap_hours: float) -> None:
         if burst_size < 1:
-            raise ValueError(f"burst_size must be >= 1, got {burst_size}")
+            raise ConfigError(f"burst_size must be >= 1, got {burst_size}")
         if not math.isfinite(gap_hours) or gap_hours < 0:
-            raise ValueError(f"gap_hours must be >= 0, got {gap_hours}")
+            raise ConfigError(f"gap_hours must be >= 0, got {gap_hours}")
         self.burst_size = burst_size
         self.gap_hours = gap_hours
 
@@ -184,18 +186,18 @@ def parse_arrival(spec: str | ArrivalModel) -> ArrivalModel:
             return FixedArrivals(float(arg) if arg else 0.0)
         if kind == "poisson":
             if not arg:
-                raise ValueError("poisson needs a rate, e.g. 'poisson:0.5'")
+                raise ConfigError("poisson needs a rate, e.g. 'poisson:0.5'")
             return PoissonArrivals(float(arg))
         if kind == "bursty":
             size_token, sep, gap_token = arg.partition("x")
             if not sep:
-                raise ValueError(
+                raise ConfigError(
                     "bursty needs 'SIZExGAP', e.g. 'bursty:8x0.5'"
                 )
             return BurstyArrivals(int(size_token), float(gap_token))
     except ValueError as exc:
-        raise ValueError(f"bad arrival spec {spec!r}: {exc}") from None
-    raise ValueError(
+        raise ConfigError(f"bad arrival spec {spec!r}: {exc}") from None
+    raise ConfigError(
         f"unknown arrival model {kind!r} in {spec!r}; "
         f"expected fixed, poisson, or bursty"
     )
@@ -225,9 +227,9 @@ class WorkflowArrivals:
         n_tenants: int | None = None,
     ) -> None:
         if n_instances < 1:
-            raise ValueError(f"n_instances must be >= 1, got {n_instances}")
+            raise ConfigError(f"n_instances must be >= 1, got {n_instances}")
         if n_tenants is not None and n_tenants < 1:
-            raise ValueError(f"n_tenants must be >= 1, got {n_tenants}")
+            raise ConfigError(f"n_tenants must be >= 1, got {n_tenants}")
         self.n_instances = n_instances
         self.arrival = parse_arrival(
             FixedArrivals(0.0) if arrival is None else arrival
@@ -265,27 +267,27 @@ def parse_workflow_arrival(
     if len(parts) == 3:
         kind, _, arg = parts[2].partition(":")
         if kind != "tenants" or not arg:
-            raise ValueError(
+            raise ConfigError(
                 f"bad workflow-arrival spec {spec!r}: third segment must "
                 f"be 'tenants:K'"
             )
         try:
             n_tenants = int(arg)
         except ValueError:
-            raise ValueError(
+            raise ConfigError(
                 f"bad workflow-arrival spec {spec!r}: tenant count "
                 f"{arg!r} is not an integer"
             ) from None
         parts = parts[:2]
     if len(parts) > 2:
-        raise ValueError(
+        raise ConfigError(
             f"bad workflow-arrival spec {spec!r}: expected "
             f"'N', 'N@ARRIVAL', or 'N@ARRIVAL@tenants:K'"
         )
     try:
         count = int(parts[0])
     except ValueError:
-        raise ValueError(
+        raise ConfigError(
             f"bad workflow-arrival spec {spec!r}: instance count "
             f"{parts[0]!r} is not an integer"
         ) from None
@@ -295,4 +297,4 @@ def parse_workflow_arrival(
             n_instances=count, arrival=arrival, n_tenants=n_tenants
         )
     except ValueError as exc:
-        raise ValueError(f"bad workflow-arrival spec {spec!r}: {exc}") from None
+        raise ConfigError(f"bad workflow-arrival spec {spec!r}: {exc}") from None

@@ -48,6 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.cluster.manager import ResourceManager
+from repro.errors import ConfigError
 from repro.sim.arrivals import (
     ArrivalModel,
     FixedArrivals,
@@ -167,11 +168,6 @@ class FlatStreamDriver:
         shard: int = 0,
         shards: int = 1,
     ) -> None:
-        if shards < 1 or not 0 <= shard < shards:
-            raise ValueError(
-                f"shard must satisfy 0 <= shard < shards, got "
-                f"shard={shard} shards={shards}"
-            )
         self.arrival = arrival
         self.rng_seed = seed
         self.shard = shard
@@ -226,7 +222,7 @@ class FlatStreamDriver:
                 self._consumed = self.n_tasks
             return
         if self.shards != 1:
-            raise ValueError(
+            raise ConfigError(
                 "sharded flat runs require a sized workload source "
                 f"(source {source.name!r} does not report n_tasks)"
             )
@@ -426,7 +422,7 @@ class EventDrivenBackend:
 
     def __post_init__(self) -> None:
         if self.shards < 1 or not 0 <= self.shard < self.shards:
-            raise ValueError(
+            raise ConfigError(
                 f"shard must satisfy 0 <= shard < shards, got "
                 f"shard={self.shard} shards={self.shards}"
             )
@@ -446,11 +442,15 @@ class EventDrivenBackend:
                 isinstance(arrival, FixedArrivals)
                 and arrival.interval_hours == 0.0
             ):
-                raise ValueError(
+                raise ConfigError(
                     "dag/workflow_arrival replace the per-task arrival "
                     "model; drop arrival (workflow arrivals carry their "
                     "own fixed/poisson/bursty spec)"
                 )
+        if self.trace_limit is not None and self.trace is None:
+            # The limit bounds the trace file's ring buffer; with no
+            # file it would bound nothing.
+            raise ConfigError("trace_limit needs a trace path")
         object.__setattr__(self, "arrival", arrival)
         object.__setattr__(self, "workflow_arrival", workflow_arrival)
         object.__setattr__(

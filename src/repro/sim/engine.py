@@ -20,6 +20,7 @@ import dataclasses
 
 from repro.cluster.manager import ResourceManager
 from repro.cluster.policies import PlacementPolicy
+from repro.errors import ConfigError
 from repro.sim.backends import BACKENDS, EventDrivenBackend, SimulatorBackend
 from repro.sim.interface import MemoryPredictor
 from repro.sim.results import SimulationResult
@@ -111,11 +112,11 @@ class OnlineSimulator:
         trace_limit: int | None = None,
     ) -> None:
         if not 0.0 < time_to_failure <= 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"time_to_failure must be in (0, 1], got {time_to_failure}"
             )
         if manager is not None and cluster is not None:
-            raise ValueError("pass either manager or cluster, not both")
+            raise ConfigError("pass either manager or cluster, not both")
         self.source = as_source(workload)
         if manager is not None:
             self.manager = manager
@@ -130,7 +131,7 @@ class OnlineSimulator:
             try:
                 backend = BACKENDS[backend]()
             except KeyError:
-                raise ValueError(
+                raise ConfigError(
                     f"unknown backend {backend!r}; choose from "
                     f"{sorted(BACKENDS)}"
                 ) from None
@@ -155,7 +156,7 @@ class OnlineSimulator:
         }
         if options:
             if not isinstance(backend, EventDrivenBackend):
-                raise ValueError(
+                raise ConfigError(
                     f"options {', '.join(options)} need a kernel-driven "
                     f"backend (the event backend); got {backend.name!r}"
                 )
@@ -175,18 +176,18 @@ class OnlineSimulator:
         The checkpoint keywords (event backend only) drive the run in
         pausable slices via
         :func:`repro.sim.kernel.checkpoint.drive_kernel`: ``checkpoint``
-        names the file overwritten at each pause, ``checkpoint_every``
-        the slice length in simulation hours, and ``stop_after`` stops
-        the run for good at that simulation time — returning ``None``
-        with the checkpoint holding the paused state.  Resume with
-        :meth:`resume`.
+        names the file overwritten at each pause (the other two need
+        it), ``checkpoint_every`` the slice length in simulation hours,
+        and ``stop_after`` stops the run for good at that simulation
+        time — returning ``None`` with the checkpoint holding the paused
+        state.  Resume with :meth:`resume`.
         """
         if checkpoint is None and checkpoint_every is None and stop_after is None:
             return self.backend.run(
                 self.source, predictor, self.manager, self.time_to_failure
             )
         if not isinstance(self.backend, EventDrivenBackend):
-            raise ValueError(
+            raise ConfigError(
                 f"checkpoint/stop_after require a kernel-driven backend "
                 f"(the event backend); got {self.backend.name!r}"
             )
@@ -212,17 +213,14 @@ class OnlineSimulator:
     ) -> SimulationResult | None:
         """Continue a checkpointed run; bit-for-bit equal to uninterrupted.
 
-        ``checkpoint`` defaults to overwriting the file being resumed
-        from when slicing is requested via ``checkpoint_every``.
+        A further pause (``checkpoint_every`` or ``stop_after``)
+        overwrites ``checkpoint``, by default the file being resumed.
         """
         from repro.sim.kernel.checkpoint import drive_kernel, load_checkpoint
 
-        kernel = load_checkpoint(path)
-        if checkpoint is None and checkpoint_every is not None:
-            checkpoint = path
         return drive_kernel(
-            kernel,
-            checkpoint=checkpoint,
+            load_checkpoint(path),
+            checkpoint=path if checkpoint is None else checkpoint,
             checkpoint_every=checkpoint_every,
             stop_after=stop_after,
         )

@@ -35,6 +35,7 @@ import os
 import pickle
 from typing import TYPE_CHECKING
 
+from repro.errors import ConfigError
 from repro.obs.log import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,17 +128,35 @@ def save_checkpoint(kernel: "SimulationKernel", path: str) -> None:
 
 
 def load_checkpoint(path: str) -> "SimulationKernel":
-    """Load a checkpoint written by :func:`save_checkpoint`."""
-    with open(path, "rb") as fh:
-        header = _HeaderReader(fh).load()
+    """Load a checkpoint written by :func:`save_checkpoint`.
+
+    A file that cannot be read, is not a checkpoint, or holds another
+    format version raises :class:`~repro.errors.ConfigError`.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read checkpoint {path!r}: {exc.strerror}"
+        ) from None
+    with fh:
+        try:
+            header = _HeaderReader(fh).load()
+        except (pickle.UnpicklingError, EOFError, ValueError, TypeError,
+                OverflowError, MemoryError):
+            # What the opaque reader raises on a file that is no pickle
+            # (MemoryError: a garbage length prefix).
+            header = None
         if (
             not isinstance(header, dict)
             or header.get("format") != CHECKPOINT_FORMAT
         ):
-            raise ValueError(f"{path!r} is not a repro simulation checkpoint")
+            raise ConfigError(
+                f"{path!r} is not a repro simulation checkpoint"
+            )
         version = header.get("version")
         if version != CHECKPOINT_VERSION:
-            raise ValueError(
+            raise ConfigError(
                 f"checkpoint {path!r} has format version {version}; this "
                 f"build reads version {CHECKPOINT_VERSION}"
             )
@@ -164,20 +183,29 @@ def drive_kernel(
     """Run ``kernel`` to completion in checkpointed slices.
 
     - ``checkpoint_every`` (hours of simulation time): pause at least
-      every that often and, if ``checkpoint`` is set, overwrite the
-      checkpoint file at each pause — crash recovery loses at most one
-      slice.
+      every that often and overwrite the ``checkpoint`` file at each
+      pause — crash recovery loses at most one slice.
     - ``stop_after`` (hours): stop for good once the clock passes it,
-      write a final checkpoint (if ``checkpoint`` is set), and return
-      ``None`` — the induced-interrupt mode the resume tests and the CI
-      scale-smoke step use.
+      write a final checkpoint, and return ``None`` — the
+      induced-interrupt mode the resume tests and the CI scale-smoke
+      step use.
+
+    Either pause needs ``checkpoint``: a paused state that is written
+    nowhere is lost.
 
     Returns the finished :class:`~repro.sim.results.SimulationResult`,
     or ``None`` when stopped early.
     """
     if checkpoint_every is not None and checkpoint_every <= 0:
-        raise ValueError(
+        raise ConfigError(
             f"checkpoint_every must be positive, got {checkpoint_every}"
+        )
+    if checkpoint is None and (
+        checkpoint_every is not None or stop_after is not None
+    ):
+        raise ConfigError(
+            "checkpoint_every/stop_after need a checkpoint path to keep "
+            "the paused state"
         )
     if not kernel._started:
         kernel._start()
@@ -186,8 +214,7 @@ def drive_kernel(
             return kernel.run()  # drains the (empty) loop and finalizes
         next_time = kernel.events.next_time
         if stop_after is not None and next_time > stop_after:
-            if checkpoint is not None:
-                save_checkpoint(kernel, checkpoint)
+            save_checkpoint(kernel, checkpoint)
             return None
         # Anchor the slice at the next event so every slice makes
         # progress even when events are sparser than the interval.
@@ -199,5 +226,4 @@ def drive_kernel(
         result = kernel.run(until=until)
         if result is not None:
             return result
-        if checkpoint is not None:
-            save_checkpoint(kernel, checkpoint)
+        save_checkpoint(kernel, checkpoint)

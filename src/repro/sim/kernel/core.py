@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkabl
 from repro.cluster.machine import Machine
 from repro.cluster.manager import ResourceManager
 from repro.cluster.policies import FirstFit
+from repro.errors import ConfigError
 from repro.obs.profile import KernelProfile, PhaseTimer
 from repro.provenance.records import TaskRecord
 from repro.sim.backends.base import (
@@ -392,7 +393,7 @@ class SimulationKernel:
         known = {node.node_id for node in self.manager.nodes}
         for outage in self.outages:
             if outage.node_id not in known:
-                raise ValueError(
+                raise ConfigError(
                     f"node outage {outage.spec!r} names unknown node "
                     f"{outage.node_id}; cluster has nodes {sorted(known)}"
                 )

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.errors import ConfigError
+
 __all__ = ["NodeOutage", "parse_node_outage", "parse_node_outages"]
 
 
@@ -43,15 +45,15 @@ class NodeOutage:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.start_hours) or self.start_hours < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"outage start must be >= 0 hours, got {self.start_hours}"
             )
         if math.isnan(self.duration_hours) or self.duration_hours <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"outage duration must be positive, got {self.duration_hours}"
             )
         if self.node_id < 0:
-            raise ValueError(f"node id must be >= 0, got {self.node_id}")
+            raise ConfigError(f"node id must be >= 0, got {self.node_id}")
 
     @property
     def end_hours(self) -> float:
@@ -72,7 +74,7 @@ def parse_node_outage(spec: str | NodeOutage) -> NodeOutage:
         )
     parts = spec.strip().split(":")
     if len(parts) != 3:
-        raise ValueError(
+        raise ConfigError(
             f"bad node-outage spec {spec!r}: expected 'START:DURATION:NODE', "
             f"e.g. '0.5:2:3'"
         )
@@ -80,14 +82,14 @@ def parse_node_outage(spec: str | NodeOutage) -> NodeOutage:
         start, duration = float(parts[0]), float(parts[1])
         node_id = int(parts[2])
     except ValueError:
-        raise ValueError(
+        raise ConfigError(
             f"bad node-outage spec {spec!r}: START/DURATION are hours, "
             f"NODE is an integer node id"
         ) from None
     try:
         return NodeOutage(start, duration, node_id)
     except ValueError as exc:
-        raise ValueError(f"bad node-outage spec {spec!r}: {exc}") from None
+        raise ConfigError(f"bad node-outage spec {spec!r}: {exc}") from None
 
 
 def parse_node_outages(

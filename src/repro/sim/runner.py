@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 from repro.cluster.accounting import WastageLedger
 from repro.cluster.machine import parse_cluster_spec
-from repro.cluster.manager import ResourceManager
+from repro.errors import ConfigError
 from repro.obs.log import get_logger, log_context
 from repro.sim.backends import EventDrivenBackend, SimulatorBackend
 from repro.sim.engine import OnlineSimulator
@@ -80,13 +80,13 @@ def partition_cluster(cluster: str, shards: int) -> list[str]:
     than shards is an error, not a silent empty shard.
     """
     if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+        raise ConfigError(f"shards must be >= 1, got {shards}")
     pools = parse_cluster_spec(cluster)  # validates the spec
     sizes = [entry.strip().partition(":")[0] for entry in cluster.split(",")]
     counts = [count for _, count in pools]
     total = sum(counts)
     if total < shards:
-        raise ValueError(
+        raise ConfigError(
             f"cannot split {total} node(s) ({cluster!r}) across "
             f"{shards} shards; every shard needs at least one node"
         )
@@ -111,12 +111,7 @@ def run_cell(
     backend: str | SimulatorBackend = "replay",
     cluster: str | None = None,
     placement: str = "first-fit",
-    dag: str | None = None,
-    workflow_arrival: str | None = None,
-    node_outage: str | tuple[str, ...] | None = None,
-    stream_collectors: bool = False,
     shards: int = 1,
-    profile: bool = False,
 ) -> SimulationResult:
     """Run one (workload, method) cell with a fresh predictor and cluster.
 
@@ -124,21 +119,13 @@ def run_cell(
     ``cluster`` is a spec string (``"128g:4,256g:4"``; ``None``
     = the paper's 8-node 128 GB cluster) and ``placement`` the
     node-placement policy name — both are plain strings so cells stay
-    picklable for the process pool.  ``dag`` (``"trace"`` /
-    ``"linear"``) and ``workflow_arrival`` (e.g. ``"4@poisson:2"``)
-    switch the event backend into DAG-aware multi-workflow scheduling,
-    and ``node_outage`` (``"start:duration:node"`` spec(s)) schedules
-    node drains — also plain strings for picklability.
-
-    ``stream_collectors`` switches the event backend to bounded-memory
-    online aggregates (the result carries a ``summary`` but no raw
-    logs); ``shards > 1`` runs the cell as a sharded fan-out via
-    :func:`run_sharded` (event backend only, implies streaming).
-    ``profile`` enables the kernel phase profiler (event backend only;
-    ``result.profile`` carries the :class:`~repro.obs.profile.
-    KernelProfile`, merged across shards when sharded).
+    picklable for the process pool.  Event options (arrivals, DAG
+    scheduling, node drains, streaming collectors, the profiler) are
+    fields of an :class:`~repro.sim.backends.event.EventDrivenBackend`
+    passed as ``backend``.  Any ``shards`` but 1 runs the cell as a
+    sharded fan-out via :func:`run_sharded`.
     """
-    if shards > 1:
+    if shards != 1:
         return run_sharded(
             workload,
             factory,
@@ -147,25 +134,13 @@ def run_cell(
             backend=backend,
             cluster=cluster,
             placement=placement,
-            dag=dag,
-            workflow_arrival=workflow_arrival,
-            node_outage=node_outage,
-            profile=profile,
         )
-    if cluster is not None:
-        manager = ResourceManager.from_spec(cluster, placement=placement)
-    else:
-        manager = ResourceManager(placement=placement)
     sim = OnlineSimulator(
         workload,
-        manager=manager,
         time_to_failure=time_to_failure,
         backend=backend,
-        dag=dag,
-        workflow_arrival=workflow_arrival,
-        node_outage=node_outage,
-        stream_collectors=stream_collectors,
-        profile=profile,
+        cluster=cluster,
+        placement=placement,
     )
     result = sim.run(factory())
     assert result is not None
@@ -183,12 +158,9 @@ def _run_shard(
     backend: EventDrivenBackend,
     cluster: str,
     placement: str,
-    dag: str | None,
-    workflow_arrival: str | None,
     shard: int,
     shards: int,
     spill: str | None,
-    profile: bool,
 ) -> "tuple[RunSummary, object | None]":
     """Worker body of :func:`run_sharded`: one shard, summary (+ profile) out.
 
@@ -199,15 +171,16 @@ def _run_shard(
     """
     sim = OnlineSimulator(
         workload,
-        manager=ResourceManager.from_spec(cluster, placement=placement),
         time_to_failure=time_to_failure,
         backend=dataclasses.replace(
-            backend, stream_collectors=True, shard=shard, shards=shards
+            backend,
+            stream_collectors=True,
+            spill=spill,
+            shard=shard,
+            shards=shards,
         ),
-        dag=dag,
-        workflow_arrival=workflow_arrival,
-        spill=spill,
-        profile=profile,
+        cluster=cluster,
+        placement=placement,
     )
     with log_context(shard=shard):
         _log.info(
@@ -245,20 +218,16 @@ def _ledger_from_summary(summary: RunSummary) -> WastageLedger:
 
 
 def run_sharded(
-    workload: "WorkloadSource | WorkflowTrace | str | None" = None,
-    factory: PredictorFactory | None = None,
+    workload: "WorkloadSource | WorkflowTrace | str",
+    factory: PredictorFactory,
     *,
     shards: int,
     time_to_failure: float = 1.0,
     backend: str | SimulatorBackend = "event",
     cluster: str | None = None,
     placement: str = "first-fit",
-    dag: str | None = None,
-    workflow_arrival: str | None = None,
-    node_outage: object | None = None,
     n_workers: int | None = None,
     spill_dir: str | None = None,
-    profile: bool = False,
 ) -> SimulationResult:
     """Fan one cell out over ``shards`` worker processes and merge.
 
@@ -273,30 +242,35 @@ def run_sharded(
     ``workflows`` / ``predictions`` stay empty — totals, counts, and
     quantile sketches survive the merge).
 
+    ``backend`` is the event backend every shard runs (``"event"`` =
+    its defaults); its arrival, DAG and profiler fields apply per
+    shard.  Fields that name one node or one file cannot be split and
+    are refused before any shard starts: ``node_outage`` (node ids are
+    renumbered per shard), ``spill`` and ``trace``.  ``spill_dir``
+    gives each shard its own ``shard-<i>.jsonl`` spill file there.
+
     Caveats: online-learning predictors learn from their own shard's
     completions only, and cross-shard queueing contention is not
     modeled — sharding trades those for memory and wall-clock; use
-    ``shards=1`` when they matter.  ``spill_dir`` gives each shard a
-    ``shard-<i>.jsonl`` prediction-log spill file there.
+    ``shards=1`` when they matter.
     """
-    if factory is None:
-        raise ValueError("run_sharded requires a predictor factory")
-    if workload is None:
-        raise ValueError("run_sharded requires a workload")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if node_outage:
-        raise ValueError(
-            "node_outage cannot be combined with sharding: node ids are "
-            "renumbered within each shard's sub-cluster"
-        )
     if backend == "event":
         backend = EventDrivenBackend()
     if not isinstance(backend, EventDrivenBackend):
-        raise ValueError(
+        raise ConfigError(
             f"sharded runs require a kernel-driven backend (the event "
             f"backend); got {backend!r}"
         )
+    for field, why in (
+        ("node_outage", "node ids are renumbered within each shard's "
+                        "sub-cluster"),
+        ("spill", "it names one file; pass spill_dir for one per shard"),
+        ("trace", "it names one file that each shard would overwrite"),
+    ):
+        if getattr(backend, field):
+            raise ConfigError(
+                f"{field} cannot be combined with sharding: {why}"
+            )
     spec = cluster if cluster is not None else DEFAULT_CLUSTER_SPEC
     shard_specs = partition_cluster(spec, shards)
     _log.info(
@@ -313,8 +287,6 @@ def run_sharded(
             backend,
             shard_specs[i],
             placement,
-            dag,
-            workflow_arrival,
             i,
             shards,
             (
@@ -322,7 +294,6 @@ def run_sharded(
                 if spill_dir is not None
                 else None
             ),
-            profile,
         )
         for i in range(shards)
     ]
@@ -364,10 +335,6 @@ def run_grid(
     backend: str | SimulatorBackend = "replay",
     cluster: str | None = None,
     placement: str = "first-fit",
-    dag: str | None = None,
-    workflow_arrival: str | None = None,
-    node_outage: str | tuple[str, ...] | None = None,
-    stream_collectors: bool = False,
     shards: int = 1,
 ) -> dict[str, dict[str, SimulationResult]]:
     """Run every method on every workload.
@@ -378,15 +345,11 @@ def run_grid(
     factories must then be picklable (spec strings always are; the
     built-in sources drop their caches on pickling).  ``backend``
     selects the simulation backend for every cell — a backend name, or
-    a backend instance (picklable when fanning out over processes).
-    ``cluster`` and ``placement`` describe the per-cell cluster (spec
-    string and placement-policy name, as in :func:`run_cell`); ``dag``
-    and ``workflow_arrival`` switch every cell into DAG-aware
-    multi-workflow scheduling, and ``node_outage`` schedules node
-    drains (event backend only).  ``stream_collectors`` and ``shards``
-    apply per cell exactly as in :func:`run_cell`; prefer
-    ``n_workers=1`` when sharding cells, so the shard fan-out is the
-    only process-level parallelism.
+    a backend instance (picklable when fanning out over processes)
+    whose fields carry the event options.  ``cluster``, ``placement``
+    and ``shards`` apply per cell exactly as in :func:`run_cell`;
+    prefer ``n_workers=1`` when sharding cells, so the shard fan-out is
+    the only process-level parallelism.
     """
     cells = [
         (
@@ -399,10 +362,6 @@ def run_grid(
                 backend,
                 cluster,
                 placement,
-                dag,
-                workflow_arrival,
-                node_outage,
-                stream_collectors,
                 shards,
             ),
         )

@@ -36,6 +36,7 @@ import json
 from pathlib import Path
 from typing import Iterator
 
+from repro.errors import ConfigError
 from repro.workflow.dag import WorkflowDAG
 from repro.workflow.task import TaskInstance, TaskType, WorkflowTrace
 
@@ -69,7 +70,7 @@ _INSTANCE_FIELDS = (
 )
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(ConfigError):
     """A trace document violates the schema.
 
     ``path`` names the offending key (e.g. ``instances[3].peak_memory_mb``)

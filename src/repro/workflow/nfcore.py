@@ -26,6 +26,7 @@ CPU-intensive, mag I/O-read heavy, iwd lightweight).
 
 from __future__ import annotations
 
+from repro.errors import ConfigError
 from repro.workflow.archetypes import (
     BimodalMemory,
     ConstantHeavyTailMemory,
@@ -338,7 +339,7 @@ def build_workflow_spec(name: str) -> WorkflowSpec:
     try:
         return _BUILDERS[name]()
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown workflow {name!r}; choose from {WORKFLOW_NAMES}"
         ) from None
 

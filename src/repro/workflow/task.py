@@ -14,6 +14,8 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dag -> task)
     from repro.workflow.dag import WorkflowDAG
 
@@ -198,7 +200,7 @@ class WorkflowTrace:
         Order of the surviving instances is preserved.
         """
         if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+            raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
         if fraction == 1.0:
             return self
         rng = np.random.default_rng(seed)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Protocol, runtime_checkable
 
+from repro.errors import ConfigError
 from repro.workflow.task import TaskInstance, WorkflowTrace
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "register_workload",
     "workload_schemes",
     "parse_workload",
+    "check_scale",
 ]
 
 
@@ -141,6 +143,13 @@ def as_source(
     )
 
 
+def check_scale(scale: float) -> float:
+    """A source's subsampling fraction, which must lie in ``(0, 1]``."""
+    if not 0.0 < scale <= 1.0:
+        raise ConfigError(f"scale must be in (0, 1], got {scale}")
+    return scale
+
+
 #: scheme -> factory(argument, seed, scale).
 _SCHEMES: dict[str, Callable[[str, int, float], WorkloadSource]] = {}
 
@@ -172,15 +181,15 @@ def parse_workload(
     subsampling fraction).
     """
     if not isinstance(spec, str) or not spec.strip():
-        raise ValueError(f"workload spec must be a non-empty string, got {spec!r}")
+        raise ConfigError(f"workload spec must be a non-empty string, got {spec!r}")
     scheme, sep, arg = spec.strip().partition(":")
     if not sep:
         scheme, arg = "synthetic", spec.strip()
     if scheme not in _SCHEMES:
-        raise ValueError(
+        raise ConfigError(
             f"unknown workload scheme {scheme!r} in {spec!r}; "
             f"registered: {sorted(_SCHEMES)}"
         )
     if not arg:
-        raise ValueError(f"workload spec {spec!r} is missing its argument")
+        raise ConfigError(f"workload spec {spec!r} is missing its argument")
     return _SCHEMES[scheme](arg, seed, scale)

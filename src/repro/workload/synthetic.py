@@ -19,6 +19,7 @@ from typing import Iterator
 
 from repro.workflow.generator import WorkflowSpec, generate_trace
 from repro.workflow.task import TaskInstance, WorkflowTrace
+from repro.workload.base import check_scale
 
 __all__ = ["SyntheticSource", "NfCoreSource"]
 
@@ -44,11 +45,9 @@ class SyntheticSource:
     def __init__(
         self, spec: WorkflowSpec, seed: int = 0, scale: float = 1.0
     ) -> None:
-        if not 0.0 < scale <= 1.0:
-            raise ValueError(f"scale must be in (0, 1], got {scale}")
         self.spec = spec
         self.seed = seed
-        self.scale = scale
+        self.scale = check_scale(scale)
         self._trace: WorkflowTrace | None = None
 
     @property

@@ -20,6 +20,7 @@ from repro.workflow.io import (
     load_trace_jsonl,
 )
 from repro.workflow.task import TaskInstance, WorkflowTrace
+from repro.workload.base import check_scale
 
 __all__ = ["TraceFileSource"]
 
@@ -42,15 +43,13 @@ class TraceFileSource:
     def __init__(
         self, path: str | Path, seed: int = 0, scale: float = 1.0
     ) -> None:
-        if not 0.0 < scale <= 1.0:
-            raise ValueError(f"scale must be in (0, 1], got {scale}")
         self.path = Path(path)
         if not self.path.exists():
             raise TraceFormatError(
                 f"trace file does not exist: {self.path}", path=str(self.path)
             )
         self.seed = seed
-        self.scale = scale
+        self.scale = check_scale(scale)
         self._trace: WorkflowTrace | None = None
         self._workflow: str | None = None
 

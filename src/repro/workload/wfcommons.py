@@ -54,6 +54,7 @@ import numpy as np
 from repro.workflow.dag import WorkflowDAG
 from repro.workflow.io import TraceFormatError
 from repro.workflow.task import TaskInstance, TaskType, WorkflowTrace
+from repro.workload.base import check_scale
 
 __all__ = [
     "WfCommonsSource",
@@ -645,8 +646,6 @@ class WfCommonsSource:
     def __init__(
         self, path: str | Path, seed: int = 0, scale: float = 1.0
     ) -> None:
-        if not 0.0 < scale <= 1.0:
-            raise ValueError(f"scale must be in (0, 1], got {scale}")
         self.path = Path(path)
         if not self.path.exists():
             raise TraceFormatError(
@@ -654,7 +653,7 @@ class WfCommonsSource:
                 path=str(self.path),
             )
         self.seed = seed
-        self.scale = scale
+        self.scale = check_scale(scale)
         self._trace: WorkflowTrace | None = None
 
     @property

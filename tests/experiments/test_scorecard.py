@@ -230,7 +230,13 @@ class TestCommand:
         assert "verdict: FAIL (14/16 checks hold)" in out
 
     def test_usage_errors(self, cards, capsys):
-        assert cli.main(["scorecard"]) == 2
-        assert cli.main(["scorecard", "--out", "x.json", "--compare", cards["parent"], cards["good"]]) == 2
-        assert cli.main(["scorecard", "--compare", cards["parent"], str(Path(cards["parent"]).parent / "missing.json")]) == 2
-        assert "error" in capsys.readouterr().err
+        missing = str(Path(cards["parent"]).parent / "missing.json")
+        for argv in (
+            ["scorecard"],
+            ["scorecard", "--out", "x.json", "--compare", cards["parent"], cards["good"]],
+            ["scorecard", "--compare", cards["parent"], missing],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        assert "missing.json" in capsys.readouterr().err

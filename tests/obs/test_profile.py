@@ -301,10 +301,9 @@ def test_sharded_profiles_merge():
         trace,
         factory,
         shards=2,
-        backend="event",
+        backend=EventDrivenBackend(profile=True),
         cluster="4g:2",
         n_workers=1,
-        profile=True,
     )
     assert res.profile is not None
     assert res.profile.n_runs == 2

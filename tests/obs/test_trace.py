@@ -236,7 +236,7 @@ class TestRingBuffer:
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_non_positive_limit_rejected(self, limit):
-        with pytest.raises(ValueError, match="trace limit"):
+        with pytest.raises(ValueError, match="trace_limit"):
             TraceCollector(limit=limit)
 
 

@@ -324,9 +324,7 @@ class TestPlumbing:
         res = run_cell(
             trace,
             lambda: FixedPredictor(2048.0),
-            backend="event",
-            dag="trace",
-            workflow_arrival="2",
+            backend=EventDrivenBackend(dag="trace", workflow_arrival="2"),
         )
         assert res.workflows is not None
         assert res.workflows.n_instances == 2
@@ -337,9 +335,9 @@ class TestPlumbing:
         results = run_grid(
             traces,
             {"Fixed": lambda: FixedPredictor(2048.0)},
-            backend="event",
-            dag="trace",
-            workflow_arrival="2@fixed:0.5",
+            backend=EventDrivenBackend(
+                dag="trace", workflow_arrival="2@fixed:0.5"
+            ),
         )
         res = results["Fixed"]["wf"]
         assert res.workflows.n_instances == 2

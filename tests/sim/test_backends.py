@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.machine import MachineConfig
 from repro.cluster.manager import ResourceManager
+from repro.errors import ConfigError
 from repro.obs.trace import TraceCollector
 from repro.sched.engine import DagWorkflowDriver
 from repro.sim import (
@@ -258,6 +259,10 @@ class TestEventBackendConcurrency:
             EventDrivenBackend(arrival="fixed:-1")
         with pytest.raises(ValueError, match="shard"):
             EventDrivenBackend(shard=2, shards=2)
+        # The limit bounds the trace file's ring buffer: alone it would
+        # bound nothing.
+        with pytest.raises(ConfigError, match="trace_limit needs"):
+            EventDrivenBackend(trace_limit=5)
 
     def test_empty_trace(self):
         res = OnlineSimulator(make_trace([]), backend="event").run(

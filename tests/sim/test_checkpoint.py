@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments.factories import method_factories
 from repro.sim.backends.event import EventDrivenBackend
 from repro.sim.engine import OnlineSimulator
@@ -142,6 +143,14 @@ def test_pause_inside_outage_window(tmp_path):
     assert result_to_dict(result) == expected
 
 
+@pytest.mark.parametrize("pause", ["stop_after", "checkpoint_every"])
+def test_a_pause_needs_a_checkpoint_path(pause):
+    # A paused state written nowhere is lost; refuse before running.
+    sim, predictor = build_sim("flat_event_pr2")
+    with pytest.raises(ConfigError, match="need a checkpoint path"):
+        sim.run(predictor, **{pause: 0.1})
+
+
 def test_checkpoint_requires_started_kernel(tmp_path):
     sim, predictor = build_sim("flat_event_pr2")
     kernel = sim.backend.build_kernel(
@@ -156,6 +165,13 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_bytes(pickle.dumps({"format": "something-else"}))
     with pytest.raises(ValueError, match="not a repro simulation checkpoint"):
         load_checkpoint(str(path))
+    # Files that are no pickle at all, and no file.
+    for data in (b"", b"not a checkpoint\n", b'{"a": 1}\n'):
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="not a repro simulation"):
+            load_checkpoint(str(path))
+    with pytest.raises(ConfigError, match="cannot read checkpoint"):
+        load_checkpoint(str(tmp_path / "missing.ckpt"))
     # Older checkpoints too: a v3 one pickles MLPs that train with 20
     # Adam steps per incremental update.
     for version in (CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1):

@@ -124,9 +124,11 @@ class TestShardedDag:
             time_to_failure=spec["sim"]["time_to_failure"],
             cluster=spec["sim"]["cluster"],
             placement=spec["sim"]["placement"],
-            backend=EventDrivenBackend(seed=bk["seed"]),
-            dag=bk["dag"],
-            workflow_arrival=bk["workflow_arrival"],
+            backend=EventDrivenBackend(
+                seed=bk["seed"],
+                dag=bk["dag"],
+                workflow_arrival=bk["workflow_arrival"],
+            ),
             n_workers=n_workers,
         )
 
@@ -173,22 +175,55 @@ class TestShardedDag:
 
 
 class TestShardedGuards:
-    def test_node_outage_rejected(self):
-        trace, factory, spec = scenario_inputs("flat_event_pr2")
-        with pytest.raises(ValueError, match="node_outage"):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("node_outage", "0.1:1:0"),
+            ("spill", "run.jsonl"),
+            ("trace", "run.json"),
+        ],
+    )
+    def test_backend_fields_that_cannot_split_are_refused(
+        self, tmp_path, monkeypatch, field, value
+    ):
+        # A spill or trace file names one file, which every shard would
+        # overwrite; a node id names a node of the whole cluster, while
+        # each shard numbers its own sub-cluster from 0.
+        from repro.errors import ConfigError
+        from repro.sim.backends.event import EventDrivenBackend
+
+        def no_shard(*args, **kwargs):
+            raise AssertionError("a refused fan-out must start no shard")
+
+        monkeypatch.setattr("repro.sim.runner._run_shard", no_shard)
+        if field != "node_outage":
+            value = str(tmp_path / value)
+        with pytest.raises(ConfigError, match=field):
             run_sharded(
-                trace,
-                factory,
+                build_workflow_trace("iwd", seed=0, scale=0.05),
+                method_factories()["Witt-LR"],
                 shards=2,
-                cluster="4g:2",
-                node_outage="0.1:1:0",
+                backend=EventDrivenBackend(**{field: value}),
+                cluster="64g:4",
+                n_workers=1,
             )
+        assert not list(tmp_path.iterdir())
 
     def test_requires_workload_and_factory(self):
-        with pytest.raises(ValueError, match="workload"):
-            run_sharded(None, lambda: None, shards=2)
-        with pytest.raises(ValueError, match="factory"):
-            run_sharded("synthetic:iwd", None, shards=2)
+        with pytest.raises(TypeError, match="factory"):
+            run_sharded("synthetic:iwd", shards=2)
+
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_shard_count_checked_where_it_enters(self, shards):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="shards must be >= 1"):
+            run_cell(
+                "synthetic:iwd",
+                method_factories()["Witt-LR"],
+                backend="event",
+                shards=shards,
+            )
 
     def test_spill_dir_writes_per_shard_files(self, tmp_path):
         from repro.sim.backends.event import EventDrivenBackend

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.sim.interface import MemoryPredictor
 
 
 class TestParser:
@@ -135,14 +137,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["simulate", "--workflow", "iwd", "--backend", "event",
                   "--workflow-arrival", "2", "--arrival", "poisson:0.5"])
-        assert "replaces per-task arrivals" in capsys.readouterr().err
+        assert "drop arrival" in capsys.readouterr().err
 
     def test_dag_conflicts_with_task_arrival(self, capsys):
         # --dag must not be silently dropped in favour of --arrival.
         with pytest.raises(SystemExit):
             main(["simulate", "--workflow", "iwd", "--backend", "event",
                   "--dag", "linear", "--arrival", "poisson:5"])
-        assert "replaces per-task arrivals" in capsys.readouterr().err
+        assert "drop arrival" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -276,8 +278,8 @@ class TestCommands:
 
 class TestWorkloadOption:
     def test_simulate_requires_some_workload(self, capsys):
-        # Enforced in validation rather than at parse time, so --resume
-        # can restore the workload from a checkpoint instead.
+        # --resume is the third member of the required group: it
+        # restores the workload from a checkpoint instead.
         with pytest.raises(SystemExit):
             main(["simulate", "--method", "Sizey"])
 
@@ -393,13 +395,14 @@ class TestScaleOptions:
     def test_resume_excludes_workload(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--workflow", "iwd", "--resume", "x.ckpt"])
-        assert "checkpoint" in capsys.readouterr().err
+        assert "--resume: not allowed with" in capsys.readouterr().err
 
     def test_stop_after_needs_checkpoint(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--workflow", "iwd", "--backend", "event",
                   "--stop-after", "1.0"])
-        assert "--checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stop_after" in err and "checkpoint path" in err
 
     def test_shards_exclude_checkpointing(self, capsys):
         with pytest.raises(SystemExit):
@@ -415,14 +418,14 @@ class TestScaleOptions:
                   "--shard-workers", "1", "--spill", str(spill)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--spill" in err and "--shards" in err
+        assert "spill cannot be combined with sharding" in err
         assert not spill.exists()
 
     def test_shards_exclude_node_outage(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--workflow", "iwd", "--backend", "event",
                   "--shards", "2", "--node-outage", "0.1:1:0"])
-        assert "--node-outage" in capsys.readouterr().err
+        assert "node_outage" in capsys.readouterr().err
 
     def test_rejects_nonpositive_checkpoint_every(self, capsys):
         with pytest.raises(SystemExit):
@@ -468,6 +471,117 @@ class TestScaleOptions:
                    "--summary-json", str(resumed)])
         assert rc == 0
         assert resumed.read_text() == full.read_text()
+
+
+class _BrokenPredictor(MemoryPredictor):
+    """A predictor whose bug surfaces as a plain ValueError mid-run."""
+
+    name = "Broken"
+
+    def predict(self, task):
+        raise ValueError("a bug inside a predictor")
+
+
+class TestUsageErrors:
+    """Bad values a layer refuses end as usage errors naming the field."""
+
+    SIM = ["simulate", "--workflow", "iwd", "--method", "Witt-LR"]
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (SIM + ["--scale", "nan"], "scale"),
+            (SIM + ["--scale", "-1"], "scale"),
+            (SIM + ["--ttf", "nan"], "time_to_failure"),
+            (SIM + ["--seed", "-1"], "--seed"),
+            (["compare", "--ttf", "0"], "time_to_failure"),
+            (["profile", "--workflow", "iwd", "--scale", "2"], "scale"),
+            (["simulate", "--resume", "{v7}"], "format version 7"),
+            (["simulate", "--resume", "{text}"], "not a repro simulation"),
+            (["simulate", "--resume", "{missing}"], "cannot read checkpoint"),
+        ],
+    )
+    def test_exit_2_before_any_run(
+        self, tmp_path, monkeypatch, capsys, argv, named
+    ):
+        from repro.sim.engine import OnlineSimulator
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a refused run must not start")
+
+        monkeypatch.setattr(OnlineSimulator, "run", no_run)
+        paths = {
+            "v7": tmp_path / "v7.ckpt",
+            "text": tmp_path / "notes.txt",
+            "missing": tmp_path / "missing.ckpt",
+        }
+        paths["v7"].write_bytes(
+            pickle.dumps({"format": "repro-checkpoint", "version": 7})
+        )
+        paths["text"].write_text("not a checkpoint\n")
+        argv = [arg.format(**paths) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_summary_json_needs_event_backend_before_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+
+        def no_workload(args):
+            raise AssertionError("the workload must not be built")
+
+        monkeypatch.setattr(cli, "_resolve_cli_workload", no_workload)
+        out = tmp_path / "summary.json"
+        with pytest.raises(SystemExit) as exc:
+            main(self.SIM + ["--scale", "0.05", "--summary-json", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--summary-json" in err and "--backend event" in err
+        assert not out.exists()
+
+    def test_gate_names_every_event_flag_given(self, capsys):
+        with pytest.raises(SystemExit):
+            main(self.SIM + ["--profile", "--trace", "t.json",
+                             "--spill", "s.jsonl"])
+        err = capsys.readouterr().err
+        assert "--spill, --profile, --trace only shape" in err
+
+    def test_resume_takes_only_checkpoint_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--resume", "x.ckpt", "--profile",
+                  "--trace", "t.json"])
+        assert exc.value.code == 2
+        assert "drop --profile, --trace" in capsys.readouterr().err
+
+    def test_plain_value_error_propagates(self, monkeypatch):
+        # Only ConfigError is a usage error: a bug that raises a bare
+        # ValueError (numpy's LinAlgError is one) keeps its traceback.
+        import repro.cli as cli
+        from repro.errors import ConfigError
+
+        monkeypatch.setattr(
+            cli, "method_factories", lambda: {"Witt-LR": _BrokenPredictor}
+        )
+        with pytest.raises(ValueError, match="a bug inside") as exc:
+            main(self.SIM + ["--scale", "0.05", "--backend", "event"])
+        assert not isinstance(exc.value, ConfigError)
+
+    def test_paused_resume_writes_its_checkpoint(self, tmp_path, capsys):
+        from repro.sim.kernel.checkpoint import load_checkpoint
+
+        ck = tmp_path / "state.ckpt"
+        assert main(self.SIM + ["--scale", "0.05", "--backend", "event",
+                                "--arrival", "poisson:600",
+                                "--checkpoint", str(ck),
+                                "--stop-after", "0.05"]) == 0
+        assert load_checkpoint(str(ck)).now <= 0.05
+        assert main(["simulate", "--resume", str(ck),
+                     "--stop-after", "0.1"]) == 0
+        assert f"checkpointed to {ck}" in capsys.readouterr().out
+        assert 0.05 < load_checkpoint(str(ck)).now <= 0.1
 
 
 class TestServeCommands:
