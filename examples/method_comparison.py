@@ -1,13 +1,12 @@
 """Compare every memory-sizing method on multiple workflows.
 
-A miniature of the paper's Fig. 8 / Table II: all six methods (plus the
-two RL sizers from the related-work discussion) replay two workflows;
-the script prints total wastage, failures, and runtime per cell.
+A miniature of the paper's Fig. 8 / Table II: all six methods replay
+two workflows; the script prints total wastage, failures, and runtime
+per cell.
 
 Run:  python examples/method_comparison.py
 """
 
-from repro.baselines.rl import GradientBanditSizer, QLearningSizer
 from repro.experiments.factories import method_factories
 from repro.experiments.report import render_table
 from repro.sim.runner import run_grid
@@ -21,9 +20,7 @@ def main() -> None:
     traces = {
         wf: build_workflow_trace(wf, seed=5, scale=SCALE) for wf in WORKFLOWS
     }
-    factories = dict(method_factories())
-    factories["RL-GradientBandit"] = GradientBanditSizer
-    factories["RL-QLearning"] = QLearningSizer
+    factories = method_factories()
 
     print(f"running {len(factories)} methods x {len(traces)} workflows...\n")
     results = run_grid(traces, factories, time_to_failure=1.0)

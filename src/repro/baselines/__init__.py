@@ -11,9 +11,6 @@
   percentile of historical peaks.
 - :class:`WittLR` -- Witt et al. [32]: linear regression on input size
   plus a residual offset.
-- :mod:`repro.baselines.rl` -- the reinforcement-learning sizers of
-  Bader et al. [35] (gradient bandit, Q-learning), discussed in the
-  paper's related work and included here as extensions.
 
 All baselines implement :class:`repro.sim.interface.MemoryPredictor`, so
 the simulator treats them identically to Sizey.

@@ -70,6 +70,7 @@ from repro.sim.engine import OnlineSimulator
 from repro.sim.runner import run_grid
 from repro.workflow.io import export_csv, save_trace
 from repro.workflow.nfcore import WORKFLOW_NAMES, build_workflow_trace
+from repro.workload.base import check_scale
 
 __all__ = ["main", "build_parser"]
 
@@ -103,6 +104,16 @@ def _seed(value: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
     return seed
+
+
+class _Store(argparse.Action):
+    """argparse's ``store`` action that also notes its dest in
+    ``args.given``: a flag set to its default reads the same as one
+    left out, and ``--resume`` refuses both alike."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.dest)
 
 
 def _spec(parse):
@@ -217,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[log_parent],
                          help="replay one workload with one method")
+    sim.register("action", None, _Store)
     which = _add_run_options(sim, workload_spec)
     which.add_argument("--resume", metavar="PATH", default=None,
                        help="continue a checkpointed run (bit-for-bit "
@@ -426,10 +438,14 @@ _CHECKPOINT_FLAGS = ("checkpoint", "checkpoint_every", "stop_after")
 _RESUME_FLAGS = (*_CHECKPOINT_FLAGS, "summary_json")
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _given(args: argparse.Namespace, dests) -> list[str]:
     """The flags among ``dests`` that this command line sets."""
     return [
-        "--" + dest.replace("_", "-")
+        _flag(dest)
         for dest in dests
         if getattr(args, dest, _EVENT_FLAGS[dest]) != _EVENT_FLAGS[dest]
     ]
@@ -442,9 +458,11 @@ def _check_flags(args: argparse.Namespace) -> None:
     would be ignored; a resumed run is configured by its checkpoint.
     """
     if getattr(args, "resume", None) is not None:
-        fresh = _given(
-            args, [d for d in _EVENT_FLAGS if d not in _RESUME_FLAGS]
-        )
+        # ``simulate``'s store flags note themselves in ``args.given``;
+        # its switches and ``--node-outage`` show by their value.
+        allowed = {_flag(dest) for dest in ("resume", *_RESUME_FLAGS)}
+        given = _given(args, _EVENT_FLAGS) + [_flag(d) for d in args.given]
+        fresh = [f for f in dict.fromkeys(given) if f not in allowed]
         if fresh:
             raise ConfigError(
                 f"--resume continues the run its checkpoint configures; "
@@ -753,7 +771,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    trace = build_workflow_trace(args.workflow, seed=args.seed, scale=args.scale)
+    trace = build_workflow_trace(
+        args.workflow, seed=args.seed, scale=check_scale(args.scale)
+    )
     stats = trace.stats()
     print(
         f"{trace.workflow}: {stats['n_instances']:.0f} instances, "

@@ -119,7 +119,9 @@ class Machine:
         return self.config.memory_mb - self.allocated_mb
 
     def can_fit(self, memory_mb: float) -> bool:
-        return memory_mb <= self.free_mb + 1e-9
+        # ``free_mb + 1e-9`` without the property call: allocate() runs
+        # this on every kernel dispatch.
+        return memory_mb <= self.config.memory_mb - self.allocated_mb + 1e-9
 
     def allocate(self, task_id: int, memory_mb: float) -> None:
         """Reserve ``memory_mb`` for ``task_id``; strict capacity check."""

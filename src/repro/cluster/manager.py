@@ -33,11 +33,7 @@ from repro.cluster.machine import (
     MachineConfig,
     parse_cluster_spec,
 )
-from repro.cluster.policies import (
-    FirstFit,
-    PlacementPolicy,
-    resolve_placement,
-)
+from repro.cluster.policies import PlacementPolicy, resolve_placement
 from repro.errors import ConfigError
 
 __all__ = ["ResourceManager", "ExecutionVerdict"]
@@ -109,13 +105,6 @@ class ResourceManager:
         self._max_allocation_mb = max(
             node.config.memory_mb for node in self.nodes
         )
-        #: Cluster-state generation: bumped whenever capacity can *grow*
-        #: (a release, an outage transition, a full reset).  Placement
-        #: failures are cached against it — see :meth:`try_place`.
-        self.generation = 0
-        self._fail_gen = -1
-        self._fail_mb = 0.0
-        self._fail_exclude: frozenset[int] = frozenset()
 
     @classmethod
     def from_spec(
@@ -151,25 +140,21 @@ class ResourceManager:
         return {node.node_id: node.config.memory_mb for node in self.nodes}
 
     def clamp_allocation(self, request_mb: float) -> float:
-        """Clamp a request to (0, largest-node capacity]."""
-        return float(min(max(request_mb, 1.0), self.max_allocation_mb))
+        """Clamp a request to [1 MB, largest-node capacity]."""
+        # Comparisons, not min()/max(): the event kernel clamps every
+        # task it sizes, and those two calls cost more than the rest.
+        request_mb = float(request_mb)
+        if request_mb < 1.0:
+            return 1.0
+        if request_mb > self._max_allocation_mb:
+            return float(self._max_allocation_mb)
+        return request_mb
 
     def next_task_id(self) -> int:
         """Hand out a fresh cluster-unique task id (monotonic per run)."""
         task_id = self._next_task_id
         self._next_task_id += 1
         return task_id
-
-    def invalidate_placement(self) -> None:
-        """Bump the cluster-state generation, voiding cached failures.
-
-        Callers must invoke this whenever free capacity can *increase* —
-        a task release (completion, kill, preemption), an outage
-        transition, a reset.  Allocations only shrink capacity, so they
-        never need a bump: a cached "nothing >= A fits" only becomes
-        more true.
-        """
-        self.generation += 1
 
     def release_all(self) -> None:
         """Reset all allocation bookkeeping to a pristine state.
@@ -182,68 +167,22 @@ class ResourceManager:
             node.running.clear()
             node.allocated_mb = 0.0
         self._next_task_id = 0
-        self.generation += 1
 
     def try_place(
-        self,
-        memory_mb: float,
-        policy: PlacementPolicy | None = None,
-        exclude: "Collection[int] | None" = None,
+        self, memory_mb: float, exclude: "Collection[int] | None" = None
     ) -> Machine | None:
         """Policy-driven placement that returns ``None`` instead of raising.
 
-        Used by the event-driven simulation kernel, where a request that
-        does not currently fit simply stays queued until capacity frees
-        up.  ``policy`` overrides the manager's configured policy for
-        one call; ``exclude`` hides the named node ids from the policy —
-        how the kernel pauses placement on drained nodes.
-
-        Failed scans are cached: a miss for ``A`` MB at generation ``g``
-        proves no non-excluded node fits ``A``, and — because the
-        shipped policies fail iff no node has room, and capacity only
-        grows at an :meth:`invalidate_placement` bump — every later
-        probe at the same generation for ``>= A`` MB over the same or a
-        larger exclude set can short-circuit to ``None`` without
-        touching a node.  A one-call ``policy`` override bypasses the
-        cache entirely (a custom policy may fail for its own reasons).
+        The event kernel's one placement entry, called once per
+        placement: a request that does not currently fit simply stays
+        queued until capacity frees up.  ``exclude`` hides the named
+        node ids from the policy — how the kernel pauses placement on
+        drained nodes.
         """
-        if policy is None:
-            if self._fail_gen == self.generation and memory_mb >= self._fail_mb:
-                stored = self._fail_exclude
-                # The certificate covers every node outside ``stored``;
-                # a probe excluding a superset scans a subset of those.
-                if not stored or (
-                    exclude is not None and stored.issubset(exclude)
-                ):
-                    return None
-            nodes = self.nodes
-            if exclude:
-                nodes = [n for n in nodes if n.node_id not in exclude]
-            placement = self.placement
-            if type(placement) is FirstFit:
-                # Inlined FirstFit.select (the default policy; one scan
-                # per dispatch on the kernel hot path).
-                node = None
-                for cand in nodes:
-                    if (
-                        memory_mb
-                        <= cand.config.memory_mb - cand.allocated_mb + 1e-9
-                    ):
-                        node = cand
-                        break
-            else:
-                node = placement.select(nodes, memory_mb)
-            if node is None:
-                self._fail_gen = self.generation
-                self._fail_mb = memory_mb
-                self._fail_exclude = (
-                    frozenset(exclude) if exclude else frozenset()
-                )
-            return node
         nodes = self.nodes
         if exclude:
             nodes = [n for n in nodes if n.node_id not in exclude]
-        return policy.select(nodes, memory_mb)
+        return self.placement.select(nodes, memory_mb)
 
     def place(self, memory_mb: float) -> Machine:
         """Policy-driven placement; frees are logical so capacity returns.
@@ -294,4 +233,3 @@ class ResourceManager:
             )
         finally:
             node.release(task_id)
-            self.generation += 1

@@ -314,58 +314,11 @@ class RandomForestSlot(ModelSlot):
         return self._clamp(self._model.predict(X))
 
 
-class GradientBoostingSlot(ModelSlot):
-    """Gradient-boosted trees: an optional fifth model class.
-
-    Not part of the paper's pool; included because the pool interface is
-    explicitly extendable and boosting is the natural next candidate on
-    small tabular provenance histories.  Like the forest, it refits on a
-    cadence in incremental mode.
-    """
-
-    class_name = "gbrt"
-
-    def __init__(
-        self,
-        mode: str,
-        random_state: int = 0,
-        n_estimators: int = 60,
-        refit_interval: int = 16,
-    ) -> None:
-        super().__init__(mode, random_state)
-        self.n_estimators = n_estimators
-        self.refit_interval = refit_interval
-        self._model = None
-
-    def _new_model(self):
-        from repro.ml.boosting import GradientBoostingRegressor
-
-        return GradientBoostingRegressor(
-            n_estimators=self.n_estimators,
-            max_depth=3,
-            random_state=self.random_state,
-        )
-
-    def train_full(self, X, y, do_hpo) -> None:
-        self._model = self._new_model().fit(X, y)
-        self.fitted = True
-
-    def update_incremental(self, x_new, y_new, X_window, y_window, n_seen) -> None:
-        if self._model is None or n_seen % self.refit_interval == 0:
-            self._model = self._new_model().fit(X_window, y_window)
-        self.fitted = True
-
-    def predict(self, X):
-        assert self._model is not None, "predict before any training step"
-        return self._clamp(self._model.predict(X))
-
-
 _SLOT_CLASSES: dict[str, type[ModelSlot]] = {
     "linear": LinearSlot,
     "knn": KNNSlot,
     "mlp": MLPSlot,
     "random_forest": RandomForestSlot,
-    "gbrt": GradientBoostingSlot,
 }
 
 #: Registry for user-defined model classes ("easily extendable

@@ -6,8 +6,9 @@ NumPy/SciPy with a scikit-learn-compatible estimator contract:
 
 - :mod:`repro.ml.linear` -- ordinary least squares and pinball-loss
   quantile regression (the Witt-Wastage baseline needs quantile lines).
-- :mod:`repro.ml.sgd` -- incrementally trainable linear regression
-  (``partial_fit``), used by Sizey's incremental-update mode.
+- :mod:`repro.ml.sgd` -- exact online least squares
+  (:class:`~repro.ml.sgd.RecursiveLeastSquares`, ``partial_fit``), the
+  linear model's update in Sizey's incremental mode.
 - :mod:`repro.ml.neighbors` -- k-nearest-neighbours regression.
 - :mod:`repro.ml.tree` / :mod:`repro.ml.forest` -- CART regression trees
   and bagged random forests.
@@ -27,7 +28,6 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import LinearRegression, QuantileRegressor
 from repro.ml.mlp import MLPRegressor
 from repro.ml.neighbors import KNeighborsRegressor
-from repro.ml.sgd import SGDRegressor
 from repro.ml.tree import DecisionTreeRegressor
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "clone",
     "LinearRegression",
     "QuantileRegressor",
-    "SGDRegressor",
     "KNeighborsRegressor",
     "DecisionTreeRegressor",
     "RandomForestRegressor",

@@ -2,17 +2,11 @@
 
 Sizey's incremental-update mode (paper §III-D, Fig. 9) performs a
 "lightweight — and thus fast — online learning step" after each task
-completion instead of a full retrain.  For the linear model class this is
-implemented two ways:
-
-- :class:`SGDRegressor`: mini-batch stochastic gradient descent on the
-  squared loss with optional L2 penalty and an inverse-scaling learning
-  rate, mirroring scikit-learn's ``SGDRegressor``.
-- :class:`RecursiveLeastSquares`: exact online least squares via the
-  Sherman-Morrison rank-1 update, so each ``partial_fit`` costs O(d^2)
-  and the coefficients equal a batch ridge fit at every step.  This is
-  the preferred incremental linear model in the pool because it has no
-  learning-rate hyper-parameter to tune online.
+completion instead of a full retrain.  For the linear model class this
+is :class:`RecursiveLeastSquares`: exact online least squares via the
+Sherman-Morrison rank-1 update, so each ``partial_fit`` costs O(d^2) and
+the coefficients equal a batch ridge fit at every step — with no
+learning-rate hyper-parameter to tune online.
 """
 
 from __future__ import annotations
@@ -24,96 +18,10 @@ from repro.ml.base import (
     RegressorMixin,
     check_array,
     check_is_fitted,
-    check_random_state,
     check_X_y,
 )
 
-__all__ = ["SGDRegressor", "RecursiveLeastSquares"]
-
-
-class SGDRegressor(BaseEstimator, RegressorMixin):
-    """Linear regression fitted with stochastic gradient descent.
-
-    Supports the incremental ``partial_fit`` protocol; ``fit`` performs
-    ``max_iter`` epochs over the data in shuffled order.
-    """
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        power_t: float = 0.25,
-        alpha: float = 1e-4,
-        max_iter: int = 100,
-        tol: float = 1e-6,
-        shuffle: bool = True,
-        random_state: int | None = 0,
-    ) -> None:
-        self.learning_rate = learning_rate
-        self.power_t = power_t
-        self.alpha = alpha
-        self.max_iter = max_iter
-        self.tol = tol
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def _ensure_state(self, n_features: int) -> None:
-        if not hasattr(self, "coef_"):
-            self.coef_ = np.zeros(n_features, dtype=np.float64)
-            self.intercept_ = 0.0
-            self.t_ = 0
-            self.n_features_in_ = n_features
-        elif self.n_features_in_ != n_features:
-            raise ValueError(
-                f"partial_fit got {n_features} features, state has "
-                f"{self.n_features_in_}"
-            )
-
-    def _step(self, x: np.ndarray, y: float) -> None:
-        self.t_ += 1
-        eta = self.learning_rate / (self.t_**self.power_t)
-        pred = float(x @ self.coef_) + self.intercept_
-        grad = pred - y
-        self.coef_ *= 1.0 - eta * self.alpha
-        self.coef_ -= eta * grad * x
-        self.intercept_ -= eta * grad
-
-    def partial_fit(self, X, y) -> "SGDRegressor":
-        X, y = check_X_y(X, y)
-        self._ensure_state(X.shape[1])
-        for i in range(X.shape[0]):
-            self._step(X[i], float(y[i]))
-        return self
-
-    def fit(self, X, y) -> "SGDRegressor":
-        X, y = check_X_y(X, y)
-        # Reset state: fit() always trains from scratch.
-        for attr in ("coef_", "intercept_", "t_", "n_features_in_"):
-            if hasattr(self, attr):
-                delattr(self, attr)
-        self._ensure_state(X.shape[1])
-        rng = check_random_state(self.random_state)
-        n = X.shape[0]
-        prev_loss = np.inf
-        for _ in range(self.max_iter):
-            order = rng.permutation(n) if self.shuffle else np.arange(n)
-            for i in order:
-                self._step(X[i], float(y[i]))
-            resid = X @ self.coef_ + self.intercept_ - y
-            loss = float(np.mean(resid * resid))
-            if abs(prev_loss - loss) < self.tol:
-                break
-            prev_loss = loss
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, ["coef_"])
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features, model was fitted with "
-                f"{self.n_features_in_}"
-            )
-        return X @ self.coef_ + self.intercept_
+__all__ = ["RecursiveLeastSquares"]
 
 
 class RecursiveLeastSquares(BaseEstimator, RegressorMixin):

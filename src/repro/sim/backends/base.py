@@ -84,10 +84,18 @@ class SimulatorBackend(Protocol):
 
 
 def clamp_allocation_checked(
-    manager: ResourceManager, inst: TaskInstance, request_mb: float
+    manager: ResourceManager,
+    inst: TaskInstance,
+    request_mb: float,
+    instance_id: int,
 ) -> float:
     """Clamp a request to the largest node's capacity, rejecting
-    impossible tasks.
+    impossible tasks and NaN requests.
+
+    The one allocation clamp: the replay loop, the event kernel's
+    sizing wave and its re-size after a kill all call it.
+    ``instance_id`` is the id the run reports for ``inst`` (a DAG copy
+    shifts its trace's ids).
 
     A task whose *true* peak exceeds the capacity of the largest node
     that could ever host it can never succeed no matter how the retry
@@ -95,14 +103,24 @@ def clamp_allocation_checked(
     futile doubling loop into an immediate, typed
     :class:`UnschedulableTaskError`.  On a heterogeneous cluster the
     bound is the *largest* node — a task too big for the small nodes but
-    fitting the big ones is schedulable.
+    fitting the big ones is schedulable.  A NaN request passes every
+    bound unclamped and would never fit a node, so it raises
+    ``ValueError``: a predictor bug, not bad user input.
     """
-    if inst.peak_memory_mb > manager.max_allocation_mb:
+    cap = manager.max_allocation_mb
+    if inst.peak_memory_mb > cap:
         raise UnschedulableTaskError(
             task_type=inst.task_type.key,
-            instance_id=inst.instance_id,
+            instance_id=instance_id,
             peak_memory_mb=inst.peak_memory_mb,
-            capacity_mb=manager.max_allocation_mb,
+            capacity_mb=cap,
+        )
+    request_mb = float(request_mb)
+    if request_mb != request_mb:
+        raise ValueError(
+            f"predictor sized task instance {instance_id} of type "
+            f"{inst.task_type.key!r} at {request_mb} MB; an allocation "
+            f"must be a number"
         )
     return manager.clamp_allocation(request_mb)
 

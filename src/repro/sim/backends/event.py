@@ -119,13 +119,14 @@ class FlatStreamDriver:
     """Kernel driver for a flat, pre-ordered task stream.
 
     Nothing is released on success — the stream has no dependencies,
-    only submission times.  The schedule comes from the arrival model's
+    only submission times — and each arrival is pushed onto the FCFS
+    :class:`_FlatQueue`.  The schedule comes from the arrival model's
     vectorized ``sample(n, rng)`` for sized sources and the
     draw-for-draw-identical ``times(rng)`` iterator for unsized
     (streaming) ones — the same schedule either way, so trace files and
     streams replay identically.
 
-    **Scheduled arrivals** (sized sources, PR 10): the whole (sharded)
+    **Scheduled arrivals** (sized sources): the whole (sharded)
     arrival timetable is bulk-loaded into the event calendar's columnar
     scheduled lane at seed time — no payloads, no per-event heap sift —
     and the task states themselves are prebuilt in blocks of
@@ -144,18 +145,6 @@ class FlatStreamDriver:
     materialized — every kept task has exactly the arrival time and
     index it has in the unsharded run.
     """
-
-    #: Flat streams have no dependency graph: success never releases new
-    #: work, so the kernel skips the per-success driver call entirely.
-    releases_on_success = False
-
-    #: Kernel contract: a payload-less (scheduled-lane) arrival may be
-    #: inlined by the loop as ``_block`` pop (refilling via
-    #: :meth:`_refill`) + arrival/queued stamp + FCFS-heap push +
-    #: ``queue._unsized`` append — the exact body of
-    #: :meth:`on_arrival`.  A subclass that overrides :meth:`on_arrival`
-    #: or swaps the queue type must reset this to ``False``.
-    inline_arrival = True
 
     #: Task states prebuilt per refill of the scheduled-arrival path.
     _BLOCK = 256
@@ -314,12 +303,7 @@ class FlatStreamDriver:
             state.arrival = now
         else:
             state = payload
-        # Inlined _FlatQueue.push; fresh arrivals are always unsized and
-        # arrive in increasing index order, so the unsized list append
-        # keeps it sorted.
-        queue = self.queue
-        heapq.heappush(queue._heap, (state.index, state))
-        queue._unsized.append(state)
+        self.queue.push(state)
         return (state,)
 
     def on_success(self, state: TaskState, now: float) -> Iterable[TaskState]:

@@ -73,7 +73,7 @@ class ReplayBackend:
         for timestamp, inst in enumerate(source.iter_tasks()):
             submission = TaskSubmission.from_instance(inst, timestamp)
             allocation = clamp_allocation_checked(
-                manager, inst, float(predictor.predict(submission))
+                manager, inst, predictor.predict(submission), inst.instance_id
             )
             first_allocation = allocation
             attempt = 1
@@ -146,7 +146,7 @@ class ReplayBackend:
                 if next_allocation <= verdict.allocated_mb:
                     next_allocation = verdict.allocated_mb * DOUBLING_FACTOR
                 allocation = clamp_allocation_checked(
-                    manager, inst, next_allocation
+                    manager, inst, next_allocation, inst.instance_id
                 )
                 attempt += 1
 

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkabl
 
 from repro.cluster.machine import Machine
 from repro.cluster.manager import ResourceManager
-from repro.cluster.policies import FirstFit
 from repro.errors import ConfigError
 from repro.obs.profile import KernelProfile, PhaseTimer
 from repro.provenance.records import TaskRecord
@@ -44,8 +43,8 @@ from repro.sim.backends.base import (
     DOUBLING_FACTOR,
     MAX_ATTEMPTS,
     PREDICTION_CHUNK,
+    clamp_allocation_checked,
 )
-from repro.sim.errors import UnschedulableTaskError
 from repro.sim.interface import MemoryPredictor, TaskSubmission, TraceContext
 from repro.sim.kernel.collectors import (
     KILL,
@@ -256,7 +255,11 @@ class SimulationKernel:
     PREDICTION_CHUNK` at a time, so online learning from earlier
     completions still reaches later tasks, and re-sizes a killed task
     to at least :data:`~repro.sim.backends.base.DOUBLING_FACTOR` times
-    its failed allocation.
+    its failed allocation.  Both go through the replay backend's clamp,
+    :func:`~repro.sim.backends.base.clamp_allocation_checked`, which
+    refuses a task no node can host and a NaN request.  Placement goes
+    through :meth:`ResourceManager.try_place` and each attempt's
+    reservation through :meth:`Machine.allocate`.
     """
 
     def __init__(
@@ -311,10 +314,6 @@ class SimulationKernel:
             is not MemoryPredictor.observe
             or "observe" in getattr(predictor, "__dict__", {})
         )
-        # Drivers with no dependency graph (``releases_on_success =
-        # False``) never release successors, so the per-success driver
-        # call is skipped entirely.
-        self._driver_releases = getattr(driver, "releases_on_success", True)
         self.outages = parse_node_outages(outages)
         #: Per-phase wall-time accounting; ``None`` unless ``profile=True``.
         self.profile: KernelProfile | None = (
@@ -425,19 +424,19 @@ class SimulationKernel:
         ``finally``), the dynamic lane as a raw heap list (``heap[0]``
         peek, ``heappop``) — so scheduled arrivals never pay a heap
         sift.  All events sharing the current timestamp are consumed as
-        one wave: completions are handled inline (a success fires
-        ``on_attempt_end`` as soon as its node slice is free), a wave
-        that handled an arrival or a completion moves the makespan to
-        its clock (stale completions and outage transitions do not
-        count), and the whole dispatch pass — sizing wave, placement,
-        the bookkeeping of :meth:`Machine.allocate` (same capacity
-        guard, same error), task-id handout, and the completion-event
-        push — lives in the loop body so its local aliases are hoisted
-        once per run instead of once per wave.  Every mutable container aliased here (event
-        heap, schedule mirrors, ready-queue ``order`` list,
-        ``_drained``, ``_running``) is identity-stable for the whole
-        run — mutated in place, never rebound — and the scheduled lane
-        is never extended while the loop runs.
+        one wave: arrivals go to the driver, a completion within its
+        limit is released (:meth:`_release`) and reported, one over its
+        limit is killed (:meth:`_kill`), and a wave that handled an
+        arrival or a completion moves the makespan to its clock (stale
+        completions and outage transitions do not count).  The dispatch
+        pass then starts queued heads strictly FCFS: it sizes the next
+        chunk of unsized tasks when the head has no allocation, asks
+        :meth:`ResourceManager.try_place` for a node, and reserves the
+        allocation with :meth:`Machine.allocate`.  Every mutable
+        container aliased here (event heap, schedule mirrors, ready-queue
+        ``order`` list, ``_drained``, ``_running``) is identity-stable
+        for the whole run — mutated in place, never rebound — and the
+        scheduled lane is never extended while the loop runs.
 
         ``timer`` is the run's :class:`~repro.obs.profile.PhaseTimer`,
         or ``None`` when profiling is off.  Every ``timer.lap(phase)``
@@ -460,9 +459,11 @@ class SimulationKernel:
         - ``outage``   — drain open/close incl. preemptions;
         - ``collect``  — per-dispatch collector fan-out, and the
           per-wave makespan update;
-        - ``size``     — ``predict_batch`` sizing waves;
-        - ``place``    — placement scans;
-        - ``dispatch`` — allocation bookkeeping + completion push.
+        - ``size``     — ``predict_batch`` sizing waves and their clamp;
+        - ``place``    — the placement policy call
+          (:meth:`ResourceManager.try_place`);
+        - ``dispatch`` — task id, :meth:`Machine.allocate` and the
+          completion push.
 
         A stale completion takes no lap; its time goes to the next one.
         :meth:`run` charges ``seed`` and ``finalize`` around the loop.
@@ -486,26 +487,12 @@ class SimulationKernel:
         # collector fan-out loops was measurable at bench scale.
         ready_calls = tuple(c.on_ready for c in self._ready_collectors)
         dispatch_calls = tuple(c.on_dispatch for c in self._dispatch_collectors)
-        end_calls = tuple(c.on_attempt_end for c in self._end_collectors)
-        # Stock flat driver with no on_ready subscribers: scheduled-lane
-        # arrivals inline the block pop + ready-queue push (the
-        # ``inline_arrival`` contract on the driver class).
-        inline_arrival = (
-            getattr(type(driver), "inline_arrival", False)
-            and not ready_calls
-        )
         observe = self._observe
-        driver_releases = self._driver_releases
-        queue = driver.queue
-        qorder = queue.order
-        take_unsized = queue.unsized
-        unsized_append = queue._unsized.append if inline_arrival else None
+        qorder = driver.queue.order
+        take_unsized = driver.queue.unsized
         manager = self.manager
         try_place = manager.try_place
-        cap = manager._max_allocation_mb
-        nodes = manager.nodes
-        inline_place = type(manager.placement) is FirstFit
-        empty_exclude = frozenset()
+        next_task_id = manager.next_task_id
         drained = self._drained
         running = self._running
         time_to_failure = self.time_to_failure
@@ -513,6 +500,8 @@ class SimulationKernel:
         predict_batch = predictor.predict_batch
         submission = TaskSubmission.from_instance
         record = TaskRecord.from_attempt
+        clamp = clamp_allocation_checked
+        release = self._release
         kill = self._kill
         try:
           while True:
@@ -580,18 +569,7 @@ class SimulationKernel:
                         continue  # preempted attempt; completion is stale
                     inst = state.inst
                     if run[2] >= inst.peak_memory_mb:
-                        # Inlined :meth:`_finish`-equivalent success path
-                        # (one per task; the method call and its ``self``
-                        # lookups were measurable).
-                        node, task_id, allocated, start = run
-                        state.running = None
-                        del node.running[task_id]
-                        node.allocated_mb -= allocated
-                        del running[task_id]
-                        manager.generation += 1
-                        occupied = now - start
-                        for call in end_calls:
-                            call(state, now, node, allocated, occupied, SUCCESS)
+                        allocated, _ = release(state, now, SUCCESS)
                         if observe:
                             predictor.observe(
                                 record(
@@ -605,11 +583,10 @@ class SimulationKernel:
                                     instance_id=state.instance_id,
                                 )
                             )
-                        if driver_releases:
-                            for released in on_success(state, now):
-                                released.queued_at = now
-                                for call in ready_calls:
-                                    call(released, now)
+                        for released in on_success(state, now):
+                            released.queued_at = now
+                            for call in ready_calls:
+                                call(released, now)
                         if timer is not None:
                             timer.lap("success")
                     else:
@@ -617,26 +594,10 @@ class SimulationKernel:
                         if timer is not None:
                             timer.lap("kill")
                 elif kind == ARRIVAL:
-                    if inline_arrival and payload is None:
-                        # Inlined FlatStreamDriver.on_arrival: pop the
-                        # next prebuilt state, stamp it, and push it
-                        # onto the FCFS heap + unsized index — the
-                        # exact statement sequence of the driver call.
-                        block = driver._block
-                        if not block:
-                            driver._refill()
-                            block = driver._block
-                        if block:
-                            state = block.pop()
-                            state.arrival = now
-                            state.queued_at = now
-                            heappush(qorder, (state.index, state))
-                            unsized_append(state)
-                    else:
-                        for state in on_arrival(payload, now):
-                            state.queued_at = now
-                            for call in ready_calls:
-                                call(state, now)
+                    for state in on_arrival(payload, now):
+                        state.queued_at = now
+                        for call in ready_calls:
+                            call(state, now)
                     if timer is not None:
                         timer.lap("arrival")
                 else:
@@ -660,8 +621,7 @@ class SimulationKernel:
                 allocation = head.allocation
                 if allocation is None:
                     # Size the next chunk of unsized states with one
-                    # batch query; the bound and the typed error for
-                    # impossible tasks are clamp_allocation_checked's.
+                    # batch query.
                     states = take_unsized(PREDICTION_CHUNK)
                     allocations = predict_batch(
                         [
@@ -670,53 +630,13 @@ class SimulationKernel:
                         ]
                     )
                     for st, alloc in zip(states, allocations):
-                        st_inst = st.inst
-                        if st_inst.peak_memory_mb > cap:
-                            raise UnschedulableTaskError(
-                                task_type=st_inst.task_type.key,
-                                instance_id=st.instance_id,
-                                peak_memory_mb=st_inst.peak_memory_mb,
-                                capacity_mb=cap,
-                            )
-                        alloc = float(alloc)
-                        if alloc < 1.0:
-                            alloc = 1.0
-                        if alloc > cap:
-                            alloc = cap
+                        alloc = clamp(manager, st.inst, alloc, st.instance_id)
                         st.allocation = alloc
                         st.first_allocation = alloc
                     allocation = head.allocation
                     if timer is not None:
                         timer.lap("size")
-                if drained:
-                    node = try_place(allocation, exclude=drained.keys())
-                elif inline_place:
-                    # Inlined :meth:`ResourceManager.try_place` for the
-                    # default first-fit policy with no active drains:
-                    # same failure-cache certificate, same scan.
-                    if (
-                        manager._fail_gen == manager.generation
-                        and allocation >= manager._fail_mb
-                        and not manager._fail_exclude
-                    ):
-                        node = None
-                    else:
-                        node = None
-                        for cand in nodes:
-                            if (
-                                allocation
-                                <= cand.config.memory_mb
-                                - cand.allocated_mb
-                                + 1e-9
-                            ):
-                                node = cand
-                                break
-                        if node is None:
-                            manager._fail_gen = manager.generation
-                            manager._fail_mb = allocation
-                            manager._fail_exclude = empty_exclude
-                else:
-                    node = try_place(allocation)
+                node = try_place(allocation, drained)
                 if timer is not None:
                     timer.lap("place")
                 if node is None:
@@ -732,18 +652,10 @@ class SimulationKernel:
                         f"{allocation:.0f} MB, "
                         f"peak {head.inst.peak_memory_mb:.0f} MB"
                     )
-                task_id = manager._next_task_id
-                manager._next_task_id = task_id + 1
-                # Inlined Machine.allocate: the placement scan already
-                # proved the fit for builtin policies, but a third-party
-                # policy may return an ill-fitting node — keep the guard.
-                if allocation > node.config.memory_mb - node.allocated_mb + 1e-9:
-                    raise MemoryError(
-                        f"node {node.node_id} ({node.config.name}) cannot fit "
-                        f"{allocation:.0f} MB; free={node.free_mb:.0f} MB"
-                    )
-                node.running[task_id] = allocation
-                node.allocated_mb += allocation
+                task_id = next_task_id()
+                # A third-party policy may return an ill-fitting node;
+                # allocate() refuses it with a MemoryError.
+                node.allocate(task_id, allocation)
                 head.attempt = attempt
                 gen = head.dispatch_gen + 1
                 head.dispatch_gen = gen
@@ -828,8 +740,6 @@ class SimulationKernel:
         del node.running[task_id]
         node.allocated_mb -= allocated
         del self._running[task_id]
-        # Capacity grew: void any cached placement failure.
-        self.manager.generation += 1
         occupied = now - start
         for collector in self._end_collectors:
             collector.on_attempt_end(
@@ -869,8 +779,9 @@ class SimulationKernel:
         )
         if next_allocation <= allocated:
             next_allocation = allocated * DOUBLING_FACTOR
-        # The sizing wave already refused tasks that fit no node.
-        state.allocation = self.manager.clamp_allocation(next_allocation)
+        state.allocation = clamp_allocation_checked(
+            self.manager, inst, next_allocation, state.instance_id
+        )
         state.queued_at = now
         self.driver.queue.requeue(state)
         for collector in self._ready_collectors:
@@ -880,9 +791,6 @@ class SimulationKernel:
     # node drains
     # ------------------------------------------------------------------
     def _start_outage(self, outage: NodeOutage, now: float) -> None:
-        # The effective node set changed; cached placement failures are
-        # scoped to one exclude set, so every transition voids them.
-        self.manager.generation += 1
         opened = outage.node_id not in self._drained
         self._drained[outage.node_id] = self._drained.get(outage.node_id, 0) + 1
         if opened:
@@ -908,8 +816,6 @@ class SimulationKernel:
                 collector.on_ready(state, now)
 
     def _end_outage(self, outage: NodeOutage, now: float) -> None:
-        # A drained node may return to service: capacity can grow.
-        self.manager.generation += 1
         remaining = self._drained.get(outage.node_id, 0) - 1
         if remaining > 0:
             self._drained[outage.node_id] = remaining

@@ -185,5 +185,20 @@ class TestPlacementPolicies:
             "10g:1,20g:1", placement="worst-fit"
         )
         assert rm.try_place(1024.0).node_id == 1
-        # Per-call override wins over the configured policy.
-        assert rm.try_place(1024.0, policy=BestFit()).node_id == 0
+
+    def test_try_place_hides_excluded_nodes(self):
+        rm = ResourceManager(MachineConfig("t", 4096.0), n_nodes=2)
+        rm.nodes[1].allocate(rm.next_task_id(), 3584.0)
+        # Node 0 has room but is excluded; node 1 is full.
+        assert rm.try_place(3072.0, exclude={0}) is None
+        assert rm.try_place(3072.0, exclude={0, 1}) is None
+        # Without the exclusion node 0 takes it.
+        assert rm.try_place(3072.0) is rm.nodes[0]
+
+    def test_full_cluster_places_nothing_whatever_the_exclude(self):
+        rm = ResourceManager(MachineConfig("t", 4096.0), n_nodes=2)
+        for node in rm.nodes:
+            node.allocate(rm.next_task_id(), 3584.0)
+        assert rm.try_place(1024.0) is None
+        assert rm.try_place(1024.0, exclude={0}) is None
+        assert rm.try_place(2048.0, exclude={0, 1}) is None

@@ -3,47 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.models import (
-    GradientBoostingSlot,
-    MLPSlot,
-    build_slots,
-)
+from repro.core.models import MLPSlot
 
 
 def linear_data(n=60, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(10, 1000, size=(n, 1))
     return X, 2.0 * X[:, 0] + 100.0
-
-
-class TestGradientBoostingSlot:
-    def test_available_as_builtin_class(self):
-        slots = build_slots(("gbrt",), "full", 0)
-        assert slots[0].class_name == "gbrt"
-
-    def test_full_training(self):
-        X, y = linear_data()
-        s = GradientBoostingSlot("full")
-        s.train_full(X, y, do_hpo=False)
-        assert s.fitted
-        pred = s.predict_one(np.array([[500.0]]))
-        assert pred == pytest.approx(1100.0, rel=0.15)
-
-    def test_incremental_refit_cadence(self):
-        X, y = linear_data()
-        s = GradientBoostingSlot("incremental", refit_interval=8)
-        s.update_incremental(X[:1], y[0], X[:1], y[:1], 1)
-        first = s._model
-        s.update_incremental(X[1:2], y[1], X[:2], y[:2], 2)
-        assert s._model is first  # between cadence points: stale model
-        s.update_incremental(X[7:8], y[7], X[:8], y[:8], 8)
-        assert s._model is not first
-
-    def test_predictions_clamped(self):
-        s = GradientBoostingSlot("full")
-        X = np.array([[1.0], [2.0], [3.0]])
-        s.train_full(X, np.array([5.0, 3.0, 1.0]), do_hpo=False)
-        assert s.predict_one(np.array([[100.0]])) >= 1.0
 
 
 class TestMLPSlotEdgeCases:

@@ -1,10 +1,10 @@
-"""Tests for incremental linear models (SGD and recursive least squares)."""
+"""Tests for the incremental linear model (recursive least squares)."""
 
 import numpy as np
 import pytest
 
 from repro.ml.linear import LinearRegression
-from repro.ml.sgd import RecursiveLeastSquares, SGDRegressor
+from repro.ml.sgd import RecursiveLeastSquares
 
 
 def make_stream(n=200, seed=0):
@@ -12,41 +12,6 @@ def make_stream(n=200, seed=0):
     X = rng.uniform(0, 5, size=(n, 2))
     y = 2.0 * X[:, 0] - 1.0 * X[:, 1] + 3.0 + rng.normal(0, 0.05, n)
     return X, y
-
-
-class TestSGDRegressor:
-    def test_fit_approximates_truth(self):
-        X, y = make_stream()
-        m = SGDRegressor(max_iter=300, learning_rate=0.05).fit(X, y)
-        assert m.coef_[0] == pytest.approx(2.0, abs=0.15)
-        assert m.coef_[1] == pytest.approx(-1.0, abs=0.15)
-
-    def test_partial_fit_converges_over_stream(self):
-        X, y = make_stream(n=2000)
-        m = SGDRegressor(learning_rate=0.05)
-        for i in range(X.shape[0]):
-            m.partial_fit(X[i : i + 1], y[i : i + 1])
-        assert m.score(X, y) > 0.95
-
-    def test_partial_fit_dimension_change_rejected(self):
-        m = SGDRegressor()
-        m.partial_fit([[1.0, 2.0]], [1.0])
-        with pytest.raises(ValueError, match="features"):
-            m.partial_fit([[1.0]], [1.0])
-
-    def test_fit_resets_state(self):
-        X, y = make_stream()
-        m = SGDRegressor(max_iter=50)
-        m.fit(X, y)
-        t_first = m.t_
-        m.fit(X, y)
-        assert m.t_ == t_first  # identical epochs, not accumulated
-
-    def test_deterministic_given_seed(self):
-        X, y = make_stream()
-        a = SGDRegressor(random_state=3, max_iter=20).fit(X, y).coef_
-        b = SGDRegressor(random_state=3, max_iter=20).fit(X, y).coef_
-        assert np.array_equal(a, b)
 
 
 class TestRecursiveLeastSquares:

@@ -148,10 +148,9 @@ def _run(workflow_kwargs, backend_kwargs, sim_kwargs, method="Witt-Percentile"):
 #: Structurally different kernel modes, all small enough to stay fast:
 #: pure flat contention with kills, flat with a node drain (preemption
 #: + outage events), and DAG scheduling with multi-workflow arrivals.
-#: The ``*-firstfit`` variants run the default first-fit policy with no
-#: drains — the branch the kernel inlines (placement-failure cache and
-#: all) instead of calling ``ResourceManager.try_place``, so the
-#: pairwise profile-off vs profile-on pin covers both placement paths.
+#: The ``*-firstfit`` variants rerun ``flat-kills`` and ``dag`` with the
+#: default first-fit policy instead of best-fit; every placement is one
+#: ``ResourceManager.try_place`` call into the policy either way.
 MODES = {
     "flat-kills": dict(
         workflow_kwargs=dict(name="iwd", seed=3, scale=0.05),

@@ -20,6 +20,7 @@ from repro.sim import (
 from repro.sim.backends.event import FlatStreamDriver
 from repro.sim.interface import MemoryPredictor, TaskSubmission, TraceContext
 from repro.workflow.dag import WorkflowDAG
+from repro.workflow.nfcore import build_workflow_trace
 from repro.workflow.task import TaskInstance, TaskType, WorkflowTrace
 
 
@@ -288,6 +289,56 @@ class TestUnschedulableTasks:
     def test_is_a_runtime_error(self):
         # Back-compat: callers catching the old generic error still work.
         assert issubclass(UnschedulableTaskError, RuntimeError)
+
+
+class _NaNPredictor(MemoryPredictor):
+    """A buggy predictor: NaN for one task's first sizing, or for every
+    retry (its first guesses of 1 MB all fail)."""
+
+    name = "NaN"
+
+    def __init__(self, source: str):
+        self.source = source
+        self.nan_ids: list[int] = []
+
+    def _nan(self, task: TaskSubmission) -> float:
+        self.nan_ids.append(task.instance_id)
+        return float("nan")
+
+    def predict(self, task: TaskSubmission) -> float:
+        if self.source == "on_failure":
+            return 1.0
+        return self._nan(task) if task.timestamp == 5 else 4096.0
+
+    def on_failure(self, task, failed_allocation_mb, attempt):
+        return self._nan(task)
+
+
+class TestNaNAllocation:
+    """A NaN allocation passes every bound and fits no node; the one
+    clamp refuses it as a predictor bug instead of cutting the run
+    short (flat), ending it with unfinished workflows (DAG) or raising
+    an out-of-memory error (replay)."""
+
+    @pytest.mark.parametrize("source", ["predict", "on_failure"])
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "replay",
+            EventDrivenBackend(),
+            EventDrivenBackend(stream_collectors=True),
+            EventDrivenBackend(dag="trace"),
+        ],
+        ids=["replay", "flat", "flat-stream", "dag"],
+    )
+    def test_nan_allocation_raises_value_error(self, backend, source):
+        trace = build_workflow_trace("iwd", seed=0, scale=0.05)
+        predictor = _NaNPredictor(source)
+        with pytest.raises(ValueError, match="at nan MB") as exc:
+            OnlineSimulator(trace, backend=backend).run(predictor)
+        assert not isinstance(exc.value, ConfigError)
+        message = str(exc.value)
+        assert f"task instance {predictor.nan_ids[0]} of type 'iwd/" in message
 
 
 class TestPr2GoldenRegression:

@@ -496,6 +496,8 @@ class TestUsageErrors:
             (SIM + ["--seed", "-1"], "--seed"),
             (["compare", "--ttf", "0"], "time_to_failure"),
             (["profile", "--workflow", "iwd", "--scale", "2"], "scale"),
+            (["trace", "--workflow", "iwd", "--scale", "2"],
+             "scale must be in (0, 1], got 2.0"),
             (["simulate", "--resume", "{v7}"], "format version 7"),
             (["simulate", "--resume", "{text}"], "not a repro simulation"),
             (["simulate", "--resume", "{missing}"], "cannot read checkpoint"),
@@ -555,6 +557,41 @@ class TestUsageErrors:
                   "--trace", "t.json"])
         assert exc.value.code == 2
         assert "drop --profile, --trace" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def witt_lr_checkpoint(self, tmp_path_factory):
+        ck = tmp_path_factory.mktemp("resume") / "state.ckpt"
+        assert main(self.SIM + ["--scale", "0.05", "--backend", "event",
+                                "--cluster", "64g:2",
+                                "--arrival", "poisson:600",
+                                "--checkpoint", str(ck),
+                                "--stop-after", "0.05"]) == 0
+        return ck
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--cluster", "4g:1", "--method", "Sizey", "--ttf", "0.5",
+              "--scale", "0.3", "--seed", "5", "--placement", "best-fit"],
+             "--cluster, --method, --ttf, --scale, --seed, --placement"),
+            # At its default, or at the checkpointed run's value, a flag
+            # is refused all the same: the checkpoint configures the run.
+            (["--backend", "replay"], "--backend"),
+            (["--backend", "event"], "--backend"),
+            (["--method", "Witt-LR"], "--method"),
+            (["--scale", "1.0", "--seed", "0"], "--scale, --seed"),
+            (["--ttf", "1.0", "--placement", "first-fit"],
+             "--ttf, --placement"),
+            (["--shard-workers", "1"], "--shard-workers"),
+        ],
+    )
+    def test_resume_names_every_run_flag_given(
+        self, witt_lr_checkpoint, capsys, flags, named
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--resume", str(witt_lr_checkpoint), *flags])
+        assert exc.value.code == 2
+        assert f"drop {named}" in capsys.readouterr().err
 
     def test_plain_value_error_propagates(self, monkeypatch):
         # Only ConfigError is a usage error: a bug that raises a bare

@@ -67,13 +67,3 @@ class TestEndToEnd:
         assert a.total_wastage_gbh == pytest.approx(b.total_wastage_gbh)
         assert a.num_failures == b.num_failures
 
-    def test_gbrt_model_class_usable_in_pool(self):
-        trace = build_workflow_trace("iwd", seed=6, scale=0.05)
-        sizey = SizeyPredictor(
-            SizeyConfig(
-                training_mode="incremental",
-                model_classes=("linear", "knn", "gbrt"),
-            )
-        )
-        res = OnlineSimulator(trace).run(sizey)
-        assert res.num_tasks == len(trace)
