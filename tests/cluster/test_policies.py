@@ -1,5 +1,8 @@
 """Tests for cluster specs, heterogeneous pools, and placement policies."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.cluster.machine import (
@@ -202,3 +205,73 @@ class TestPlacementPolicies:
         assert rm.try_place(1024.0) is None
         assert rm.try_place(1024.0, exclude={0}) is None
         assert rm.try_place(2048.0, exclude={0, 1}) is None
+
+    @pytest.mark.parametrize(
+        "exclude, visible",
+        [
+            (None, [0, 1, 2]),
+            (set(), [0, 1, 2]),
+            ({0}, [1, 2]),
+            # The event kernel passes its drain map (node id -> open
+            # drain windows) as the exclusion.
+            ({1: 2}, [0, 2]),
+            ({0, 1, 2}, []),
+        ],
+    )
+    def test_try_place_asks_the_policy_once_with_the_visible_nodes(
+        self, exclude, visible
+    ):
+        class Recording:
+            name = "recording"
+
+            def __init__(self):
+                self.calls = []
+
+            def select(self, nodes, memory_mb):
+                self.calls.append(([n.node_id for n in nodes], memory_mb))
+                return nodes[-1] if nodes else None
+
+        policy = Recording()
+        rm = ResourceManager(n_nodes=3, placement=policy)
+        node = rm.try_place(512.0, exclude=exclude)
+        assert policy.calls == [(visible, 512.0)]
+        assert node is (rm.nodes[visible[-1]] if visible else None)
+
+    @pytest.mark.parametrize("placement", ["first-fit", "best-fit", "worst-fit"])
+    def test_try_place_matches_the_policy_over_the_visible_nodes(
+        self, placement
+    ):
+        # A random walk of placements, releases and drains: every
+        # answer is the policy's own choice among the nodes outside the
+        # exclusion, whatever happened before.
+        rng = random.Random(42)
+        rm = ResourceManager.from_spec("4g:2,6g:1", placement=placement)
+        policy = resolve_placement(placement)
+        live = []
+        drained = set()
+        outcomes = Counter()
+        for _ in range(600):
+            action = rng.random()
+            if action < 0.55:
+                request = rng.uniform(0.1, 5.0) * 1024.0
+                visible = [n for n in rm.nodes if n.node_id not in drained]
+                expected = policy.select(visible, request)
+                got = rm.try_place(request, exclude=drained)
+                assert got is expected, (request, sorted(drained))
+                outcomes[got is None, bool(drained)] += 1
+                if got is not None:
+                    task_id = rm.next_task_id()
+                    got.allocate(task_id, request)
+                    live.append((got, task_id))
+            elif action < 0.8 and live:
+                node, task_id = live.pop(rng.randrange(len(live)))
+                node.release(task_id)
+            elif action < 0.9:
+                drained.add(rng.randrange(rm.n_nodes))
+            elif drained:
+                drained.remove(rng.choice(sorted(drained)))
+        # The walk reached every case: placed and blocked, with and
+        # without drained nodes.
+        assert set(outcomes) == {
+            (False, False), (False, True), (True, False), (True, True)
+        }

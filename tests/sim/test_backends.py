@@ -1,5 +1,6 @@
 """Tests for the simulation backends."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.machine import MachineConfig
@@ -17,6 +18,7 @@ from repro.sim import (
     UnschedulableTaskError,
     WorkflowMetricsCollector,
 )
+from repro.sim.backends.base import clamp_allocation_checked
 from repro.sim.backends.event import FlatStreamDriver
 from repro.sim.interface import MemoryPredictor, TaskSubmission, TraceContext
 from repro.workflow.dag import WorkflowDAG
@@ -314,6 +316,23 @@ class _NaNPredictor(MemoryPredictor):
         return self._nan(task)
 
 
+class _CopyNaNPredictor(_NaNPredictor):
+    """NaN only for the tasks of a later DAG copy (ids from ``first_id``);
+    every other retry falls back to the kernel's doubling floor."""
+
+    def __init__(self, source: str, first_id: int):
+        super().__init__(source)
+        self.first_id = first_id
+
+    def predict(self, task: TaskSubmission) -> float:
+        if self.source == "on_failure":
+            return 1.0
+        return self._nan(task) if task.instance_id >= self.first_id else 4096.0
+
+    def on_failure(self, task, failed_allocation_mb, attempt):
+        return self._nan(task) if task.instance_id >= self.first_id else 0.0
+
+
 class TestNaNAllocation:
     """A NaN allocation passes every bound and fits no node; the one
     clamp refuses it as a predictor bug instead of cutting the run
@@ -339,6 +358,63 @@ class TestNaNAllocation:
         assert not isinstance(exc.value, ConfigError)
         message = str(exc.value)
         assert f"task instance {predictor.nan_ids[0]} of type 'iwd/" in message
+
+    @pytest.mark.parametrize("source", ["predict", "on_failure"])
+    def test_dag_copy_reports_its_shifted_instance_id(self, source):
+        # The second copy's ids are its trace's, shifted past the first
+        # copy's; the error names the id the run reports.
+        trace = build_workflow_trace("iwd", seed=0, scale=0.05)
+        first_id = 1 + max(t.instance_id for t in trace)
+        predictor = _CopyNaNPredictor(source, first_id)
+        backend = EventDrivenBackend(workflow_arrival="2")
+        with pytest.raises(ValueError, match="at nan MB") as exc:
+            OnlineSimulator(trace, backend=backend).run(predictor)
+        shifted = predictor.nan_ids[0]
+        assert shifted >= first_id
+        assert f"task instance {shifted} of type 'iwd/" in str(exc.value)
+
+
+class TestClampAllocationChecked:
+    """The one allocation clamp: replay, the kernel's sizing wave and its
+    re-size after a kill all size through it."""
+
+    @staticmethod
+    def _clamp(request_mb, peak_mb=100.0, instance_id=7):
+        manager = ResourceManager(
+            MachineConfig(name="small", memory_mb=4096.0), n_nodes=2
+        )
+        (inst,) = make_trace([peak_mb])
+        return clamp_allocation_checked(manager, inst, request_mb, instance_id)
+
+    @pytest.mark.parametrize(
+        "request_mb, clamped",
+        [
+            (0.25, 1.0),
+            (float("-inf"), 1.0),
+            (np.float32(1536.0), 1536.0),
+            (5000.0, 4096.0),
+            (float("inf"), 4096.0),
+        ],
+    )
+    def test_clamps_to_one_mb_and_the_largest_node(self, request_mb, clamped):
+        got = self._clamp(request_mb)
+        assert got == clamped
+        assert type(got) is float
+
+    def test_nan_names_the_reported_instance_id(self):
+        # A DAG copy reports its trace's id shifted past earlier copies:
+        # the message names the id it is given, not the trace's.
+        with pytest.raises(ValueError) as exc:
+            self._clamp(float("nan"), instance_id=107)
+        assert not isinstance(exc.value, ConfigError)
+        assert "task instance 107 of type 'wf/t' at nan MB" in str(exc.value)
+
+    def test_unschedulable_names_the_reported_instance_id(self):
+        with pytest.raises(UnschedulableTaskError) as exc:
+            self._clamp(1024.0, peak_mb=5000.0, instance_id=107)
+        err = exc.value
+        assert (err.instance_id, err.task_type) == (107, "wf/t")
+        assert err.capacity_mb == 4096.0
 
 
 class TestPr2GoldenRegression:

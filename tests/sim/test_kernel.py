@@ -12,8 +12,14 @@ import pytest
 
 from repro.cluster.machine import MachineConfig
 from repro.cluster.manager import ResourceManager
+from repro.experiments.factories import method_factories
+from repro.sched.engine import DagWorkflowDriver
 from repro.sim.backends.event import EventDrivenBackend, FlatStreamDriver
-from repro.sim.arrivals import FixedArrivals
+from repro.sim.arrivals import (
+    FixedArrivals,
+    parse_arrival,
+    parse_workflow_arrival,
+)
 from repro.sim.interface import MemoryPredictor, TaskSubmission
 from repro.sim.kernel import (
     ARRIVAL,
@@ -30,6 +36,7 @@ from repro.sim.kernel import (
 )
 from repro.sim.results import result_to_dict
 from repro.workflow.dag import WorkflowDAG
+from repro.workflow.nfcore import build_workflow_trace
 from repro.workflow.task import TaskInstance, TaskType, WorkflowTrace
 
 
@@ -205,6 +212,81 @@ class TestCollectorComposition:
         assert res.total_wastage_gbh > 0
         assert len(res.predictions) == 1
         assert res.cluster is None  # no cluster collector requested
+
+
+class TestAttemptAccounting:
+    """Each dispatch takes one task id and one node reservation, and each
+    attempt end — success, kill or preemption — frees it exactly once."""
+
+    @pytest.mark.parametrize(
+        "driver, cluster, outages",
+        [
+            (lambda: FlatStreamDriver(parse_arrival("poisson:600"), 7),
+             "4g:1,6g:1", ()),
+            (lambda: FlatStreamDriver(parse_arrival("poisson:600"), 7),
+             "4g:2", ("0.005:0.02:0",)),
+            (lambda: DagWorkflowDriver(
+                "trace", parse_workflow_arrival("2"), 7),
+             "4g:1,6g:1", ()),
+            (lambda: DagWorkflowDriver(
+                "trace", parse_workflow_arrival("3@poisson:2"), 7),
+             "6g:2", ("0.01:0.05:1",)),
+        ],
+        ids=["flat", "flat-drain", "dag", "dag-copies-drain"],
+    )
+    def test_every_attempt_frees_its_reservation(
+        self, driver, cluster, outages
+    ):
+        trace = build_workflow_trace("iwd", seed=3, scale=0.05)
+        manager = ResourceManager.from_spec(cluster)
+        counting = _CountingCollector()
+        kernel = SimulationKernel(
+            trace,
+            method_factories()["Witt-Percentile"](),
+            manager,
+            0.7,
+            driver=driver(),
+            collectors=[ClusterMetricsCollector(), counting],
+            outages=outages,
+        )
+        res = kernel.run()
+        counts = res.collector_counts
+        assert counts[SUCCESS] == res.num_tasks
+        assert counts[KILL] == res.num_failures > 0
+        preempts = counts.get(PREEMPT, 0)
+        assert (preempts > 0) == bool(outages)
+        dispatches = counts["dispatches"]
+        assert dispatches == counts[SUCCESS] + counts[KILL] + preempts
+        # One task id per dispatch, and every reservation came back.
+        assert manager.next_task_id() == dispatches
+        assert kernel._running == {}
+        for node in manager.nodes:
+            assert node.running == {}
+            assert node.allocated_mb == pytest.approx(0.0, abs=1e-6)
+        assert res.cluster.total_queue_wait_hours > 0  # under contention
+
+
+class TestPlacementGuard:
+    @pytest.mark.parametrize("dag", [None, "linear"])
+    def test_a_policy_choosing_a_full_node_is_refused(self, dag):
+        # A third-party policy's choice still goes through
+        # Machine.allocate's capacity check.
+        class Careless:
+            name = "careless"
+
+            def select(self, nodes, memory_mb):
+                return nodes[0] if nodes else None
+
+        trace = make_trace([("a", 300.0, 1.0), ("a", 300.0, 1.0)])
+        manager = ResourceManager(
+            MachineConfig(name="tiny", memory_mb=512.0),
+            n_nodes=1,
+            placement=Careless(),
+        )
+        with pytest.raises(MemoryError, match="cannot fit 400 MB"):
+            EventDrivenBackend(dag=dag).run(
+                trace, FixedPredictor(400.0), manager, 1.0
+            )
 
 
 class TestCrossModeDeterminism:

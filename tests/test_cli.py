@@ -496,11 +496,15 @@ class TestUsageErrors:
             (SIM + ["--seed", "-1"], "--seed"),
             (["compare", "--ttf", "0"], "time_to_failure"),
             (["profile", "--workflow", "iwd", "--scale", "2"], "scale"),
-            (["trace", "--workflow", "iwd", "--scale", "2"],
-             "scale must be in (0, 1], got 2.0"),
             (["simulate", "--resume", "{v7}"], "format version 7"),
             (["simulate", "--resume", "{text}"], "not a repro simulation"),
             (["simulate", "--resume", "{missing}"], "cannot read checkpoint"),
+            (["trace", "--workflow", "iwd", "--scale", "2"],
+             "scale must be in (0, 1], got 2.0"),
+            (["trace", "--workflow", "iwd", "--scale", "0"],
+             "scale must be in (0, 1], got 0.0"),
+            (["trace", "--workflow", "iwd", "--scale", "nan"],
+             "scale must be in (0, 1], got nan"),
         ],
     )
     def test_exit_2_before_any_run(
@@ -583,6 +587,15 @@ class TestUsageErrors:
             (["--ttf", "1.0", "--placement", "first-fit"],
              "--ttf, --placement"),
             (["--shard-workers", "1"], "--shard-workers"),
+            # The event backend's options are the checkpoint's too.
+            (["--arrival", "poisson:600"], "--arrival"),
+            (["--dag", "trace"], "--dag"),
+            (["--workflow-arrival", "2"], "--workflow-arrival"),
+            (["--node-outage", "0.01:0.02:0"], "--node-outage"),
+            (["--stream-collectors"], "--stream-collectors"),
+            (["--spill", "s.jsonl"], "--spill"),
+            (["--shards", "1"], "--shards"),
+            (["--trace-limit", "8"], "--trace-limit"),
         ],
     )
     def test_resume_names_every_run_flag_given(
