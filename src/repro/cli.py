@@ -106,6 +106,13 @@ def _seed(value: str) -> int:
     return seed
 
 
+def _workers(value: str) -> int:
+    workers = int(value)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
 class _Store(argparse.Action):
     """argparse's ``store`` action that also notes its dest in
     ``args.given``: a flag set to its default reads the same as one
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="partition the workload and cluster across "
                                 "N worker processes and merge their "
                                 "summaries (implies --stream-collectors)")
-    scale_grp.add_argument("--shard-workers", type=int, default=None,
+    scale_grp.add_argument("--shard-workers", type=_workers, default=None,
                            metavar="N",
                            help="process-pool size for --shards (default: "
                                 "min(shards, cpu count); 1 = sequential)")
@@ -482,6 +489,14 @@ def _check_flags(args: argparse.Namespace) -> None:
                 f"--shards cannot be combined with "
                 f"{', '.join(checkpointing)} (checkpoint single-shard runs)"
             )
+    if (
+        getattr(args, "shard_workers", None) is not None
+        and getattr(args, "shards", 1) <= 1
+    ):
+        raise ConfigError(
+            "--shard-workers sizes the process pool of a sharded run; "
+            "add --shards N with N > 1"
+        )
 
 
 def _resolve_cli_workload(args: argparse.Namespace):

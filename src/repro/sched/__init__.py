@@ -8,18 +8,18 @@ dependency-driven, multi-tenant:
 
 - :mod:`repro.sched.instance` — :class:`WorkflowInstance`: one submitted
   execution of a workflow (DAG + task instances + live dependency
-  state + per-instance accounting).
-- :mod:`repro.sched.ready` — :class:`ReadySetScheduler`: releases a task
-  only when all DAG predecessor types' instances have succeeded;
-  killed-and-requeued tasks hold their successors back; global FCFS
-  queue across all tenants' instances.
+  state + per-instance accounting); a task type is released only when
+  all DAG predecessor types' instances have succeeded, so a
+  killed-and-requeued task holds its successors back.
 - :class:`~repro.sim.arrivals.WorkflowArrivals` (canonically defined in
   :mod:`repro.sim.arrivals`, re-exported here) — injects whole
   workflow instances (fixed / Poisson / bursty, seeded) owned by
   round-robin tenants.
 - :mod:`repro.sched.engine` — :class:`DagWorkflowDriver`, the kernel
   driver gluing the above to the shared simulation kernel
-  (:mod:`repro.sim.kernel`), whose runs produce
+  (:mod:`repro.sim.kernel`): it hands each released task to the
+  kernel's one FCFS ready queue, global across all tenants' instances
+  in release order.  Its runs produce
   :class:`~repro.sim.results.WorkflowMetrics` (per-workflow makespan,
   critical-path lower bound, stretch) alongside the usual cluster and
   wastage metrics.
@@ -34,11 +34,9 @@ Reached through ``EventDrivenBackend(dag=..., workflow_arrival=...)``
 from repro.sim.arrivals import WorkflowArrivals, parse_workflow_arrival
 from repro.sched.engine import DagWorkflowDriver, resolve_dag
 from repro.sched.instance import WorkflowInstance
-from repro.sched.ready import ReadySetScheduler
 
 __all__ = [
     "WorkflowInstance",
-    "ReadySetScheduler",
     "WorkflowArrivals",
     "parse_workflow_arrival",
     "resolve_dag",

@@ -4,10 +4,11 @@ The flat event backend consumes a pre-ordered task stream, so memory
 sizing can never feed back into *workflow* makespan — there is no
 workflow, only tasks.  This engine closes that gap: it injects whole
 :class:`~repro.sched.instance.WorkflowInstance`\\ s via a
-:class:`~repro.sim.arrivals.WorkflowArrivals` model, releases a task
-through the :class:`~repro.sched.ready.ReadySetScheduler` only when all
-of its DAG predecessors' instances have succeeded (a killed-and-requeued
-task holds its successors back until its retry lands), and attributes
+:class:`~repro.sim.arrivals.WorkflowArrivals` model, hands a task to the
+kernel's FCFS ready queue only when all of its DAG predecessors'
+instances have succeeded (each instance tracks its own dependency
+state; a killed-and-requeued task holds its successors back until its
+retry lands), and attributes
 queue wait, wastage, and failures to each workflow instance — producing
 the :class:`~repro.sim.results.WorkflowMetrics` (per-workflow makespan,
 critical-path lower bound, stretch) that show how better memory sizing
@@ -22,8 +23,8 @@ flat backend runs — so with a linear-chain DAG, a single workflow
 instance, and a non-learning predictor the per-task results reproduce
 the flat stream's exactly, by construction rather than by vigilance.
 This module contributes only the DAG notions of arrival (whole
-instances) and release (dependency resolution) via
-:class:`DagWorkflowDriver`, which
+instances, one heap event per copy) and release (dependency resolution)
+via :class:`DagWorkflowDriver`, which
 :class:`~repro.sim.backends.event.EventDrivenBackend` plugs into the
 kernel when ``dag=`` or ``workflow_arrival=`` is set.
 """
@@ -36,7 +37,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.sched.instance import WorkflowInstance
-from repro.sched.ready import ReadySetScheduler
 from repro.sim.arrivals import WorkflowArrivals
 from repro.sim.kernel.core import SimulationKernel, TaskState
 from repro.sim.kernel.events import ARRIVAL
@@ -156,32 +156,6 @@ def _instantiate_workflows(
     return instances
 
 
-class _DagQueue:
-    """:class:`~repro.sim.kernel.core.ReadyQueue` view of the ready set.
-
-    ``order`` binds the scheduler's ready heap directly (the list object
-    is owned and never rebound by the scheduler).
-    """
-
-    __slots__ = ("_scheduler", "_ready", "order")
-
-    def __init__(self, scheduler: ReadySetScheduler[TaskState]) -> None:
-        self._scheduler = scheduler
-        self._ready = scheduler._ready
-        #: Kernel-internal contract (shared with ``_FlatQueue``): the
-        #: live ready-heap list; entries sort FCFS and end with the
-        #: state, so the kernel peeks ``order[0][-1]`` and pops with
-        #: ``heappop`` directly.
-        self.order = self._ready
-
-    def unsized(self, limit: int) -> list[TaskState]:
-        return self._scheduler.take_unsized(limit)
-
-    def requeue(self, state: TaskState) -> None:
-        assert state.wi is not None
-        self._scheduler.requeue(state.wi, state.inst)
-
-
 class DagWorkflowDriver:
     """Kernel driver that releases tasks as DAG dependencies resolve.
 
@@ -210,9 +184,8 @@ class DagWorkflowDriver:
         #: to shard ``k % shards``); the default is the whole stream.
         self.shard = shard
         self.shards = shards
-        self.scheduler: ReadySetScheduler[TaskState] = ReadySetScheduler()
-        self.queue = _DagQueue(self.scheduler)
         self.workflows: list[WorkflowInstance] = []
+        #: copy key -> {trace instance id: state}, one dict per copy.
         self._states: dict[str, dict[int, TaskState]] = {}
         self.n_tasks = 0
 
@@ -256,37 +229,33 @@ class DagWorkflowDriver:
                 state.queued_at = 0.0
                 state.running = None
                 state.dispatch_gen = 0
+                state.priority = 0
                 states[t.instance_id] = state
             self._states[wi.key] = states
             offset += wi.n_tasks
-        try:
-            # Bulk-load the whole submission timetable into the event
-            # calendar's scheduled lane (arrival models produce
-            # non-decreasing times, and the shard filter keeps a
-            # subsequence).
-            kernel.events.schedule_batch(
-                [wi.submit_time for wi in self.workflows],
-                ARRIVAL,
-                list(self.workflows),
-            )
-        except ValueError:
-            for wi in self.workflows:
-                kernel.events.push(wi.submit_time, ARRIVAL, wi)
+        # The heap orders submit times, sorted or not; equal ones keep
+        # copy order.
+        for wi in self.workflows:
+            kernel.events.push(wi.submit_time, ARRIVAL, wi)
 
     def on_arrival(self, payload: object, now: float) -> Iterable[TaskState]:
         wi = payload
         assert isinstance(wi, WorkflowInstance)
-        released = self.scheduler.admit(wi, self._states[wi.key])
+        states = self._states[wi.key]
+        released = [states[t.instance_id] for t in wi.release_roots()]
         if wi.done:  # a workflow with no tasks finishes on arrival
             wi.finish_time = now
         return released
 
     def on_success(self, state: TaskState, now: float) -> Iterable[TaskState]:
         # Dependency bookkeeping: this success may satisfy the task's
-        # type and release downstream types' instances into the queue.
+        # type and release downstream types' instances.
         wi = state.wi
         assert wi is not None
-        released = self.scheduler.on_success(wi, state.inst)
+        released = wi.complete(state.inst.task_type.name)
+        if released:
+            states = self._states[wi.key]
+            released = [states[t.instance_id] for t in released]
         if wi.done:
             wi.finish_time = now
         return released

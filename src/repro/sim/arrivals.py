@@ -18,7 +18,10 @@ absolute submission times of its tasks.
 
 Stochastic models draw exclusively from the RNG handed to ``sample``,
 never from global state, so the event backend stays deterministic under
-a fixed seed.
+a fixed seed.  ``sample`` must return non-decreasing times: the flat
+driver draws a run's whole schedule once and keeps one arrival pending,
+so it refuses a schedule that decreases.  A workload that cannot report
+its length is materialized first, so every source gets this schedule.
 
 The workflow-level model lives here too: on a shared cluster the unit of
 submission is often the whole workflow — users hand the SWMS complete
@@ -39,9 +42,8 @@ tenant round-robin.  Spec strings, accepted everywhere a
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -53,7 +55,6 @@ __all__ = [
     "PoissonArrivals",
     "BurstyArrivals",
     "parse_arrival",
-    "iter_arrival_times",
     "WorkflowArrivals",
     "parse_workflow_arrival",
 ]
@@ -86,9 +87,6 @@ class FixedArrivals:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.arange(n, dtype=np.float64) * self.interval_hours
 
-    def times(self, rng: np.random.Generator) -> Iterator[float]:
-        return (float(i) * self.interval_hours for i in itertools.count())
-
 
 class PoissonArrivals:
     """Poisson process: exponential inter-arrival gaps, seeded RNG."""
@@ -111,20 +109,6 @@ class PoissonArrivals:
         gaps[0] = 0.0
         return np.cumsum(gaps)
 
-    def times(self, rng: np.random.Generator) -> Iterator[float]:
-        def _gen() -> Iterator[float]:
-            # Mirror :meth:`sample` draw-for-draw: the first gap is
-            # drawn and then discarded, so streaming consumption of the
-            # RNG produces the exact vectorized arrival times.
-            rng.exponential(1.0 / self.rate_per_hour)
-            t = 0.0
-            yield t
-            while True:
-                t += float(rng.exponential(1.0 / self.rate_per_hour))
-                yield t
-
-        return _gen()
-
 
 class BurstyArrivals:
     """Bursts of ``burst_size`` simultaneous arrivals, ``gap_hours`` apart."""
@@ -142,32 +126,6 @@ class BurstyArrivals:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         bursts = np.arange(n, dtype=np.float64) // self.burst_size
         return bursts * self.gap_hours
-
-    def times(self, rng: np.random.Generator) -> Iterator[float]:
-        return (
-            float(i // self.burst_size) * self.gap_hours
-            for i in itertools.count()
-        )
-
-
-def iter_arrival_times(
-    model: ArrivalModel, rng: np.random.Generator
-) -> Iterator[float]:
-    """Stream arrival times from a model without knowing the task count.
-
-    The built-in models implement an optional ``times(rng)`` iterator
-    that consumes the RNG draw-for-draw like ``sample(n, rng)`` would,
-    so a streaming workload source produces the exact same schedule a
-    materialized one does.  Third-party models that only implement
-    ``sample`` cannot stream; callers fall back to materializing.
-    """
-    times = getattr(model, "times", None)
-    if times is None:
-        raise ValueError(
-            f"arrival model {model.name!r} implements no times() iterator "
-            f"and cannot stream; materialize the workload first"
-        )
-    return times(rng)
 
 
 def parse_arrival(spec: str | ArrivalModel) -> ArrivalModel:

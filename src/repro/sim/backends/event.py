@@ -10,7 +10,8 @@ unified discrete-event kernel (:mod:`repro.sim.kernel`) instead:
   gap (the default of 0 models a batch submission of the whole trace),
   a Poisson process, or bursty scatter-gather submissions, with all
   stochastic draws taken from the backend's seeded RNG;
-- arrived tasks wait in a FCFS queue ordered by submission index;
+- arrived tasks wait in the kernel's FCFS ready queue, in
+  submission-index order;
 - the kernel's scheduling pass sizes each dispatch wave via
   :meth:`~repro.sim.interface.MemoryPredictor.predict_batch` (in chunks
   of :data:`~repro.sim.backends.base.PREDICTION_CHUNK`), places onto
@@ -32,18 +33,17 @@ reports the cluster-level metrics.
 
 All of the execution semantics live in
 :class:`~repro.sim.kernel.core.SimulationKernel`; this module
-contributes the *flat* notion of arrival and priority via
-:class:`FlatStreamDriver`, and :class:`EventDrivenBackend`, which holds
-every event option and builds the kernel for both the flat and the
-DAG (:mod:`repro.sched.engine`) driver.
+contributes the *flat* notion of arrival via :class:`FlatStreamDriver`,
+and :class:`EventDrivenBackend`, which holds every event option and
+builds the kernel for both the flat and the DAG
+(:mod:`repro.sched.engine`) driver.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from repro.sim.arrivals import (
     ArrivalModel,
     FixedArrivals,
     WorkflowArrivals,
-    iter_arrival_times,
     parse_arrival,
     parse_workflow_arrival,
 )
@@ -62,92 +61,45 @@ from repro.sim.kernel.collectors import (
     ClusterMetricsCollector,
     WorkflowMetricsCollector,
 )
-from repro.sim.kernel.core import SimulationKernel, TaskState, consume_unsized
+from repro.sim.kernel.core import SimulationKernel, TaskState
 from repro.sim.kernel.events import ARRIVAL
 from repro.sim.kernel.outage import NodeOutage, parse_node_outages
 from repro.sim.results import SimulationResult
-from repro.workflow.task import WorkflowTrace
+from repro.workflow.task import TaskInstance, WorkflowTrace
 from repro.workload.base import WorkloadSource, as_source
 
 __all__ = ["EventDrivenBackend", "FlatStreamDriver"]
-
-
-class _FlatQueue:
-    """FCFS ready queue ordered by submission index.
-
-    Besides the main heap, a plain append-list tracks queued states that
-    still need sizing, consumed through a cursor — O(1) per push and per
-    pop, no heap sift at all.  The list *is* index-sorted because of two
-    kernel invariants: states enter the queue unsized only on arrival
-    (kill/preempt requeues are always already sized), and flat arrivals
-    are handled in strictly increasing submission-index order (the event
-    calendar pops same-time arrivals in schedule order).  Every state
-    :meth:`unsized` returns is sized immediately by the caller, so
-    consumed entries never come back; an entry whose state was sized as
-    part of an earlier wave is simply skipped.  The consumed prefix is
-    compacted once it dominates the list, keeping memory O(pending)
-    (:func:`~repro.sim.kernel.core.consume_unsized`, shared with the DAG
-    scheduler's list of fresh releases).
-    """
-
-    __slots__ = ("_heap", "_unsized", "_upos", "order")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, TaskState]] = []
-        self._unsized: list[TaskState] = []
-        self._upos = 0
-        #: Kernel-internal contract (shared with ``_DagQueue``): the live
-        #: heap list itself.  Entries sort FCFS and end with the state,
-        #: so the kernel peeks ``order[0][-1]`` and pops with ``heappop``.
-        self.order = self._heap
-
-    def push(self, state: TaskState) -> None:
-        heapq.heappush(self._heap, (state.index, state))
-        if state.allocation is None:
-            self._unsized.append(state)
-
-    def unsized(self, limit: int) -> list[TaskState]:
-        wave, self._upos = consume_unsized(self._unsized, self._upos, limit)
-        return wave
-
-    def requeue(self, state: TaskState) -> None:
-        # A re-queued task re-enters at its original priority.
-        self.push(state)
 
 
 class FlatStreamDriver:
     """Kernel driver for a flat, pre-ordered task stream.
 
     Nothing is released on success — the stream has no dependencies,
-    only submission times — and each arrival is pushed onto the FCFS
-    :class:`_FlatQueue`.  The schedule comes from the arrival model's
-    vectorized ``sample(n, rng)`` for sized sources and the
-    draw-for-draw-identical ``times(rng)`` iterator for unsized
-    (streaming) ones — the same schedule either way, so trace files and
-    streams replay identically.
+    only submission times.  :meth:`seed` draws the run's whole arrival
+    schedule once with the model's ``sample(n, rng)`` — n floats, not
+    n events — and pushes only the first arrival.  The heap then holds
+    one pending arrival: its payload is the next task's state, and
+    :meth:`on_arrival` builds the state after it from the source and
+    pushes its arrival before handing the popped one to the kernel.  A
+    same-time arrival pushed during a wave pops in that wave, so tasks
+    arrive, and are queued, in submission-index order.  One pending
+    arrival cannot honour a schedule that decreases, so a model whose
+    ``sample`` breaks the :class:`~repro.sim.arrivals.ArrivalModel`
+    contract is refused with a :class:`~repro.errors.ConfigError`.
 
-    **Scheduled arrivals** (sized sources): the whole (sharded)
-    arrival timetable is bulk-loaded into the event calendar's columnar
-    scheduled lane at seed time — no payloads, no per-event heap sift —
-    and the task states themselves are prebuilt in blocks of
-    :data:`_BLOCK` as arrivals drain, assembled straight from the
-    workload iterator with ``object.__new__`` + direct slot stores.
-    Each popped arrival takes the next prebuilt state; stream order *is*
-    schedule order, which is what the old one-pending-arrival lazy
-    machinery relied on anyway.  A custom arrival model whose sampled
-    times are not non-decreasing (violating the
-    :class:`~repro.sim.arrivals.ArrivalModel` contract) is caught by
-    ``schedule_batch``'s validation and falls back to eager per-event
-    pushes through the dynamic lane, which re-sorts them.
+    A source that cannot report its length (``n_tasks is None``: a JSONL
+    trace at full scale) is materialized with ``source.trace()`` first,
+    so every source gets the same schedule and can be sharded.
 
-    Sharding (``shard`` of ``shards``, sized sources only): only tasks
-    whose global submission index is congruent to ``shard`` are
-    materialized — every kept task has exactly the arrival time and
-    index it has in the unsharded run.
+    Sharding (``shard`` of ``shards``): only tasks whose global
+    submission index is congruent to ``shard`` are built — every kept
+    task has exactly the arrival time and index it has in the unsharded
+    run.
+
+    A checkpoint keeps the count of states built so far; the schedule
+    and the shard-sliced task iterator are rebuilt from the seed and the
+    source on the first arrival after a resume.
     """
-
-    #: Task states prebuilt per refill of the scheduled-arrival path.
-    _BLOCK = 256
 
     def __init__(
         self,
@@ -161,150 +113,96 @@ class FlatStreamDriver:
         self.rng_seed = seed
         self.shard = shard
         self.shards = shards
-        self.queue = _FlatQueue()
         self.n_tasks = 0
-        #: Shard-local count of tasks pulled from the source so far
-        #: (including those still waiting in ``_block``).
+        #: Tasks in the whole source — the length of the schedule.
+        self._n_source = 0
+        #: Shard-local count of task states built so far (the pending
+        #: arrival's included).
         self._consumed = 0
-        #: Prebuilt task states in *reverse* schedule order (pop() takes
-        #: the next arrival); refilled from the source in _BLOCK chunks.
-        self._block: list[TaskState] = []
-        #: Live shard-sliced task iterator; never pickled — rebuilt
-        #: deterministically from ``_consumed`` after a resume.
-        self._tasks: "Iterable | None" = None
+        #: The shard's arrival times and its live task iterator; never
+        #: pickled — rebuilt by :meth:`_rebuild` after a resume.
+        self._times: list[float] | None = None
+        self._tasks: Iterator[TaskInstance] | None = None
         self._kernel: SimulationKernel | None = None
 
     def seed(self, kernel: SimulationKernel) -> None:
         source = kernel.source
         n = source.n_tasks
-        if n is not None:
-            self._kernel = kernel
-            self.n_tasks = len(range(self.shard, n, self.shards))
-            # One vectorized draw for the full schedule (n floats, not n
-            # events) so sharded and resumed runs all see the exact
-            # arrival times of the unsharded run.
-            rng = np.random.default_rng(self.rng_seed)
-            schedule = np.ascontiguousarray(
-                self.arrival.sample(n, rng), dtype=np.float64
-            )
-            try:
-                kernel.events.schedule_batch(
-                    schedule[self.shard :: self.shards], ARRIVAL
-                )
-            except ValueError:
-                # Contract-violating custom model (unsorted times):
-                # push each arrival through the dynamic lane instead,
-                # whose heap restores the time order.
-                times = schedule.tolist()
-                events = kernel.events
-                shard, shards = self.shard, self.shards
-                for k, inst in enumerate(source.iter_tasks()):
-                    if k % shards != shard:
-                        continue
-                    state = TaskState(
-                        inst=inst,
-                        instance_id=inst.instance_id,
-                        index=k,
-                        arrival=times[k],
-                    )
-                    events.push(state.arrival, ARRIVAL, state)
-                self._consumed = self.n_tasks
-            return
-        if self.shards != 1:
-            raise ConfigError(
-                "sharded flat runs require a sized workload source "
-                f"(source {source.name!r} does not report n_tasks)"
-            )
-        rng = np.random.default_rng(self.rng_seed)
-        try:
-            times = iter_arrival_times(self.arrival, rng)
-            tasks = source.iter_tasks()
-        except ValueError:
-            # The model cannot stream: materialize to learn the
-            # count, then schedule exactly as the sized path would.
-            materialized = list(source.iter_tasks())
-            times = iter(self.arrival.sample(len(materialized), rng))
-            tasks = iter(materialized)
-        count = 0
-        for timestamp, (inst, arrival_time) in enumerate(zip(tasks, times)):
-            state = TaskState(
-                inst=inst,
-                instance_id=inst.instance_id,
-                index=timestamp,
-                arrival=float(arrival_time),
-            )
-            kernel.events.push(state.arrival, ARRIVAL, state)
-            count += 1
-        self.n_tasks = count
+        if n is None:
+            n = len(source.trace())
+        self._kernel = kernel
+        self._n_source = n
+        self.n_tasks = len(range(self.shard, n, self.shards))
+        self._rebuild()
+        self._push_next()
 
-    # ------------------------------------------------------------------
-    # batched state assembly (sized sources, scheduled arrivals)
-    # ------------------------------------------------------------------
-    def _refill(self) -> None:
-        """Prebuild the next block of task states from the source.
+    def _rebuild(self) -> None:
+        """Draw the schedule and slice the task stream past ``_consumed``.
 
-        One ``islice`` drain per block instead of one generator resume
-        per arrival; state assembly bypasses the dataclass constructor
-        with ``object.__new__`` + direct slot stores (all non-identity
-        fields are defaults).  ``arrival`` is stamped when the scheduled
-        event pops — the popped timestamp *is* this task's sampled
-        arrival time.
+        One vectorized draw for the whole source, so sharded and
+        resumed runs see the exact arrival times of the unsharded run.
         """
-        it = self._tasks
-        if it is None:
-            assert self._kernel is not None
-            it = self._tasks = islice(
-                self._kernel.source.iter_tasks(),
-                self.shard + self._consumed * self.shards,
-                None,
-                self.shards,
+        kernel = self._kernel
+        assert kernel is not None
+        rng = np.random.default_rng(self.rng_seed)
+        schedule = np.asarray(
+            self.arrival.sample(self._n_source, rng), dtype=np.float64
+        )
+        if not np.all(schedule[1:] >= schedule[:-1]):
+            raise ConfigError(
+                f"arrival model {self.arrival.name!r} sampled times that "
+                f"decrease; ArrivalModel.sample must return them "
+                f"non-decreasing"
             )
-        index = self.shard + self._consumed * self.shards
-        shards = self.shards
-        new = object.__new__
-        block: list[TaskState] = []
-        append = block.append
-        for inst in islice(it, self._BLOCK):
-            state = new(TaskState)
-            state.inst = inst
-            state.instance_id = inst.instance_id
-            state.index = index
-            state.arrival = 0.0
-            state.wi = None
-            state.allocation = None
-            state.first_allocation = None
-            state.attempt = 0
-            state.queued_at = 0.0
-            state.running = None
-            state.dispatch_gen = 0
-            append(state)
-            index += shards
-        self._consumed += len(block)
-        block.reverse()
-        self._block = block
+        self._times = schedule[self.shard :: self.shards].tolist()
+        self._tasks = islice(
+            kernel.source.iter_tasks(),
+            self.shard + self._consumed * self.shards,
+            None,
+            self.shards,
+        )
+
+    def _push_next(self) -> None:
+        """Build the next task's state and push its arrival, if any.
+
+        State assembly bypasses the dataclass constructor with
+        ``object.__new__`` + direct slot stores (all non-identity fields
+        are defaults) — one state per task on the arrival hot path.
+        """
+        k = self._consumed
+        if k == self.n_tasks:
+            return
+        if self._tasks is None:
+            self._rebuild()
+        inst = next(self._tasks, None)
+        if inst is None:
+            return  # the source yielded fewer tasks than it reported
+        self._consumed = k + 1
+        arrival = self._times[k]
+        state = object.__new__(TaskState)
+        state.inst = inst
+        state.instance_id = inst.instance_id
+        state.index = self.shard + k * self.shards
+        state.arrival = arrival
+        state.wi = None
+        state.allocation = None
+        state.first_allocation = None
+        state.attempt = 0
+        state.queued_at = 0.0
+        state.running = None
+        state.dispatch_gen = 0
+        state.priority = 0
+        self._kernel.events.push(arrival, ARRIVAL, state)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_tasks"] = None  # live iterator; rebuilt from _consumed
+        # Rebuilt from the seed, the source and ``_consumed``.
+        state["_times"] = state["_tasks"] = None
         return state
 
     def on_arrival(self, payload: object, now: float) -> Iterable[TaskState]:
-        if payload is None:
-            # Scheduled-lane arrival: take the next prebuilt state.
-            block = self._block
-            if not block:
-                self._refill()
-                block = self._block
-                if not block:
-                    # Source yielded fewer tasks than n_tasks promised —
-                    # match the old zip() truncation semantics.
-                    return ()
-            state = block.pop()
-            state.arrival = now
-        else:
-            state = payload
-        self.queue.push(state)
-        return (state,)
+        self._push_next()
+        return (payload,)
 
     def on_success(self, state: TaskState, now: float) -> Iterable[TaskState]:
         return ()
@@ -330,7 +228,9 @@ class EventDrivenBackend:
         :class:`~repro.sim.arrivals.ArrivalModel` instance, stored
         parsed.  ``None`` (default) submits the whole trace at once —
         a batch workload whose concurrency is limited purely by cluster
-        memory.
+        memory.  The flat driver draws the run's schedule once (a
+        workload that cannot report its length is materialized first)
+        and refuses one that decreases.
     seed:
         Seed of the backend's private RNG, which drives every stochastic
         arrival draw — a fixed seed makes the whole simulation

@@ -5,12 +5,15 @@ One event loop for every execution mode.  The event backend
 kernel, plugging in its flat-stream driver or the DAG scheduling driver
 (:mod:`repro.sched.engine`):
 
-- :mod:`repro.sim.kernel.events` — the typed event heap with
-  deterministic three-level tie-breaking (time, kind, push sequence);
+- :mod:`repro.sim.kernel.events` — the kernel's one typed event heap
+  with deterministic three-level tie-breaking (time, kind, push
+  sequence);
 - :mod:`repro.sim.kernel.core` — :class:`SimulationKernel` (clock,
   dispatch/placement pass, the size → place → run → kill/re-queue
-  lifecycle with batched ``predict_batch`` sizing) plus the
-  :class:`KernelDriver` / :class:`ReadyQueue` seams drivers implement;
+  lifecycle with batched ``predict_batch`` sizing), the kernel-owned
+  FCFS :class:`ReadyQueue`, and the :class:`KernelDriver` seam drivers
+  implement: they push arrival events and return the states that
+  become ready, and the kernel queues them;
 - :mod:`repro.sim.kernel.collectors` — the pluggable
   :class:`MetricsCollector` protocol (six callbacks; every attempt end
   is one ``on_attempt_end`` call with outcome :data:`SUCCESS`,

@@ -6,15 +6,17 @@ version, clock, workflow, method), then the whole paused
 without rebuilding any object, so a file of another version is refused
 with a typed error before its kernel is unpickled.
 Pickling the kernel *as one object graph* is what makes resume exact:
-the event heap, the driver's ready queue, and the running-task table all
-reference the same :class:`~repro.sim.kernel.core.TaskState` objects,
+the event heap, the kernel's ready queue, the DAG driver's per-copy
+state dicts and the running-task table all reference the same
+:class:`~repro.sim.kernel.core.TaskState` objects,
 and pickle's memo preserves that sharing — a field-by-field export would
 have to reconstruct it by hand.  Everything the loop depends on rides
 along: the clock, dispatch generations, per-node allocations, predictor
 model state (including numpy ``Generator`` RNG states, which pickle
 exactly), collector aggregates and sketches, and the flat driver's
-stream cursor (live iterators are dropped on pickle and rebuilt
-deterministically on first use after resume).
+count of built task states (its arrival schedule and live task iterator
+are dropped on pickle and rebuilt from the seed and the source on first
+use after resume).
 
 ``run(until=...)`` pauses only *between* event batches — at a clock
 boundary — so a checkpoint never captures a half-applied batch.
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-# Version 2 (PR 10): the pickled kernel carries EventCalendar state
+# Version 2: the pickled kernel carries a two-lane event calendar
 # (columnar scheduled lane + dynamic heap) instead of a single EventHeap.
 # Version 3: learned predictor state changed layout (flat MLP
 # parameter buffers, array-encoded trees and forests, cached offsets).
@@ -76,7 +78,11 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # and fresh releases a cursor-read list.  A v7 scheduler holds
 # ``(key, id)``-keyed maps, so its first requeue would fail with a
 # ``KeyError``.
-CHECKPOINT_VERSION = 8
+# Version 9: the kernel owns one event heap and the ready queue; a flat
+# run keeps one pending arrival and a count of the states it built.  A
+# v8 file pickles the two-lane event calendar and a DAG run's ready-set
+# scheduler, classes this build no longer has.
+CHECKPOINT_VERSION = 9
 
 
 class _Opaque:

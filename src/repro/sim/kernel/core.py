@@ -4,7 +4,8 @@ One event loop serves every execution mode.  The kernel owns what the
 flat event backend and the DAG scheduling engine used to duplicate:
 
 - the **clock and typed event heap** (:mod:`repro.sim.kernel.events`)
-  with deterministic three-level tie-breaking;
+  with deterministic three-level tie-breaking, and the FCFS
+  :class:`ReadyQueue` every ready task waits in;
 - the **sizing lifecycle** — size a dispatch wave with one
   :meth:`~repro.sim.interface.MemoryPredictor.predict_batch` call,
   place through the manager's policy, run under the strict limit, kill
@@ -20,9 +21,10 @@ flat event backend and the DAG scheduling engine used to duplicate:
 What still differs between modes lives in a :class:`KernelDriver`: how
 work *arrives* (per-task arrival times vs. whole workflow instances)
 and how completions *release* more work (a flat stream releases nothing;
-a DAG driver releases successor tasks).  Drivers own their
-:class:`ReadyQueue` so dispatch priority stays their business — the
-kernel only takes the head, strict FCFS.
+a DAG driver releases successor tasks).  Drivers only say what becomes
+ready and when: the kernel pushes every state they return onto its one
+:class:`ReadyQueue`, in the order returned, and dispatches strictly
+FCFS from its head.
 :class:`~repro.sim.backends.event.EventDrivenBackend` is the one place
 that picks the driver and collectors and builds a kernel.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 import gc
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from repro.cluster.machine import Machine
 from repro.cluster.manager import ResourceManager
@@ -59,7 +61,7 @@ from repro.sim.kernel.events import (
     COMPLETION,
     OUTAGE_END,
     OUTAGE_START,
-    EventCalendar,
+    EventHeap,
 )
 from repro.sim.kernel.outage import NodeOutage, parse_node_outages
 from repro.sim.results import RunSummary, SimulationResult
@@ -74,7 +76,6 @@ __all__ = [
     "ReadyQueue",
     "KernelDriver",
     "SimulationKernel",
-    "consume_unsized",
 ]
 
 #: Young-generation collection threshold while :meth:`SimulationKernel.run`
@@ -104,8 +105,7 @@ class TaskState:
     #: The id every record, log, ledger row, span and error reports:
     #: ``inst.instance_id`` shifted past earlier DAG copies' id ranges.
     instance_id: int
-    #: Dense submission position — the prediction-log timestamp and the
-    #: flat FCFS priority.
+    #: Dense submission position — the prediction-log timestamp.
     index: int
     #: Arrival time (hours); meaningful in flat mode.
     arrival: float = 0.0
@@ -124,73 +124,91 @@ class TaskState:
     #: carry the value at dispatch time, so a preempted attempt's
     #: in-flight completion is recognized as stale and dropped.
     dispatch_gen: int = 0
+    #: FCFS dispatch priority: the :class:`ReadyQueue`'s push count at
+    #: the state's first push; a requeue reuses it.
+    priority: int = 0
 
-    def __lt__(self, other: "TaskState") -> bool:  # heap tie-breaker
-        return self.index < other.index
 
+class ReadyQueue:
+    """The kernel's ready queue: every ready task waits here, FCFS.
 
-@runtime_checkable
-class ReadyQueue(Protocol):
-    """The driver-owned dispatch queue; the kernel drains it strictly FCFS.
+    A heap of ``(priority, state)`` entries.  :meth:`push` enters a
+    fresh state with the next value of a push counter as its priority;
+    :meth:`requeue` (after a kill or a drain preemption) re-enters a
+    state at the priority it was first pushed with, ahead of everything
+    pushed since.  A state has at most one entry, so priorities are
+    unique while queued and the heap never compares two states.
 
-    Besides the methods below, implementations expose ``order`` — the
-    live heap list backing the queue, whose entries sort FCFS and end
-    with the :class:`TaskState`.  The kernel's dispatch pass peeks
-    ``order[0][-1]`` and pops with :func:`heapq.heappop` directly, so
-    the list must *be* the queue (never a copy, never rebound).
+    Fresh states are also appended to a plain list read through a
+    cursor (:meth:`unsized`): the push counter only grows, so that list
+    is already in heap order.  The kernel's dispatch pass peeks
+    ``_heap[0][1]`` and pops with :func:`heapq.heappop` directly.
     """
 
-    #: The live FCFS heap list; entries end with the state.
-    order: list
+    __slots__ = ("_heap", "_unsized", "_upos", "_pushed")
 
-    def unsized(self, limit: int) -> list[TaskState]:
-        """First ``limit`` queued states without an allocation, FCFS order."""
-        ...
+    def __init__(self) -> None:
+        self._heap: list[tuple[int, TaskState]] = []
+        #: Every fresh state once, in push order; read from ``_upos``
+        #: on and compacted by :meth:`unsized`.
+        self._unsized: list[TaskState] = []
+        self._upos = 0
+        self._pushed = 0
+
+    def push(self, state: TaskState) -> None:
+        """Enter a fresh state behind everything queued so far."""
+        priority = self._pushed
+        self._pushed = priority + 1
+        state.priority = priority
+        heapq.heappush(self._heap, (priority, state))
+        self._unsized.append(state)
 
     def requeue(self, state: TaskState) -> None:
         """Re-enter ``state`` at its original dispatch priority."""
-        ...
+        heapq.heappush(self._heap, (state.priority, state))
 
+    def unsized(self, limit: int) -> list[TaskState]:
+        """The next ``limit`` fresh states still unsized, FCFS order.
 
-def consume_unsized(
-    pending: list[TaskState], pos: int, limit: int
-) -> tuple[list[TaskState], int]:
-    """Read up to ``limit`` still-unsized states from ``pending`` at ``pos``.
+        Entries are *consumed*: the caller sizes every returned state at
+        once and a sized state never loses its allocation, so a state
+        returned here never comes back, and one already sized is
+        skipped.  Requeued states are always sized and never enter
+        here.  Once the consumed prefix dominates the list it is
+        deleted (the cursor returns to 0), keeping the list O(queued).
+        """
+        pending = self._unsized
+        pos = self._upos
+        wave: list[TaskState] = []
+        n = len(pending)
+        while pos < n and len(wave) < limit:
+            state = pending[pos]
+            pos += 1
+            if state.allocation is None:
+                wave.append(state)
+        if pos > 512 and pos * 2 > n:
+            del pending[:pos]
+            pos = 0
+        self._upos = pos
+        return wave
 
-    ``pending`` is a queue's append-only list of fresh (unsized)
-    entries in FCFS order, read through the cursor ``pos``.  Returns
-    the wave and the new cursor.  The caller sizes every returned state
-    at once and a sized state never loses its allocation, so consumed
-    entries never come back; an entry whose state is already sized is
-    skipped.  Once the consumed prefix dominates the list it is deleted
-    (the cursor returns to 0), keeping the list O(pending).
-    """
-    wave: list[TaskState] = []
-    n = len(pending)
-    while pos < n and len(wave) < limit:
-        state = pending[pos]
-        pos += 1
-        if state.allocation is None:
-            wave.append(state)
-    if pos > 512 and pos * 2 > n:
-        del pending[:pos]
-        pos = 0
-    return wave, pos
+    def __len__(self) -> int:
+        return len(self._heap)
 
 
 class KernelDriver(Protocol):
     """Mode-specific behaviour plugged into the kernel.
 
-    After :meth:`seed` the driver exposes ``queue`` (its
-    :class:`ReadyQueue`) and ``n_tasks`` (total task instances of the
-    run, reported to the predictor's trace context).
+    After :meth:`seed` the driver exposes ``n_tasks`` (total task
+    instances of the run, reported to the predictor's trace context).
+    The kernel pushes the states :meth:`on_arrival` and
+    :meth:`on_success` return onto its :class:`ReadyQueue`, in order.
     """
 
-    queue: ReadyQueue
     n_tasks: int
 
     def seed(self, kernel: "SimulationKernel") -> None:
-        """Build per-task states and push the initial arrival events."""
+        """Build the run's first states and push its arrival events."""
         ...
 
     def on_arrival(self, payload: object, now: float) -> Iterable[TaskState]:
@@ -198,7 +216,7 @@ class KernelDriver(Protocol):
         ...
 
     def on_success(self, state: TaskState, now: float) -> Iterable[TaskState]:
-        """Propagate a success; returns states released into the queue."""
+        """Propagate a success; returns the states it makes ready."""
         ...
 
     def finish(self, kernel: "SimulationKernel") -> None:
@@ -323,7 +341,9 @@ class SimulationKernel:
             PhaseTimer(self.profile) if self.profile is not None else None
         )
 
-        self.events = EventCalendar()
+        self.events = EventHeap()
+        #: Every ready task, FCFS; drivers never touch it.
+        self.queue = ReadyQueue()
         self.now = 0.0
         #: Clock of the last event wave that handled an arrival or a
         #: completion; handed to the collectors as
@@ -417,26 +437,25 @@ class SimulationKernel:
     def _loop(self, until: float | None, timer: PhaseTimer | None) -> bool:
         """Process event waves; False when paused by ``until``.
 
-        This is the kernel's hottest code: the
-        :class:`~repro.sim.kernel.events.EventCalendar`'s two lanes are
-        read raw and merged inline — the bulk-scheduled lane through its
-        Python-list mirrors and a local ``cursor`` (written back in the
-        ``finally``), the dynamic lane as a raw heap list (``heap[0]``
-        peek, ``heappop``) — so scheduled arrivals never pay a heap
-        sift.  All events sharing the current timestamp are consumed as
-        one wave: arrivals go to the driver, a completion within its
-        limit is released (:meth:`_release`) and reported, one over its
-        limit is killed (:meth:`_kill`), and a wave that handled an
-        arrival or a completion moves the makespan to its clock (stale
-        completions and outage transitions do not count).  The dispatch
-        pass then starts queued heads strictly FCFS: it sizes the next
-        chunk of unsized tasks when the head has no allocation, asks
-        :meth:`ResourceManager.try_place` for a node, and reserves the
-        allocation with :meth:`Machine.allocate`.  Every mutable
-        container aliased here (event heap, schedule mirrors, ready-queue
-        ``order`` list, ``_drained``, ``_running``) is identity-stable
-        for the whole run — mutated in place, never rebound — and the
-        scheduled lane is never extended while the loop runs.
+        This is the kernel's hottest code.  It reads the
+        :class:`~repro.sim.kernel.events.EventHeap` raw: the wave clock
+        is ``heap[0][0]``, and every event sharing it is popped with
+        :func:`heapq.heappop` as one wave, including events pushed while
+        the wave runs (a flat run's next arrival at the same instant).
+        Arrivals go to the driver, a completion within its limit is
+        released (:meth:`_release`) and reported, one over its limit is
+        killed (:meth:`_kill`), and a wave that handled an arrival or a
+        completion moves the makespan to its clock (stale completions
+        and outage transitions do not count).  Every state the driver
+        returns as ready is pushed onto the kernel's
+        :class:`ReadyQueue`.  The dispatch pass then starts queued heads
+        strictly FCFS: it sizes the next chunk of unsized tasks when the
+        head has no allocation, asks :meth:`ResourceManager.try_place`
+        for a node, and reserves the allocation with
+        :meth:`Machine.allocate`.  Every mutable container aliased here
+        (event heap, ready heap, ``_drained``, ``_running``) is
+        identity-stable for the whole run — mutated in place, never
+        rebound.
 
         ``timer`` is the run's :class:`~repro.obs.profile.PhaseTimer`,
         or ``None`` when profiling is off.  Every ``timer.lap(phase)``
@@ -447,10 +466,10 @@ class SimulationKernel:
         totals tile the loop's wall time:
 
         - ``heap``     — per-wave clock advance and loop control;
-        - ``wave``     — per-event two-lane merge and pop (the profile's
-          ``n_events`` counts these pops, the BENCH events/sec
-          denominator);
-        - ``arrival``  — driver arrival handling (incl. on_ready);
+        - ``wave``     — per-event pop (the profile's ``n_events``
+          counts these pops, the BENCH events/sec denominator);
+        - ``arrival``  — driver arrival handling and the ready-queue
+          push (incl. on_ready);
         - ``success``  — completion within limit: release,
           ``on_attempt_end`` fan-out, ``predictor.observe``, successor
           release;
@@ -471,13 +490,6 @@ class SimulationKernel:
         profile = self.profile
         events = self.events
         heap = events._heap
-        s_times = events._mtimes
-        s_kinds = events._mkinds
-        s_seqs = events._mseqs
-        s_payloads = events._spayloads
-        has_payloads = s_payloads is not None
-        s_n = events._n_scheduled
-        cursor = events._cursor
         heappop = heapq.heappop
         heappush = heapq.heappush
         driver = self.driver
@@ -488,8 +500,10 @@ class SimulationKernel:
         ready_calls = tuple(c.on_ready for c in self._ready_collectors)
         dispatch_calls = tuple(c.on_dispatch for c in self._dispatch_collectors)
         observe = self._observe
-        qorder = driver.queue.order
-        take_unsized = driver.queue.unsized
+        queue = self.queue
+        ready = queue._heap
+        enqueue = queue.push
+        take_unsized = queue.unsized
         manager = self.manager
         try_place = manager.try_place
         next_task_id = manager.next_task_id
@@ -503,62 +517,16 @@ class SimulationKernel:
         clamp = clamp_allocation_checked
         release = self._release
         kill = self._kill
-        try:
-          while True:
-            # Wave clock: the earlier head of the two lanes.
-            if cursor < s_n:
-                now = s_times[cursor]
-                if heap:
-                    ht = heap[0][0]
-                    if ht < now:
-                        now = ht
-            elif heap:
-                now = heap[0][0]
-            else:
-                break
+        while heap:
+            now = heap[0][0]
             if until is not None and now > until:
                 return False
             self.now = now
             if timer is not None:
                 timer.lap("heap")
             handled = False
-            while True:
-                # Next event at ``now``, merging lanes on (time, kind,
-                # seq); break once the wave is drained.
-                if cursor < s_n and s_times[cursor] == now:
-                    if heap:
-                        h0 = heap[0]
-                        if h0[0] == now:
-                            hk = h0[1]
-                            sk = s_kinds[cursor]
-                            if hk < sk or (
-                                hk == sk and h0[2] < s_seqs[cursor]
-                            ):
-                                _, kind, _, payload = heappop(heap)
-                            else:
-                                kind = sk
-                                payload = (
-                                    s_payloads[cursor]
-                                    if has_payloads
-                                    else None
-                                )
-                                cursor += 1
-                        else:
-                            kind = s_kinds[cursor]
-                            payload = (
-                                s_payloads[cursor] if has_payloads else None
-                            )
-                            cursor += 1
-                    else:
-                        kind = s_kinds[cursor]
-                        payload = (
-                            s_payloads[cursor] if has_payloads else None
-                        )
-                        cursor += 1
-                elif heap and heap[0][0] == now:
-                    _, kind, _, payload = heappop(heap)
-                else:
-                    break
+            while heap and heap[0][0] == now:
+                _, kind, _, payload = heappop(heap)
                 if timer is not None:
                     profile.n_events += 1
                     timer.lap("wave")
@@ -585,6 +553,7 @@ class SimulationKernel:
                             )
                         for released in on_success(state, now):
                             released.queued_at = now
+                            enqueue(released)
                             for call in ready_calls:
                                 call(released, now)
                         if timer is not None:
@@ -596,6 +565,7 @@ class SimulationKernel:
                 elif kind == ARRIVAL:
                     for state in on_arrival(payload, now):
                         state.queued_at = now
+                        enqueue(state)
                         for call in ready_calls:
                             call(state, now)
                     if timer is not None:
@@ -616,8 +586,8 @@ class SimulationKernel:
                 if timer is not None:
                     timer.lap("collect")
             # Dispatch pass: size, place, and start queued heads FCFS.
-            while qorder:
-                head = qorder[0][-1]
+            while ready:
+                head = ready[0][1]
                 allocation = head.allocation
                 if allocation is None:
                     # Size the next chunk of unsized states with one
@@ -642,7 +612,7 @@ class SimulationKernel:
                 if node is None:
                     # Strict FCFS: the head blocks until memory frees up.
                     break
-                heappop(qorder)
+                heappop(ready)
                 attempt = head.attempt + 1
                 if attempt > MAX_ATTEMPTS:
                     raise RuntimeError(
@@ -679,13 +649,18 @@ class SimulationKernel:
                 heappush(heap, (now + duration, COMPLETION, seq, (head, gen)))
                 if timer is not None:
                     timer.lap("dispatch")
-        finally:
-            # Pause, normal exit, or error: the calendar must agree with
-            # the local cursor before anyone can observe it.
-            events._cursor = cursor
         return True
 
     def _finalize(self) -> SimulationResult:
+        if self.queue:
+            # Nothing left to free memory, so the head can never start.
+            head = self.queue._heap[0][1]
+            raise RuntimeError(
+                f"the events ran out with {len(self.queue)} tasks still "
+                f"queued; the head, task {head.instance_id} "
+                f"({head.inst.task_type.key}), found no node for its "
+                f"{head.allocation:.0f} MB allocation"
+            )
         self.driver.finish(self)
         self.predictor.end_trace()
         result = SimulationResult(
@@ -783,7 +758,7 @@ class SimulationKernel:
             self.manager, inst, next_allocation, state.instance_id
         )
         state.queued_at = now
-        self.driver.queue.requeue(state)
+        self.queue.requeue(state)
         for collector in self._ready_collectors:
             collector.on_ready(state, now)
 
@@ -811,7 +786,7 @@ class SimulationKernel:
             state.attempt -= 1
             state.dispatch_gen += 1
             state.queued_at = now
-            self.driver.queue.requeue(state)
+            self.queue.requeue(state)
             for collector in self._ready_collectors:
                 collector.on_ready(state, now)
 

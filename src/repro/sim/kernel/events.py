@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 __all__ = [
     "COMPLETION",
     "OUTAGE_END",
     "ARRIVAL",
     "OUTAGE_START",
     "EventHeap",
-    "EventCalendar",
 ]
 
 #: A running attempt reached its end (success or kill); frees memory
@@ -47,12 +44,14 @@ OUTAGE_START = 3
 
 
 class EventHeap:
-    """Min-heap of ``(time, kind, seq, payload)`` events.
+    """The kernel's calendar: a min-heap of ``(time, kind, seq, payload)``.
 
     The kernel's hot loop reads ``_heap`` directly (peek at
-    ``_heap[0][0]``, pop via :func:`heapq.heappop`) to skip the method
-    and property indirection; the entry layout is therefore part of the
-    kernel-internal contract.
+    ``_heap[0][0]``, pop via :func:`heapq.heappop`) and pushes
+    completions with ``_seq`` itself, skipping the method and property
+    indirection; the entry layout is therefore part of the
+    kernel-internal contract.  A pickled heap keeps its ``_seq``, so
+    events pushed after a resume sort after the ones pushed before.
     """
 
     __slots__ = ("_heap", "_seq")
@@ -79,225 +78,3 @@ class EventHeap:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-
-class EventCalendar:
-    """Two-lane columnar event store with the :class:`EventHeap` order.
-
-    The kernel's event population splits cleanly in two:
-
-    - **scheduled lane** — events whose full timetable is known up front
-      (flat arrival schedules, DAG workflow submissions).  They are
-      bulk-loaded via :meth:`schedule_batch` into preallocated,
-      grow-by-doubling numpy columns (``time`` float64, ``kind`` int64,
-      ``seq`` int64 — parallel arrays rather than one structured array,
-      so each column stays contiguous) plus an optional payload list,
-      and consumed with a cursor.  No per-event heap sift is ever paid
-      for them.
-    - **dynamic lane** — events created while the clock runs
-      (completions, outage transitions, anything third-party drivers
-      :meth:`push`): a plain :mod:`heapq` of ``(time, kind, seq,
-      payload)`` tuples, exactly the :class:`EventHeap` layout.
-
-    Popping merges the two lanes on the ``(time, kind, seq)`` key.  The
-    merged stream is *provably identical* to pushing every event through
-    one :class:`EventHeap`: both lanes draw from one monotone ``seq``
-    counter, the scheduled lane is validated non-decreasing in time and
-    assigned seqs in load order (= the order the events would have been
-    pushed), and same-``(time, kind)`` ties can only involve one lane or
-    carry distinct seqs — so the three-level total order decides every
-    comparison the same way.  The golden suite pins this bit-for-bit.
-
-    Kernel-internal contract (mirrors :class:`EventHeap`): the hot loop
-    reads ``_heap``/``_seq`` raw, plus the scheduled lane's Python list
-    mirrors ``_mtimes``/``_mkinds``/``_mseqs`` (kept because scalar list
-    indexing is several times faster than numpy scalar indexing),
-    ``_spayloads``, ``_n_scheduled``, and ``_cursor`` (written back on
-    loop exit).  :meth:`schedule_batch` must not be called while the
-    loop runs — load during driver ``seed``.
-
-    Pickling keeps the unconsumed tail of the numpy columns and rebuilds
-    the list mirrors on load, so checkpoint/resume stays bit-for-bit
-    even mid-wave.
-    """
-
-    __slots__ = (
-        "_heap",
-        "_seq",
-        "_stimes",
-        "_skinds",
-        "_sseqs",
-        "_spayloads",
-        "_n_scheduled",
-        "_cursor",
-        "_mtimes",
-        "_mkinds",
-        "_mseqs",
-    )
-
-    def __init__(self, capacity: int = 16) -> None:
-        self._heap: list[tuple[float, int, int, object]] = []
-        self._seq = 0
-        self._stimes = np.empty(capacity, dtype=np.float64)
-        self._skinds = np.empty(capacity, dtype=np.int64)
-        self._sseqs = np.empty(capacity, dtype=np.int64)
-        #: ``None`` while every scheduled payload is ``None`` (flat
-        #: arrivals) — saves one pointer per event at million-task scale.
-        self._spayloads: list | None = None
-        self._n_scheduled = 0
-        self._cursor = 0
-        # Python-list mirrors of the filled column prefixes.
-        self._mtimes: list[float] = []
-        self._mkinds: list[int] = []
-        self._mseqs: list[int] = []
-
-    # ------------------------------------------------------------------
-    # dynamic lane (EventHeap-compatible)
-    # ------------------------------------------------------------------
-    def push(self, time: float, kind: int, payload: object) -> None:
-        heapq.heappush(self._heap, (time, kind, self._seq, payload))
-        self._seq += 1
-
-    # ------------------------------------------------------------------
-    # scheduled lane
-    # ------------------------------------------------------------------
-    def schedule_batch(
-        self, times, kind: int, payloads: "list | None" = None
-    ) -> None:
-        """Bulk-load a non-decreasing batch of same-kind events.
-
-        ``times`` is any float array-like; ``payloads`` aligns with it
-        (``None`` = every payload is ``None``).  Raises ``ValueError``
-        if the batch is not sorted or starts before an already-scheduled
-        event — callers with an unsorted timetable must fall back to
-        per-event :meth:`push`.
-        """
-        arr = np.ascontiguousarray(times, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(
-                f"times must be one-dimensional, got shape {arr.shape}"
-            )
-        m = int(arr.shape[0])
-        if payloads is not None and len(payloads) != m:
-            raise ValueError(
-                f"payloads length {len(payloads)} != times length {m}"
-            )
-        if m == 0:
-            return
-        if m > 1 and not bool(np.all(arr[1:] >= arr[:-1])):
-            raise ValueError(
-                "schedule_batch requires non-decreasing times; "
-                "push() unsorted events individually instead"
-            )
-        n = self._n_scheduled
-        if n and arr[0] < self._stimes[n - 1]:
-            raise ValueError(
-                f"batch starts at t={arr[0]!r}, before the last scheduled "
-                f"event at t={self._stimes[n - 1]!r}"
-            )
-        cap = self._stimes.shape[0]
-        if n + m > cap:
-            while cap < n + m:
-                cap *= 2
-            for name in ("_stimes", "_skinds", "_sseqs"):
-                old = getattr(self, name)
-                grown = np.empty(cap, dtype=old.dtype)
-                grown[:n] = old[:n]
-                setattr(self, name, grown)
-        seq0 = self._seq
-        self._seq = seq0 + m
-        self._stimes[n : n + m] = arr
-        self._skinds[n : n + m] = kind
-        self._sseqs[n : n + m] = np.arange(seq0, seq0 + m, dtype=np.int64)
-        if payloads is not None:
-            if self._spayloads is None:
-                self._spayloads = [None] * n
-            self._spayloads.extend(payloads)
-        elif self._spayloads is not None:
-            self._spayloads.extend([None] * m)
-        self._mtimes.extend(arr.tolist())
-        self._mkinds.extend([kind] * m)
-        self._mseqs.extend(range(seq0, seq0 + m))
-        self._n_scheduled = n + m
-
-    # ------------------------------------------------------------------
-    # merged consumption
-    # ------------------------------------------------------------------
-    def pop(self) -> tuple[float, int, object]:
-        i = self._cursor
-        heap = self._heap
-        if i < self._n_scheduled:
-            skey = (self._mtimes[i], self._mkinds[i], self._mseqs[i])
-            if heap and heap[0][:3] < skey:
-                time, kind, _, payload = heapq.heappop(heap)
-                return time, kind, payload
-            self._cursor = i + 1
-            payloads = self._spayloads
-            payload = payloads[i] if payloads is not None else None
-            return skey[0], skey[1], payload
-        time, kind, _, payload = heapq.heappop(heap)
-        return time, kind, payload
-
-    def pop_wave(self) -> tuple[float, list[tuple[int, object]]]:
-        """Pop every event sharing the earliest timestamp, in key order."""
-        now = self.next_time
-        wave: list[tuple[int, object]] = []
-        while len(self) and self.next_time == now:
-            _, kind, payload = self.pop()
-            wave.append((kind, payload))
-        return now, wave
-
-    @property
-    def next_time(self) -> float:
-        """Timestamp of the earliest pending event (either lane)."""
-        i = self._cursor
-        if i < self._n_scheduled:
-            st = self._mtimes[i]
-            heap = self._heap
-            if heap and heap[0][0] < st:
-                return heap[0][0]
-            return st
-        return self._heap[0][0]
-
-    def __len__(self) -> int:
-        return self._n_scheduled - self._cursor + len(self._heap)
-
-    def __bool__(self) -> bool:
-        return self._cursor < self._n_scheduled or bool(self._heap)
-
-    # ------------------------------------------------------------------
-    # pickling (checkpoints): keep the unconsumed scheduled tail only
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        c = self._cursor
-        n = self._n_scheduled
-        payloads = self._spayloads
-        return {
-            "heap": self._heap,
-            "seq": self._seq,
-            "times": self._stimes[c:n].copy(),
-            "kinds": self._skinds[c:n].copy(),
-            "seqs": self._sseqs[c:n].copy(),
-            "payloads": list(payloads[c:n]) if payloads is not None else None,
-        }
-
-    def __setstate__(self, state) -> None:
-        self._heap = state["heap"]
-        self._seq = state["seq"]
-        times = state["times"]
-        n = int(times.shape[0])
-        cap = 16
-        while cap < n:
-            cap *= 2
-        self._stimes = np.empty(cap, dtype=np.float64)
-        self._skinds = np.empty(cap, dtype=np.int64)
-        self._sseqs = np.empty(cap, dtype=np.int64)
-        self._stimes[:n] = times
-        self._skinds[:n] = state["kinds"]
-        self._sseqs[:n] = state["seqs"]
-        self._spayloads = state["payloads"]
-        self._n_scheduled = n
-        self._cursor = 0
-        self._mtimes = self._stimes[:n].tolist()
-        self._mkinds = self._skinds[:n].tolist()
-        self._mseqs = self._sseqs[:n].tolist()

@@ -56,7 +56,9 @@ class WorkloadSource(Protocol):
 
     ``n_tasks`` is the number of tasks :meth:`iter_tasks` will yield, or
     ``None`` when the source streams and cannot know without exhausting
-    itself (consumers then either stream arrival times or materialize).
+    itself.  The replay backend then streams it one task at a time; the
+    event backend materializes it with :meth:`trace` to draw the run's
+    arrival schedule.
     """
 
     @property

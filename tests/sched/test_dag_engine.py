@@ -460,11 +460,11 @@ class TestSharedTaskInstances:
         assert added <= 1.5 * n_tasks
 
 
-class TestSchedulerMaps:
-    def test_one_map_entry_per_copy_after_every_admit(self):
-        # The scheduler keeps the driver's {instance_id: state} dict per
-        # copy (by reference) and one priority dict per copy, not a map
-        # entry per task.
+class TestDriverMaps:
+    def test_one_states_dict_per_copy_and_no_other_per_task_map(self):
+        # The driver maps each copy's trace instance ids to its states
+        # in one dict per copy; neither it nor the kernel's ready queue
+        # keeps another map, such as per-task priorities.
         trace = build_workflow_trace("iwd", seed=3, scale=0.05)
         kernel = EventDrivenBackend(
             workflow_arrival="4@fixed:0.05", seed=1
@@ -473,11 +473,18 @@ class TestSchedulerMaps:
         assert kernel.run(until=0.0) is None  # seeds the copies
         last_arrival = driver.workflows[-1].submit_time
         assert kernel.run(until=last_arrival) is None
-        scheduler = driver.scheduler
         keys = [wi.key for wi in driver.workflows]
         assert len(keys) == 4 and driver.n_tasks == 4 * len(trace)
-        assert list(scheduler._states) == keys
-        assert list(scheduler._priority) == keys
-        for key in keys:
-            assert scheduler._states[key] is driver._states[key]
+        assert list(driver._states) == keys
+        for wi in driver.workflows:
+            states = driver._states[wi.key]
+            assert sorted(states) == sorted(t.instance_id for t in wi.tasks)
+            assert all(state.wi is wi for state in states.values())
+        maps = [k for k, v in vars(driver).items() if isinstance(v, dict)]
+        assert maps == ["_states"]
+        queue = kernel.queue
+        assert not any(
+            isinstance(getattr(queue, slot), dict)
+            for slot in type(queue).__slots__
+        )
         assert kernel.run() is not None

@@ -1,14 +1,17 @@
-"""Tests for WorkflowInstance, ReadySetScheduler, and WorkflowArrivals."""
+"""Tests for WorkflowInstance, the kernel's ready queue under DAG
+release, and WorkflowArrivals."""
+
+import heapq
 
 import numpy as np
 import pytest
 
 from repro.sched import (
-    ReadySetScheduler,
     WorkflowArrivals,
     WorkflowInstance,
     parse_workflow_arrival,
 )
+from repro.sim.kernel import ReadyQueue, TaskState
 from repro.workflow.dag import WorkflowDAG
 from repro.workflow.task import TaskInstance, TaskType
 
@@ -120,154 +123,140 @@ class TestWorkflowInstance:
         assert wi.done
 
 
-class TestReadySetScheduler:
-    def _states(self, wi):
-        return {t.instance_id: f"st-{t.instance_id}" for t in wi.tasks}
+def task_states(wi):
+    """One kernel state per task of ``wi``, keyed by trace instance id."""
+    return {
+        t.instance_id: TaskState(
+            inst=t, instance_id=t.instance_id, index=t.instance_id, wi=wi
+        )
+        for t in wi.tasks
+    }
 
-    def test_admit_requires_all_states(self):
-        dag = WorkflowDAG(["a"])
-        wi = make_wi(dag, {"a": (2, 1.0)})
-        sched = ReadySetScheduler()
-        with pytest.raises(ValueError, match="missing states"):
-            sched.admit(wi, {})
+
+def release(queue, states, tasks):
+    """Push the states of released ``tasks`` in order, as the kernel
+    pushes what a DAG driver returns; returns them."""
+    released = [states[t.instance_id] for t in tasks]
+    for state in released:
+        queue.push(state)
+    return released
+
+
+def pop(queue):
+    return heapq.heappop(queue._heap)[1]
+
+
+def queued(queue):
+    """All queued states, FCFS order (non-destructive)."""
+    return [state for _, state in sorted(queue._heap, key=lambda e: e[0])]
+
+
+class TestReadyQueue:
+    """The kernel's FCFS ready queue under DAG release: priorities,
+    requeues, the fresh-state list and ``(priority, state)`` entries."""
 
     def test_fcfs_across_workflow_instances(self):
         dag = WorkflowDAG.linear_pipeline(["a", "b"])
         wi1 = make_wi(dag, {"a": (1, 1.0), "b": (1, 1.0)}, key="wf#0")
         wi2 = make_wi(dag, {"a": (1, 1.0), "b": (1, 1.0)}, key="wf#1")
-        sched = ReadySetScheduler()
-        first = sched.admit(wi1, self._states(wi1))
-        second = sched.admit(wi2, self._states(wi2))
-        assert first == ["st-0"] and second == ["st-0"]
+        s1, s2 = task_states(wi1), task_states(wi2)
+        queue = ReadyQueue()
+        first = release(queue, s1, wi1.release_roots())
+        second = release(queue, s2, wi2.release_roots())
+        assert first == [s1[0]] and second == [s2[0]]
         # wi1's root was released first, so it dispatches first.
-        assert sched.pop() == first[0]
+        assert pop(queue) is s1[0]
+        assert pop(queue) is s2[0]
         # wi2's successor releases before wi1's: release order rules.
-        released = sched.on_success(wi2, wi2.tasks[0])
-        assert len(sched) == 1 + len(released)
+        release(queue, s2, wi2.complete("a"))
+        release(queue, s1, wi1.complete("a"))
+        assert queued(queue) == [s2[1], s1[1]]
+        assert len(queue) == 2
 
     def test_requeue_restores_original_priority(self):
-        dag = WorkflowDAG(["a"])
-        wi = make_wi(dag, {"a": (3, 1.0)})
-        sched = ReadySetScheduler()
-        states = {t.instance_id: t.instance_id for t in wi.tasks}
-        sched.admit(wi, states)
-        head = sched.pop()
-        assert head == 0
-        sched.requeue(wi, wi.tasks[0])
+        wi = make_wi(WorkflowDAG(["a"]), {"a": (3, 1.0)})
+        states = task_states(wi)
+        queue = ReadyQueue()
+        release(queue, states, wi.release_roots())
+        head = pop(queue)
+        assert head is states[0]
+        queue.requeue(head)
         # Re-queued task 0 outranks tasks released after it (1, 2).
-        assert sched.head() == 0
+        assert queued(queue)[0] is states[0]
 
-    def test_queued_is_fcfs_and_nondestructive(self):
-        dag = WorkflowDAG(["a"])
-        wi = make_wi(dag, {"a": (3, 1.0)})
-        sched = ReadySetScheduler()
-        sched.admit(wi, {t.instance_id: t.instance_id for t in wi.tasks})
-        assert sched.queued() == [0, 1, 2]
-        assert len(sched) == 3
-
-
-class _State:
-    """A stand-in engine state: the scheduler reads only ``allocation``."""
-
-    def __init__(self, name):
-        self.name = name
-        self.allocation = None
-
-    def __repr__(self):
-        return self.name
-
-
-class TestReadySetSchedulerQueues:
-    """The fresh-release list, the per-copy maps and ``(priority, state)``
-    heap entries."""
-
-    @staticmethod
-    def _admit(sched, wi):
-        states = {t.instance_id: _State(f"{wi.key}/{t.instance_id}") for t in wi.tasks}
-        sched.admit(wi, states)
-        return states
-
-    def test_take_unsized_follows_release_order_across_a_compaction(self):
+    def test_unsized_follows_release_order_across_a_compaction(self):
         dag = WorkflowDAG(["a"])
         copies = [make_wi(dag, {"a": (700, 1.0)}, key=f"wf#{k}") for k in range(3)]
-        sched = ReadySetScheduler()
+        queue = ReadyQueue()
         released = []
         for wi in copies[:2]:
-            states = self._admit(sched, wi)
-            released += [states[t.instance_id] for t in wi.tasks]
+            released += release(queue, task_states(wi), wi.release_roots())
         taken, compactions = [], 0
         while len(taken) < 1200:
-            wave = sched.take_unsized(64)
+            wave = queue.unsized(64)
             for state in wave:
                 state.allocation = 1.0  # the kernel sizes every state it takes
             taken += wave
-            compactions += sched._upos == 0
-        # A copy admitted after the compaction keeps releasing in order.
-        states = self._admit(sched, copies[2])
-        released += [states[t.instance_id] for t in copies[2].tasks]
+            compactions += queue._upos == 0
+        # A copy released after the compaction keeps its place in order.
+        wi = copies[2]
+        released += release(queue, task_states(wi), wi.release_roots())
         while wave:
-            wave = sched.take_unsized(64)
+            wave = queue.unsized(64)
             for state in wave:
                 state.allocation = 1.0
             taken += wave
         assert compactions >= 1
         assert taken == released
-        assert sched.take_unsized(64) == []
+        assert queue.unsized(64) == []
 
-    def test_take_unsized_skips_states_sized_elsewhere(self):
+    def test_unsized_skips_states_sized_elsewhere(self):
         wi = make_wi(WorkflowDAG(["a"]), {"a": (4, 1.0)})
-        sched = ReadySetScheduler()
-        states = self._admit(sched, wi)
+        states = task_states(wi)
+        queue = ReadyQueue()
+        release(queue, states, wi.release_roots())
         states[1].allocation = 2.0
-        assert sched.take_unsized(2) == [states[0], states[2]]
-        assert sched.take_unsized(8) == [states[3]]
+        assert queue.unsized(2) == [states[0], states[2]]
+        assert queue.unsized(8) == [states[3]]
 
     def test_requeue_reenters_ahead_of_later_releases(self):
         # A kill (or a drain preemption) requeues a popped state at the
-        # priority it was released with: ahead of the successors its
+        # priority it was first pushed with: ahead of the successors its
         # siblings released meanwhile, and never back in the fresh list.
         dag = WorkflowDAG.linear_pipeline(["a", "b"])
         wi = make_wi(dag, {"a": (2, 1.0), "b": (2, 1.0)})
-        sched = ReadySetScheduler()
-        states = self._admit(sched, wi)
+        states = task_states(wi)
         a0, a1, b0, b1 = (states[i] for i in range(4))
-        assert sched.take_unsized(8) == [a0, a1]
+        queue = ReadyQueue()
+        release(queue, states, wi.release_roots())
+        assert queue.unsized(8) == [a0, a1]
         for state in (a0, a1):
             state.allocation = 1.0
-        assert sched.pop() is a0
-        assert sched.pop() is a1
-        sched.requeue(wi, wi.tasks[1])  # a1 killed
-        assert sched.on_success(wi, wi.tasks[0]) == []  # a still unsatisfied
-        assert sched.queued() == [a1]
-        assert sched.pop() is a1
-        assert sched.on_success(wi, wi.tasks[1]) == [b0, b1]
-        assert sched.pop() is b0
-        sched.requeue(wi, wi.tasks[2])  # b0 preempted by a drain
-        assert sched.queued() == [b0, b1]
-        assert sched.take_unsized(8) == [b0, b1]
+        assert pop(queue) is a0
+        assert pop(queue) is a1
+        queue.requeue(a1)  # a1 killed
+        assert release(queue, states, wi.complete("a")) == []  # a unsatisfied
+        assert queued(queue) == [a1]
+        assert pop(queue) is a1
+        assert release(queue, states, wi.complete("a")) == [b0, b1]
+        assert pop(queue) is b0
+        queue.requeue(b0)  # b0 preempted by a drain
+        assert queued(queue) == [b0, b1]
+        assert [s.priority for s in (a0, a1, b0, b1)] == [0, 1, 2, 3]
+        assert queue.unsized(8) == [b0, b1]
 
     def test_heap_entries_never_compare_states(self):
         # Priorities are unique while queued, so states need no order.
         wi = make_wi(WorkflowDAG(["a"]), {"a": (3, 1.0)})
-        sched = ReadySetScheduler()
-        states = {t.instance_id: object() for t in wi.tasks}
-        sched.admit(wi, states)
-        first = sched.pop()
-        sched.requeue(wi, wi.tasks[0])
-        assert sched.queued() == [first, states[1], states[2]]
-        assert all(len(entry) == 2 for entry in sched._ready)
-
-    def test_one_map_entry_per_copy(self):
-        dag = WorkflowDAG(["a"])
-        sched = ReadySetScheduler()
-        per_copy = {}
-        for k in range(3):
-            wi = make_wi(dag, {"a": (5, 1.0)}, key=f"wf#{k}")
-            per_copy[wi.key] = self._admit(sched, wi)
-        assert len(sched._states) == len(sched._priority) == 3
-        for key, states in per_copy.items():
-            assert sched._states[key] is states  # kept, not copied
-            assert sorted(sched._priority[key]) == sorted(states)
+        states = task_states(wi)
+        with pytest.raises(TypeError):
+            states[0] < states[1]
+        queue = ReadyQueue()
+        release(queue, states, wi.release_roots())
+        first = pop(queue)
+        queue.requeue(first)
+        assert queued(queue) == [first, states[1], states[2]]
+        assert all(len(entry) == 2 for entry in queue._heap)
 
 
 class TestWorkflowArrivals:

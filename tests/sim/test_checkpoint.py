@@ -29,7 +29,9 @@ from repro.sim.kernel.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.results import result_to_dict
+from repro.workflow.io import save_trace_jsonl
 from repro.workflow.nfcore import build_workflow_trace
+from repro.workload.tracefile import TraceFileSource
 
 from tests.sim.test_golden_regression import SCENARIOS, run_scenario
 
@@ -143,6 +145,39 @@ def test_pause_inside_outage_window(tmp_path):
     assert result_to_dict(result) == expected
 
 
+def test_jsonl_flat_pause_resume_is_bit_for_bit(tmp_path):
+    """A JSONL trace at full scale is materialized at seed; the resumed
+    run rebuilds its task stream from the file, past the tasks built."""
+    path = tmp_path / "iwd.jsonl"
+    save_trace_jsonl(build_workflow_trace("iwd", seed=3, scale=0.05), path)
+    assert TraceFileSource(path).n_tasks is None  # cannot report its length
+
+    def build():
+        sim = OnlineSimulator(
+            TraceFileSource(path),
+            backend=EventDrivenBackend(arrival="poisson:600", seed=7),
+            time_to_failure=0.7,
+            cluster="4g:1,6g:1",
+        )
+        return sim, method_factories()["Witt-LR"]()
+
+    sim, predictor = build()
+    full = sim.run(predictor)
+    assert full.num_failures > 0
+    expected = result_to_dict(full)
+
+    ck = str(tmp_path / "state.ckpt")
+    sim, predictor = build()
+    # Mid-stream: about a third of the 83 arrivals are past.
+    assert sim.run(predictor, checkpoint=ck, stop_after=0.05) is None
+    driver = load_checkpoint(ck).driver
+    assert 0 < driver._consumed < driver.n_tasks
+    assert driver._times is None and driver._tasks is None  # rebuilt
+    result = OnlineSimulator.resume(ck)
+    assert result is not None
+    assert result_to_dict(result) == expected
+
+
 @pytest.mark.parametrize("pause", ["stop_after", "checkpoint_every"])
 def test_a_pause_needs_a_checkpoint_path(pause):
     # A paused state written nowhere is lost; refuse before running.
@@ -204,20 +239,20 @@ def test_load_checks_the_version_before_unpickling_the_kernel(
         load_checkpoint(str(path))
 
 
-def test_a_v7_checkpoint_gets_the_version_error(tmp_path, baselines, monkeypatch):
-    # A v7 file pickles a DAG scheduler whose maps are keyed by
-    # (copy key, instance id); this build keys them by copy, so resuming
-    # one would fail at its first requeue (KeyError) instead of here.
+def test_a_v8_checkpoint_gets_the_version_error(tmp_path, baselines, monkeypatch):
+    # A v8 file pickles a two-lane event calendar and a DAG scheduler
+    # this build no longer has, so unpickling one would fail with an
+    # AttributeError instead of this typed error.
     from repro.sim.kernel import checkpoint as ckpt
 
-    path = str(tmp_path / "v7.ckpt")
+    path = str(tmp_path / "v8.ckpt")
     stop = baselines["dag_engine_pr3"]["cluster"]["makespan_hours"] * 0.5
     sim, predictor = build_sim("dag_engine_pr3")
     with monkeypatch.context() as patch:
-        patch.setattr(ckpt, "CHECKPOINT_VERSION", 7)
+        patch.setattr(ckpt, "CHECKPOINT_VERSION", 8)
         assert sim.run(predictor, checkpoint=path, stop_after=stop) is None
-    assert CHECKPOINT_VERSION == 8
+    assert CHECKPOINT_VERSION == 9
     with pytest.raises(
-        ValueError, match="has format version 7; this build reads version 8"
+        ValueError, match="has format version 8; this build reads version 9"
     ):
         load_checkpoint(path)

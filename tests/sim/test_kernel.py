@@ -6,17 +6,23 @@ seeds must give identical results when the flat event backend and the
 DAG engine execute the same effective workload.
 """
 
+import pickle
+import random
+from bisect import insort
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.cluster.machine import MachineConfig
 from repro.cluster.manager import ResourceManager
+from repro.errors import ConfigError
 from repro.experiments.factories import method_factories
 from repro.sched.engine import DagWorkflowDriver
 from repro.sim.backends.event import EventDrivenBackend, FlatStreamDriver
 from repro.sim.arrivals import (
     FixedArrivals,
+    WorkflowArrivals,
     parse_arrival,
     parse_workflow_arrival,
 )
@@ -38,6 +44,8 @@ from repro.sim.results import result_to_dict
 from repro.workflow.dag import WorkflowDAG
 from repro.workflow.nfcore import build_workflow_trace
 from repro.workflow.task import TaskInstance, TaskType, WorkflowTrace
+
+EVENT_KINDS = (COMPLETION, OUTAGE_END, ARRIVAL, OUTAGE_START)
 
 
 def make_trace(spec, workflow="wf", dag=None, preset=4096.0):
@@ -102,6 +110,15 @@ class TestEventHeap:
         assert [heap.pop()[2] for _ in range(10)] == list(range(10))
         assert not heap
 
+    def test_pickle_keeps_the_seq_counter(self):
+        # Events pushed after a resume sort after same-(time, kind)
+        # events pushed before it.
+        heap = EventHeap()
+        heap.push(1.0, ARRIVAL, "before")
+        resumed = pickle.loads(pickle.dumps(heap))
+        resumed.push(1.0, ARRIVAL, "after")
+        assert [resumed.pop()[2] for _ in range(2)] == ["before", "after"]
+
     def test_payloads_never_compared(self):
         class Opaque:  # no ordering defined
             pass
@@ -111,6 +128,76 @@ class TestEventHeap:
             heap.push(0.0, COMPLETION, Opaque())
         while heap:
             heap.pop()
+
+    def test_random_pushes_and_pops_follow_time_kind_push_order(self):
+        """10k events on a coarse time grid, so same-time and same-kind
+        ties are dense, with pushes between pops: every pop is the
+        least ``(time, kind, push index)`` still pending."""
+        rng = random.Random(42)
+        heap = EventHeap()
+        reference = []  # sorted (time, kind, push index)
+        pushed = 0
+
+        def push(time, kind):
+            # Payloads run opposite to push order, so a heap that fell
+            # back on comparing them would reverse every tie.
+            nonlocal pushed
+            heap.push(time, kind, -pushed)
+            insort(reference, (time, kind, pushed))
+            pushed += 1
+
+        for _ in range(10_000):
+            push(rng.choice([0.0, 0.5, 1.0, 2.0, 5.0]), rng.choice(EVENT_KINDS))
+        popped = 0
+        while heap:
+            assert heap.next_time == reference[0][0]
+            time, kind, index = reference.pop(0)
+            assert heap.pop() == (time, kind, -index)
+            popped += 1
+            if popped % 97 == 0:
+                # As the kernel does: nothing is pushed into the past.
+                push(
+                    reference[0][0] + rng.choice([0.0, 0.1, 1.0])
+                    if reference
+                    else 9.0,
+                    rng.choice(EVENT_KINDS),
+                )
+        assert not reference
+        assert popped == pushed > 10_000
+
+    def test_next_time_tracks_the_earliest_event(self):
+        heap = EventHeap()
+        heap.push(2.0, ARRIVAL, None)
+        assert heap.next_time == 2.0
+        heap.push(1.0, COMPLETION, None)
+        assert heap.next_time == 1.0
+        heap.push(1.0, OUTAGE_START, None)
+        assert heap.pop() == (1.0, COMPLETION, None)
+        assert heap.next_time == 1.0
+        heap.pop()
+        assert heap.next_time == 2.0
+        assert len(heap) == 1
+
+    def test_pickle_mid_wave_resumes_bit_for_bit(self):
+        """Pickled partway through a same-time wave, the heap pops the
+        rest of the wave and what follows in the uninterrupted order."""
+
+        def fill(heap):
+            for i, time in enumerate([0.0, 1.0, 1.0, 1.0, 2.0]):
+                heap.push(time, ARRIVAL, i)
+            heap.push(1.0, COMPLETION, "mid")
+            heap.push(3.0, OUTAGE_START, "later")
+
+        reference, heap = EventHeap(), EventHeap()
+        fill(reference)
+        fill(heap)
+        want = [reference.pop() for _ in range(len(reference))]
+        got = [heap.pop() for _ in range(3)]  # stops inside t=1.0
+        assert got[-1][0] == 1.0 and heap.next_time == 1.0
+        resumed = pickle.loads(pickle.dumps(heap))
+        assert len(resumed) == len(heap) == 4
+        got += [resumed.pop() for _ in range(4)]
+        assert got == want
 
 
 class TestRequeueAfterKill:
@@ -288,6 +375,128 @@ class TestPlacementGuard:
                 trace, FixedPredictor(400.0), manager, 1.0
             )
 
+
+class TestQueueThatNeverDrains:
+    """Events that run out with tasks still queued are an error in
+    every mode, not a short result."""
+
+    class Nowhere:
+        name = "nowhere"
+
+        def select(self, nodes, memory_mb):
+            return None
+
+    @pytest.mark.parametrize(
+        "options, queued",
+        [
+            ({}, 4),
+            ({"stream_collectors": True}, 4),
+            ({"dag": "linear"}, 3),  # only the root type is released
+        ],
+    )
+    def test_the_run_names_the_blocked_head(self, options, queued):
+        trace = make_trace([("a", 100.0, 1.0)] * 3 + [("b", 100.0, 1.0)])
+        manager = ResourceManager(placement=self.Nowhere())
+        with pytest.raises(
+            RuntimeError,
+            match=(
+                rf"with {queued} tasks still queued; the head, task 0 "
+                rf"\(wf/a\), found no node for its 256 MB allocation"
+            ),
+        ):
+            EventDrivenBackend(**options).run(
+                trace, FixedPredictor(256.0), manager, 1.0
+            )
+
+
+class TestFlatArrivals:
+    """The flat driver draws the schedule once and keeps one arrival
+    pending in the event heap."""
+
+    class Decreasing:
+        """Decreases once, at task 2; each half of a two-way shard
+        split ([0, 1] and [2, 3]) is sorted on its own."""
+
+        name = "decreasing"
+
+        def sample(self, n, rng):
+            return np.array([0.0, 2.0, 1.0, 3.0])[:n]
+
+    @pytest.mark.parametrize("shard, shards", [(0, 1), (0, 2), (1, 2)])
+    def test_a_decreasing_schedule_is_refused(self, shard, shards):
+        # The whole schedule is checked, so every shard refuses it as
+        # the unsharded run does, although its own slice is sorted.
+        trace = make_trace([("a", 100.0, 1.0)] * 4)
+        backend = EventDrivenBackend(
+            arrival=self.Decreasing(), shard=shard, shards=shards
+        )
+        with pytest.raises(ConfigError, match="'decreasing' sampled times"):
+            backend.run(trace, FixedPredictor(256.0), ResourceManager(), 1.0)
+
+    def test_same_time_arrivals_pop_in_one_wave_in_index_order(self):
+        # A batch submission: each arrival pushes the next one at the
+        # same instant, and the wave pops it before its clock moves on.
+        trace = make_trace([("a", 100.0, 1.0)] * 5)
+        kernel = EventDrivenBackend(shard=1, shards=2).build_kernel(
+            trace, FixedPredictor(256.0), ResourceManager(), 1.0
+        )
+        assert kernel.run(until=0.0) is None
+        assert kernel.driver._consumed == kernel.driver.n_tasks == 2
+        assert not [e for e in kernel.events._heap if e[1] == ARRIVAL]
+        states = sorted(kernel._running.values(), key=lambda s: s.priority)
+        assert [(s.priority, s.index, s.arrival) for s in states] == [
+            (0, 1, 0.0),
+            (1, 3, 0.0),
+        ]
+
+    def test_at_most_one_arrival_is_pending_at_every_pause(self):
+        trace = build_workflow_trace("iwd", seed=3, scale=0.05)
+        kernel = EventDrivenBackend(arrival="poisson:600", seed=7).build_kernel(
+            trace,
+            FixedPredictor(2048.0),
+            ResourceManager.from_spec("4g:1,6g:1"),
+            0.7,
+        )
+        pending_indexes = []
+        until = 0.0
+        while kernel.run(until=until) is None:
+            pending = [e[3] for e in kernel.events._heap if e[1] == ARRIVAL]
+            assert len(pending) <= 1
+            pending_indexes += [state.index for state in pending]
+            until = kernel.events.next_time  # pause after every wave
+        assert len(pending_indexes) > len(trace) // 2
+        assert pending_indexes == sorted(pending_indexes)
+        assert pending_indexes[-1] == len(trace) - 1
+
+
+class TestDagArrivalOrder:
+    def test_decreasing_submit_times_arrive_in_time_order(self):
+        # A custom model may hand copies out of time order; the event
+        # heap still admits them by submit time.
+        class Reversed(WorkflowArrivals):
+            def sample(self, rng):
+                return np.arange(self.n_instances, 0, -1, dtype=np.float64)
+
+        trace = make_trace([("a", 100.0, 0.5), ("b", 100.0, 0.5)])
+        kernel = EventDrivenBackend(
+            dag="linear", workflow_arrival=Reversed(3)
+        ).build_kernel(trace, FixedPredictor(256.0), ResourceManager(), 1.0)
+        seen = []
+        on_arrival = kernel.driver.on_arrival
+
+        def spy(wi, now):
+            seen.append((now, wi.key))
+            return on_arrival(wi, now)
+
+        kernel.driver.on_arrival = spy
+        result = kernel.run()
+        assert seen == [(1.0, "wf#2"), (2.0, "wf#1"), (3.0, "wf#0")]
+        assert [wi.first_dispatch for wi in kernel.driver.workflows] == [
+            3.0,
+            2.0,
+            1.0,
+        ]
+        assert result.num_tasks == 6
 
 class TestCrossModeDeterminism:
     """Identical seeds give identical results across flat and DAG modes.

@@ -83,6 +83,35 @@ class TestShardedFlat:
             second.summary
         )
 
+    def test_an_unsized_jsonl_source_shards_like_its_trace(self, tmp_path):
+        # A JSONL trace at full scale cannot report its length; the flat
+        # driver materializes it, so it shards like the trace it holds.
+        from repro.sim.backends.event import EventDrivenBackend
+        from repro.workflow.io import save_trace_jsonl
+        from repro.workload.tracefile import TraceFileSource
+
+        trace, factory, spec = scenario_inputs(self.NAME)
+        path = tmp_path / "trace.jsonl"
+        save_trace_jsonl(trace, path)
+        assert TraceFileSource(path).n_tasks is None
+        summaries = [
+            summary_to_dict(
+                run_sharded(
+                    workload,
+                    factory,
+                    shards=2,
+                    time_to_failure=spec["sim"]["time_to_failure"],
+                    cluster=spec["sim"]["cluster"],
+                    placement=spec["sim"]["placement"],
+                    backend=EventDrivenBackend(**spec["backend"]),
+                    n_workers=1,
+                ).summary
+            )
+            for workload in (TraceFileSource(path), trace)
+        ]
+        assert summaries[0] == summaries[1]
+        assert summaries[0]["tasks"]["n_tasks"] == len(trace)
+
     def test_single_shard_equals_streaming_run(self):
         """shards=1 is exactly the unsharded streaming run."""
         from repro.sim.backends.event import EventDrivenBackend

@@ -505,6 +505,13 @@ class TestUsageErrors:
              "scale must be in (0, 1], got 0.0"),
             (["trace", "--workflow", "iwd", "--scale", "nan"],
              "scale must be in (0, 1], got nan"),
+            # --shard-workers sizes the pool of --shards N, N > 1 only.
+            (SIM + ["--scale", "0.05", "--shard-workers", "4"],
+             "--shard-workers"),
+            (SIM + ["--scale", "0.05", "--backend", "event",
+                    "--shard-workers", "0"], "--shard-workers: must be >= 1"),
+            (SIM + ["--scale", "0.05", "--backend", "event", "--shards", "2",
+                    "--shard-workers", "-3"], "--shard-workers: must be >= 1"),
         ],
     )
     def test_exit_2_before_any_run(
