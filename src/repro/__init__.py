@@ -11,19 +11,20 @@ with every substrate the evaluation depends on:
 - :mod:`repro.workflow` -- scientific-workflow task model and a synthetic
   trace generator calibrated to the paper's six nf-core workflows.
 - :mod:`repro.provenance` -- the provenance database Sizey queries online.
-- :mod:`repro.cluster` -- a simulated cluster resource manager enforcing
-  strict memory limits (paper assumption A3) with GBh wastage accounting.
+- :mod:`repro.cluster` -- a simulated cluster resource manager (nodes,
+  placement policies, the allocation cap) with GBh wastage accounting.
 - :mod:`repro.core` -- Sizey itself: RAQ scoring, gating, offsets,
   failure handling, and online learning.
 - :mod:`repro.baselines` -- the four state-of-the-art baselines plus the
   Workflow-Presets sanity baseline.
-- :mod:`repro.sim` -- the online simulator used by the evaluation, with
-  pluggable execution backends behind the ``SimulatorBackend`` seam: the
-  paper-faithful serialized ``"replay"`` loop and a concurrent
-  discrete-``"event"`` engine that measures queueing wait, makespan, and
-  per-node utilization.  Predictors speak the v2 contract: per-task
-  ``predict``, vectorized ``predict_batch``, and the
-  ``begin_trace``/``end_trace`` lifecycle hooks.
+- :mod:`repro.sim` -- the online simulator used by the evaluation: one
+  discrete-event kernel that enforces strict memory limits (paper
+  assumption A3), behind two backends — the paper-faithful serialized
+  ``"replay"``, one task in flight, and a concurrent ``"event"`` engine
+  that measures queueing wait, makespan, and per-node utilization.
+  Predictors speak the v2 contract: vectorized ``predict_batch`` (the
+  one sizing path; per-task ``predict`` derives from it, or the other
+  way round), and the ``begin_trace``/``end_trace`` lifecycle hooks.
 - :mod:`repro.sched` -- DAG-aware workflow scheduling on top of the
   event backend: whole workflow instances (multi-tenant arrivals) whose
   tasks are released only as dependencies succeed, with per-workflow

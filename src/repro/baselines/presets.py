@@ -22,9 +22,6 @@ class WorkflowPresets(MemoryPredictor):
 
     name = "Workflow-Presets"
 
-    def predict(self, task: TaskSubmission) -> float:
-        return task.preset_memory_mb
-
     def predict_batch(self, tasks) -> np.ndarray:
         return np.array([t.preset_memory_mb for t in tasks], dtype=np.float64)
 

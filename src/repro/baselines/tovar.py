@@ -55,12 +55,6 @@ class TovarPPM(MemoryPredictor):
         self._peaks: dict[str, list[float]] = defaultdict(list)
         self._runtimes: dict[str, list[float]] = defaultdict(list)
 
-    def predict(self, task: TaskSubmission) -> float:
-        peaks = self._peaks.get(task.task_type, [])
-        if len(peaks) < self.min_history:
-            return task.preset_memory_mb
-        return self._best_allocation(task.task_type)
-
     def predict_batch(self, tasks) -> np.ndarray:
         """Batch sizing: the candidate sweep runs once per task type.
 

@@ -45,13 +45,6 @@ class WittLR(MemoryPredictor):
         self._models: dict[str, LinearRegression] = {}
         self._offsets: dict[str, float] = {}
 
-    def predict(self, task: TaskSubmission) -> float:
-        model = self._models.get(task.task_type)
-        if model is None:
-            return task.preset_memory_mb
-        raw = float(model.predict(task.features)[0])
-        return max(raw + self._offsets[task.task_type], 1.0)
-
     def predict_batch(self, tasks) -> np.ndarray:
         """Batch sizing: one stacked OLS query per task type."""
 

@@ -55,12 +55,6 @@ class WittPercentile(MemoryPredictor):
         self.min_history = min_history
         self._peaks: dict[str, list[float]] = defaultdict(list)
 
-    def predict(self, task: TaskSubmission) -> float:
-        peaks = self._peaks.get(task.task_type, [])
-        if len(peaks) < self.min_history:
-            return task.preset_memory_mb
-        return _percentile(peaks, self.percentile)
-
     def predict_batch(self, tasks) -> np.ndarray:
         """Batch sizing: the percentile is computed once per task type."""
 

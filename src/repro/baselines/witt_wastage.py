@@ -69,12 +69,6 @@ class WittWastage(MemoryPredictor):
         self._since_refit: dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
-    def predict(self, task: TaskSubmission) -> float:
-        line = self._best_line.get(task.task_type)
-        if line is None:
-            return task.preset_memory_mb
-        return max(float(line.predict(task.features)[0]), 1.0)
-
     def predict_batch(self, tasks) -> np.ndarray:
         """Batch sizing: one stacked query per task type's selected line."""
 

@@ -242,9 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "equal to the uninterrupted run); replaces "
                             "the workload/method/cluster options")
     sim.add_argument("--backend", choices=tuple(BACKENDS), default="replay",
-                     help="simulation backend (replay = paper-faithful "
-                          "serial loop; event = concurrent discrete-event "
-                          "engine with cluster metrics)")
+                     help="simulation backend (replay = the paper's "
+                          "serial evaluation, one task in flight; event = "
+                          "concurrent discrete-event engine with cluster "
+                          "metrics)")
     sim.add_argument("--profile", action="store_true",
                      help="time the kernel phases and print the "
                           "per-phase table after the run summary")
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the events/sec throughput.",
     )
     _add_run_options(prof, workload_spec)
-    prof.add_argument("--repeat", type=int, default=1, metavar="N",
+    prof.add_argument("--repeat", type=_workers, default=1, metavar="N",
                       help="profile the workload N times and merge the "
                            "runs (phase shares average out scheduler "
                            "noise; events/sec reports the best run)")
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--scale", type=float, default=0.2)
     cmp_.add_argument("--seed", type=_seed, default=0)
     cmp_.add_argument("--ttf", type=float, default=1.0)
-    cmp_.add_argument("--workers", type=int, default=1)
+    cmp_.add_argument("--workers", type=_workers, default=1)
     cmp_.add_argument("--backend", choices=tuple(BACKENDS), default="replay",
                       help="simulation backend used for every grid cell")
     _add_cluster_options(cmp_)
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the scorecard JSON here")
     sc.add_argument("--compare", nargs="+", metavar="SCORECARD", default=None,
                     help="PARENT.json [CHANGE.json]")
-    sc.add_argument("--workers", type=int, default=1)
+    sc.add_argument("--workers", type=_workers, default=1)
     sc.add_argument("--spec", default="QUALITY.json",
                     help="the scorecard declaration (default: %(default)s)")
 
@@ -432,8 +433,8 @@ def _add_serve_parsers(sub, log_parent, workload_spec) -> None:
                     help="also write the report as JSON here")
 
 
-#: The flags only a kernel run reads, by dest, with their defaults: a
-#: flag is given when its value differs from its default.
+#: The flags only an event-backend run reads, by dest, with their
+#: defaults: a flag is given when its value differs from its default.
 _EVENT_FLAGS = {
     **dict.fromkeys(("arrival", "dag", "workflow_arrival", "node_outage")),
     "stream_collectors": False, "spill": None, "shards": 1,
@@ -571,7 +572,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     workload_name = None
     if args.resume is not None:
         res = OnlineSimulator.resume(args.resume, **pause)
-        args.backend = "event"  # checkpoints only come from kernel runs
+        args.backend = "event"  # checkpoints only come from event runs
     else:
         backend = _resolve_cli_backend(
             args,
@@ -691,13 +692,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    repeat = max(1, args.repeat)
     backend = _resolve_cli_backend(
         args, profile=True, trace=args.trace, trace_limit=args.trace_limit
     )
     profile = None
     best_eps = 0.0
-    for _ in range(repeat):
+    for _ in range(args.repeat):
         # Fresh source + predictor per run: identical replay, no state
         # carried over, so merged phase shares are honest averages.
         source = _resolve_cli_workload(args)
@@ -722,9 +722,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             f"{res.num_failures} failures"
         )
         print(_render_profile_table(profile))
-        if repeat > 1:
+        if args.repeat > 1:
             print(
-                f"best of {repeat} runs: {best_eps:,.0f} events/sec "
+                f"best of {args.repeat} runs: {best_eps:,.0f} events/sec "
                 "(merged table averages out per-run scheduler noise)"
             )
         if args.trace is not None:

@@ -1,4 +1,4 @@
-"""Cluster resource manager: placement and strict limit enforcement.
+"""Cluster resource manager: nodes, placement and the allocation cap.
 
 Scheduling policy itself is out of the paper's scope (assumption A2 —
 ordering and node assignment belong to the resource manager), so this
@@ -7,13 +7,16 @@ manager delegates node choice to a pluggable
 the seed behaviour).  What the evaluation *does* depend on is captured
 faithfully:
 
-- strict memory limits: a task whose true peak exceeds its allocation is
-  killed (assumption A3);
 - allocation requests are capped at the capacity of the largest node
   that could ever host the task — the retry policy "doubles until the
   machine resources are exhausted" (§II-E), so the manager exposes the
   cap;
 - placement bookkeeping so utilisation can be inspected.
+
+The strict memory limit (assumption A3: a task whose true peak exceeds
+its allocation is killed) is enforced by the simulation kernel
+(:mod:`repro.sim.kernel`), which reserves each attempt on the node this
+manager picks.
 
 The cluster may be heterogeneous: pass ``pools`` as ``(config, count)``
 pairs (or use :meth:`ResourceManager.from_spec` with a compact string
@@ -24,7 +27,6 @@ nodes by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Sequence
 
 from repro.cluster.machine import (
@@ -36,19 +38,7 @@ from repro.cluster.machine import (
 from repro.cluster.policies import PlacementPolicy, resolve_placement
 from repro.errors import ConfigError
 
-__all__ = ["ResourceManager", "ExecutionVerdict"]
-
-
-@dataclass(frozen=True)
-class ExecutionVerdict:
-    """Result of executing one attempt under a strict memory limit."""
-
-    success: bool
-    node_id: int
-    allocated_mb: float
-    #: hours the attempt occupied its allocation (full runtime on
-    #: success; runtime * time_to_failure on a kill)
-    occupied_hours: float
+__all__ = ["ResourceManager"]
 
 
 class ResourceManager:
@@ -100,7 +90,7 @@ class ResourceManager:
         self.placement = resolve_placement(placement)
         self._next_task_id = 0
         # The node list is fixed for the manager's lifetime, so the
-        # largest capacity is too; the event kernel reads it once per
+        # largest capacity is too; the kernel reads it once per
         # sized task, which made the per-call max() measurable.
         self._max_allocation_mb = max(
             node.config.memory_mb for node in self.nodes
@@ -141,7 +131,7 @@ class ResourceManager:
 
     def clamp_allocation(self, request_mb: float) -> float:
         """Clamp a request to [1 MB, largest-node capacity]."""
-        # Comparisons, not min()/max(): the event kernel clamps every
+        # Comparisons, not min()/max(): the kernel clamps every
         # task it sizes, and those two calls cost more than the rest.
         request_mb = float(request_mb)
         if request_mb < 1.0:
@@ -171,11 +161,11 @@ class ResourceManager:
     def try_place(
         self, memory_mb: float, exclude: "Collection[int] | None" = None
     ) -> Machine | None:
-        """Policy-driven placement that returns ``None`` instead of raising.
+        """Policy-driven placement; ``None`` when no node fits now.
 
-        The event kernel's one placement entry, called once per
-        placement: a request that does not currently fit simply stays
-        queued until capacity frees up.  ``exclude`` hides the named
+        The kernel's one placement entry, called once per placement: a
+        request that does not currently fit simply stays queued until
+        capacity frees up.  ``exclude`` hides the named
         node ids from the policy — how the kernel pauses placement on
         drained nodes.
         """
@@ -183,53 +173,3 @@ class ResourceManager:
         if exclude:
             nodes = [n for n in nodes if n.node_id not in exclude]
         return self.placement.select(nodes, memory_mb)
-
-    def place(self, memory_mb: float) -> Machine:
-        """Policy-driven placement; frees are logical so capacity returns.
-
-        Raises ``MemoryError`` when no node can currently fit the request
-        — callers in the serial replay execute tasks one at a time, so
-        this only triggers for requests beyond every node's capacity.
-        """
-        node = self.placement.select(self.nodes, memory_mb)
-        if node is None:
-            raise MemoryError(
-                f"no node can fit {memory_mb:.0f} MB "
-                f"(largest node capacity {self.max_allocation_mb:.0f} MB)"
-            )
-        return node
-
-    def execute_attempt(
-        self,
-        *,
-        allocated_mb: float,
-        true_peak_mb: float,
-        runtime_hours: float,
-        time_to_failure: float = 1.0,
-    ) -> ExecutionVerdict:
-        """Run one attempt under assumption A3.
-
-        The task succeeds iff its true peak fits in the allocation; an
-        under-allocated task is killed after ``time_to_failure`` of its
-        runtime (the paper's simulation parameter: 1.0 = fails at the
-        end, 0.5 = fails halfway).
-        """
-        if not 0.0 < time_to_failure <= 1.0:
-            raise ValueError(
-                f"time_to_failure must be in (0, 1], got {time_to_failure}"
-            )
-        allocated_mb = self.clamp_allocation(allocated_mb)
-        node = self.place(allocated_mb)
-        task_id = self.next_task_id()
-        node.allocate(task_id, allocated_mb)
-        try:
-            success = allocated_mb >= true_peak_mb
-            occupied = runtime_hours if success else runtime_hours * time_to_failure
-            return ExecutionVerdict(
-                success=success,
-                node_id=node.node_id,
-                allocated_mb=allocated_mb,
-                occupied_hours=occupied,
-            )
-        finally:
-            node.release(task_id)

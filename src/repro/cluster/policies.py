@@ -42,9 +42,9 @@ class PlacementPolicy(Protocol):
     """Chooses which node hosts an allocation request.
 
     ``select`` returns the chosen node, or ``None`` when no node
-    currently has room — the caller decides whether that means "queue"
-    (event backend) or "error" (serial replay).  Implementations must be
-    deterministic for a given node state.
+    currently has room — the kernel then keeps the task queued until
+    capacity frees up.  Implementations must be deterministic for a
+    given node state.
     """
 
     #: Registry / CLI name of the policy.

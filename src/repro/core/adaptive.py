@@ -63,19 +63,13 @@ class AdaptiveAlphaSizey(SizeyPredictor):
             return self.alpha_candidates[0]
         return self.alpha_candidates[int(np.argmin(waste))]
 
-    def predict(self, task: TaskSubmission) -> float:
-        key = self._key(task.task_type, task.machine)
-        pool = self.pools.get(key)
-        if pool is None or not pool.is_ready or (
-            pool.n_observations < self.config.min_history
-        ):
-            self.preset_fallbacks += 1
-            return task.preset_memory_mb
+    def _raw_estimate(self, key, task: TaskSubmission, pp) -> float:
+        """Gate the row once per candidate alpha and use the preferred one.
 
-        pp = pool.predict(task.features)
-        self.selection_counts[pp.selected_model] += 1
-
-        # Gate once per candidate alpha from the same model outputs.
+        Every candidate's estimate stays pending until the task's
+        success scores it; :meth:`SizeyPredictor.predict_batch` pads the
+        chosen one with the pool's offset.
+        """
         estimates = np.empty(len(self.alpha_candidates))
         for i, a in enumerate(self.alpha_candidates):
             raq = raq_scores(pp.accuracy, pp.efficiency, a)
@@ -86,12 +80,7 @@ class AdaptiveAlphaSizey(SizeyPredictor):
 
         alpha = self.current_alpha(key)
         self.alpha_choices[task.task_type].append(alpha)
-        chosen = float(estimates[self.alpha_candidates.index(alpha)])
-        self._pending[task.instance_id] = (key, chosen)
-
-        tracker = self.offsets.get(key)
-        offset = tracker.current_offset()[0] if tracker is not None else 0.0
-        return max(chosen + offset, 1.0)
+        return float(estimates[self.alpha_candidates.index(alpha)])
 
     def observe(self, record) -> None:
         if record.success:

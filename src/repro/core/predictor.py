@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.config import SizeyConfig
 from repro.core.failure import FailureHandler
 from repro.core.offsets import OffsetTracker
-from repro.core.pool import ModelPool
+from repro.core.pool import ModelPool, PoolPrediction
 from repro.provenance.database import ProvenanceDatabase
 from repro.provenance.records import TaskRecord
 from repro.sim.interface import (
@@ -88,34 +88,18 @@ class SizeyPredictor(MemoryPredictor):
     # ------------------------------------------------------------------
     # Phase 2: prediction
     # ------------------------------------------------------------------
-    def predict(self, task: TaskSubmission) -> float:
-        key = self._key(task.task_type, task.machine)
-        pool = self.pools.get(key)
-        if pool is None or not pool.is_ready or (
-            pool.n_observations < self.config.min_history
-        ):
-            # Unknown task type: "submitted directly to the resource
-            # manager, resorting to the user-provided ... estimate".
-            self.preset_fallbacks += 1
-            return task.preset_memory_mb
-
-        pp = pool.predict(task.features)
-        self.selection_counts[pp.selected_model] += 1
-        raw = pp.estimate
-        self._pending[task.instance_id] = (key, raw)
-
-        tracker = self.offsets.get(key)
-        offset = tracker.current_offset()[0] if tracker is not None else 0.0
-        return max(raw + offset, 1.0)
-
     def predict_batch(self, tasks) -> np.ndarray:
-        """Vectorized batch sizing, grouped by (task type, machine) pool.
+        """Size a group of submissions, grouped by (task type, machine) pool.
 
         Submissions sharing a pool key are stacked into one feature
         matrix and answered by a single :meth:`ModelPool.predict_batch`
-        call — one model query per slot instead of one per task.  All
-        per-task bookkeeping (selection counts, pending raw estimates,
-        preset fallbacks) matches the loop-of-singles semantics exactly.
+        call — one model query per slot instead of one per task.  A pool
+        that is missing or below ``min_history`` falls back to each
+        task's preset ("submitted directly to the resource manager,
+        resorting to the user-provided ... estimate").  Every row counts
+        its selected model, keeps its raw estimate pending until the
+        task's success is observed, and is padded by the pool's current
+        offset.
         """
         def sizer(key, group):
             pool = self.pools.get(key)
@@ -130,13 +114,21 @@ class SizeyPredictor(MemoryPredictor):
             estimates = np.empty(len(group), dtype=np.float64)
             for j, (task, pp) in enumerate(zip(group, pool.predict_batch(X))):
                 self.selection_counts[pp.selected_model] += 1
-                self._pending[task.instance_id] = (key, pp.estimate)
-                estimates[j] = max(pp.estimate + offset, 1.0)
+                raw = self._raw_estimate(key, task, pp)
+                self._pending[task.instance_id] = (key, raw)
+                estimates[j] = max(raw + offset, 1.0)
             return estimates
 
         return batch_by_group(
             tasks, lambda t: self._key(t.task_type, t.machine), sizer
         )
+
+    def _raw_estimate(
+        self, key: tuple[str, str], task: TaskSubmission, pp: PoolPrediction
+    ) -> float:
+        """The un-offset estimate for one row of a pool query: the
+        pool's gated estimate."""
+        return pp.estimate
 
     # ------------------------------------------------------------------
     # API v2 lifecycle

@@ -10,17 +10,17 @@ that environment:
   prediction and trace-lifecycle hooks — and the task-submission view
   that hides ground truth from predictors.
 - :mod:`repro.sim.backends` -- execution semantics behind the
-  :class:`SimulatorBackend` protocol, named in :data:`BACKENDS`: the
-  paper-faithful serialized ``"replay"`` loop and the kernel-driven
-  discrete-``"event"`` engine that measures queueing wait, makespan,
-  and node utilization.  :class:`EventDrivenBackend` is a frozen
-  dataclass holding every event option, and the one builder of a
-  :class:`SimulationKernel`.
+  :class:`SimulatorBackend` protocol, named in :data:`BACKENDS`.  Both
+  run the one simulation kernel: ``"replay"`` with one task in flight
+  (the paper's serialized evaluation loop), and the discrete-``"event"``
+  engine, where tasks overlap on nodes, that measures queueing wait,
+  makespan, and node utilization.  :class:`EventDrivenBackend` is a
+  frozen dataclass holding every event option.
 - :mod:`repro.sim.kernel` -- the unified discrete-event simulation
   kernel: one clock, typed event heap, and sizing lifecycle shared by
-  the flat event backend and the DAG engine, with pluggable
-  :class:`~repro.sim.kernel.collectors.MetricsCollector` objects and
-  kernel-level node-drain scenarios (:class:`NodeOutage`).
+  the serial replay, the flat event backend and the DAG engine, with
+  pluggable :class:`~repro.sim.kernel.collectors.MetricsCollector`
+  objects and kernel-level node-drain scenarios (:class:`NodeOutage`).
 - :mod:`repro.sim.engine` -- the :class:`OnlineSimulator` facade that
   pairs a trace with a cluster and a backend.
 - :mod:`repro.sim.results` -- per-run results (plus

@@ -4,11 +4,11 @@
   protocol and shared constants and helpers (attempt cap, doubling
   factor, prediction chunk, checked allocation clamping).
 - :mod:`repro.sim.backends.replay` -- the paper's serialized per-task
-  replay loop (``backend="replay"``, the default).
-- :mod:`repro.sim.backends.event` -- the event backend over the unified
-  simulation kernel (:mod:`repro.sim.kernel`): real node concurrency,
-  FCFS queueing, cluster metrics, node-drain scenarios and DAG-aware
-  scheduling (``backend="event"``).
+  replay (``backend="replay"``, the default): the unified simulation
+  kernel (:mod:`repro.sim.kernel`) driven with one task in flight.
+- :mod:`repro.sim.backends.event` -- the event backend over the same
+  kernel: real node concurrency, FCFS queueing, cluster metrics,
+  node-drain scenarios and DAG-aware scheduling (``backend="event"``).
 
 :data:`BACKENDS` maps each name to its class; any other object
 satisfying :class:`SimulatorBackend` is accepted as an instance.

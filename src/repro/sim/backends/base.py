@@ -4,11 +4,11 @@ A backend owns the execution semantics of one trace replay — how tasks
 move through time and occupy the cluster — while the predictor contract,
 wastage accounting, and result schema stay identical across backends.
 Two implementations ship, addressable by name through
-:data:`repro.sim.backends.BACKENDS`:
+:data:`repro.sim.backends.BACKENDS`, and both run the one simulation
+kernel (:mod:`repro.sim.kernel`):
 
 - :class:`~repro.sim.backends.replay.ReplayBackend` (``"replay"``): the
-  paper's serialized per-task loop, bit-for-bit faithful to the original
-  engine.
+  paper's serialized evaluation, one task in flight at a time.
 - :class:`~repro.sim.backends.event.EventDrivenBackend` (``"event"``): a
   discrete-event engine where tasks concurrently occupy nodes, exposing
   queueing wait, makespan, and per-node utilization.
@@ -44,12 +44,12 @@ MAX_ATTEMPTS = 30
 
 #: Escalation floor after a kill: when the predictor's retry proposal
 #: does not grow, the next allocation is the failed one times this
-#: factor (paper §II-E: "continuously doubled"), in both backends.
+#: factor (paper §II-E: "continuously doubled").
 DOUBLING_FACTOR = 2.0
 
-#: How many queued tasks the event kernel sizes per ``predict_batch``
-#: call.  It requests predictions only as its dispatch window reaches
-#: unsized tasks, so tasks deep in the queue are sized *after* earlier
+#: How many queued tasks the kernel sizes per ``predict_batch`` call.
+#: It requests predictions only as its dispatch window reaches unsized
+#: tasks, so tasks deep in the queue are sized *after* earlier
 #: completions were observed — online learning survives the batching.
 PREDICTION_CHUNK = 32
 
@@ -92,8 +92,8 @@ def clamp_allocation_checked(
     """Clamp a request to the largest node's capacity, rejecting
     impossible tasks and NaN requests.
 
-    The one allocation clamp: the replay loop, the event kernel's
-    sizing wave and its re-size after a kill all call it.
+    The one allocation clamp: the kernel's sizing wave and its re-size
+    after a kill both call it.
     ``instance_id`` is the id the run reports for ``inst`` (a DAG copy
     shifts its trace's ids).
 

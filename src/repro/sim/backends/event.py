@@ -1,9 +1,9 @@
 """Flat-stream event backend: a thin driver over the simulation kernel.
 
-The replay backend executes one task at a time, which makes
-cluster-level quantities — queueing delay, makespan, node utilization —
-unobservable.  This backend runs the same predictor contract through the
-unified discrete-event kernel (:mod:`repro.sim.kernel`) instead:
+The replay backend keeps one task in flight, which makes cluster-level
+quantities — queueing delay, makespan, node utilization — unobservable.
+This backend runs the same unified discrete-event kernel
+(:mod:`repro.sim.kernel`) with every task arriving on its own schedule:
 
 - every task *arrives* at the time assigned by a pluggable
   :class:`~repro.sim.arrivals.ArrivalModel` — a fixed inter-arrival
@@ -26,7 +26,7 @@ unified discrete-event kernel (:mod:`repro.sim.kernel`) instead:
   placement on a node and preempt its running tasks — a kernel-level
   scenario shared verbatim with the DAG engine.
 
-Wastage accounting is attempt-for-attempt identical to the replay
+Wastage is accounted by the same kernel collector as in the replay
 backend; for a predictor that does not learn online the two backends
 produce the same ledger totals, while the event backend additionally
 reports the cluster-level metrics.
@@ -216,9 +216,9 @@ class EventDrivenBackend:
     """Concurrent execution on a shared cluster with FCFS queueing.
 
     The one place event-simulation options live: every field below is
-    validated and normalized once, here, and :meth:`build_kernel` is the
-    only builder of a :class:`~repro.sim.kernel.core.SimulationKernel`.
-    Derive a variant with :func:`dataclasses.replace`.
+    validated and normalized once, here, and :meth:`build_kernel` builds
+    every event :class:`~repro.sim.kernel.core.SimulationKernel`, flat
+    or DAG.  Derive a variant with :func:`dataclasses.replace`.
 
     Parameters
     ----------
@@ -285,8 +285,7 @@ class EventDrivenBackend:
     The kernel sizes queued tasks :data:`~repro.sim.backends.base.
     PREDICTION_CHUNK` at a time and re-sizes a killed task to at least
     :data:`~repro.sim.backends.base.DOUBLING_FACTOR` times its failed
-    allocation — the replay backend's factor, so the two stay
-    attempt-for-attempt identical.
+    allocation, as it does for the replay backend.
     """
 
     name = "event"

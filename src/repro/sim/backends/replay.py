@@ -1,47 +1,80 @@
 """The serialized replay backend — the paper's original semantics.
 
 Replays a workflow trace in submission order against one predictor, one
-task at a time:
+task at a time (§III-A/§IV of the paper): a task is sized, run under
+strict limits (assumption A3) with the configured time-to-failure,
+re-sized and re-run after each kill, and its success is observed for
+online learning before the next task is sized.
 
-1. Build the predictor-visible :class:`TaskSubmission` (Phase 1).
-2. Ask the predictor for an allocation (Phase 2).
-3. Execute under strict limits (assumption A3) with the configured
-   time-to-failure; on failure, record wastage, inform the predictor,
-   get a retry allocation, repeat.
-4. On success, record wastage and feed the completion record back for
-   online learning (Phase 3).
-
-The retry loop is owned by the simulator so all methods are charged
-identically for failures.  This loop is the seed engine's, extracted
-verbatim: for a fixed trace and predictor it reproduces the original
-``SimulationResult`` exactly (same wastage, failures, prediction logs).
+:class:`SerialDriver` plugs that order into the simulation kernel
+(:mod:`repro.sim.kernel`) by keeping exactly one task in flight, so
+replay and the event backend share every lifecycle step — sizing
+through ``predict_batch``, the clamp, the kill and the doubling-factor
+escalation floor, the wastage accounting.
 """
 
 from __future__ import annotations
 
-from repro.cluster.accounting import WastageLedger
-from repro.cluster.manager import ResourceManager
-from repro.provenance.records import TaskRecord
-from repro.sim.backends.base import (
-    DOUBLING_FACTOR,
-    MAX_ATTEMPTS,
-    clamp_allocation_checked,
-)
-from repro.sim.interface import MemoryPredictor, TaskSubmission, TraceContext
-from repro.sim.results import PredictionLog, SimulationResult
-from repro.workflow.task import WorkflowTrace
-from repro.workload.base import WorkloadSource, as_source
+from typing import Iterable, Iterator
 
-__all__ = ["ReplayBackend"]
+from repro.cluster.manager import ResourceManager
+from repro.sim.interface import MemoryPredictor
+from repro.sim.kernel.core import SimulationKernel, TaskState
+from repro.sim.kernel.events import ARRIVAL
+from repro.sim.results import SimulationResult
+from repro.workflow.task import TaskInstance, WorkflowTrace
+from repro.workload.base import WorkloadSource
+
+__all__ = ["ReplayBackend", "SerialDriver"]
+
+
+class SerialDriver:
+    """Kernel driver with one task in flight: the paper's serial replay.
+
+    :meth:`seed` pushes task 0's arrival at t = 0, and each success
+    returns the next task's state, read lazily from
+    ``source.iter_tasks()`` — a streaming source is never materialized,
+    and reports ``n_tasks`` as -1 when it cannot know its length.  The
+    cluster is empty whenever a task is dispatched, so every clamped
+    allocation finds a node.
+    """
+
+    def __init__(self) -> None:
+        self.n_tasks = 0
+        self._tasks: Iterator[TaskInstance] | None = None
+        self._submitted = 0
+
+    def seed(self, kernel: SimulationKernel) -> None:
+        source = kernel.source
+        self.n_tasks = -1 if source.n_tasks is None else source.n_tasks
+        self._tasks = iter(source.iter_tasks())
+        for state in self._next(0.0):
+            kernel.events.push(0.0, ARRIVAL, state)
+
+    def _next(self, now: float) -> tuple[TaskState, ...]:
+        """The next task's state, submitted at ``now``; ``()`` at the end."""
+        inst = next(self._tasks, None)
+        if inst is None:
+            return ()
+        index = self._submitted
+        self._submitted = index + 1
+        return (TaskState(inst, inst.instance_id, index, arrival=now),)
+
+    def on_arrival(self, payload: object, now: float) -> Iterable[TaskState]:
+        return (payload,)
+
+    def on_success(self, state: TaskState, now: float) -> Iterable[TaskState]:
+        return self._next(now)
+
+    def finish(self, kernel: SimulationKernel) -> None:
+        pass
 
 
 class ReplayBackend:
     """One-task-at-a-time replay (paper fidelity; no concurrency).
 
-    A retry proposal that does not grow falls back to
-    :data:`~repro.sim.backends.base.DOUBLING_FACTOR` times the failed
-    allocation — the event kernel's floor too, so the two backends stay
-    attempt-for-attempt identical.
+    Runs the kernel with a :class:`SerialDriver` and only the wastage
+    collector, so the result carries no cluster metrics.
     """
 
     name = "replay"
@@ -53,123 +86,12 @@ class ReplayBackend:
         manager: ResourceManager,
         time_to_failure: float,
     ) -> SimulationResult:
-        source = as_source(workload)
-        manager.release_all()
-        predictor.begin_trace(
-            TraceContext(
-                workflow=source.workflow,
-                # Streaming sources cannot know their length without
-                # exhausting themselves; -1 tells the predictor the
-                # count is unknown (this loop is one-task-at-a-time, so
-                # it never needs to materialize the stream).
-                n_tasks=-1 if source.n_tasks is None else source.n_tasks,
-                time_to_failure=time_to_failure,
-                backend=self.name,
-            )
-        )
-        ledger = WastageLedger()
-        logs: list[PredictionLog] = []
-
-        for timestamp, inst in enumerate(source.iter_tasks()):
-            submission = TaskSubmission.from_instance(inst, timestamp)
-            allocation = clamp_allocation_checked(
-                manager, inst, predictor.predict(submission), inst.instance_id
-            )
-            first_allocation = allocation
-            attempt = 1
-            while True:
-                if attempt > MAX_ATTEMPTS:
-                    raise RuntimeError(
-                        f"task {inst.instance_id} ({inst.task_type.key}) did "
-                        f"not finish within {MAX_ATTEMPTS} attempts; "
-                        f"last allocation {allocation:.0f} MB, "
-                        f"peak {inst.peak_memory_mb:.0f} MB"
-                    )
-                verdict = manager.execute_attempt(
-                    allocated_mb=allocation,
-                    true_peak_mb=inst.peak_memory_mb,
-                    runtime_hours=inst.runtime_hours,
-                    time_to_failure=time_to_failure,
-                )
-                if verdict.success:
-                    ledger.record_success(
-                        task_type=inst.task_type.name,
-                        workflow=inst.task_type.workflow,
-                        instance_id=inst.instance_id,
-                        attempt=attempt,
-                        allocated_mb=verdict.allocated_mb,
-                        peak_memory_mb=inst.peak_memory_mb,
-                        runtime_hours=inst.runtime_hours,
-                    )
-                    predictor.observe(
-                        TaskRecord.from_attempt(
-                            inst,
-                            timestamp,
-                            peak_memory_mb=inst.peak_memory_mb,
-                            runtime_hours=inst.runtime_hours,
-                            success=True,
-                            attempt=attempt,
-                            allocated_mb=verdict.allocated_mb,
-                            instance_id=inst.instance_id,
-                        )
-                    )
-                    break
-
-                ledger.record_failure(
-                    task_type=inst.task_type.name,
-                    workflow=inst.task_type.workflow,
-                    instance_id=inst.instance_id,
-                    attempt=attempt,
-                    allocated_mb=verdict.allocated_mb,
-                    peak_memory_mb=inst.peak_memory_mb,
-                    time_to_failure_hours=verdict.occupied_hours,
-                )
-                # The failure record's "peak" is the exceeded limit — a
-                # lower bound, flagged via success=False.
-                predictor.observe(
-                    TaskRecord.from_attempt(
-                        inst,
-                        timestamp,
-                        peak_memory_mb=verdict.allocated_mb,
-                        runtime_hours=verdict.occupied_hours,
-                        success=False,
-                        attempt=attempt,
-                        allocated_mb=verdict.allocated_mb,
-                        instance_id=inst.instance_id,
-                    )
-                )
-                next_allocation = float(
-                    predictor.on_failure(submission, verdict.allocated_mb, attempt)
-                )
-                # Retries must strictly grow or the loop cannot terminate;
-                # a non-growing proposal falls back to the doubling factor.
-                if next_allocation <= verdict.allocated_mb:
-                    next_allocation = verdict.allocated_mb * DOUBLING_FACTOR
-                allocation = clamp_allocation_checked(
-                    manager, inst, next_allocation, inst.instance_id
-                )
-                attempt += 1
-
-            logs.append(
-                PredictionLog(
-                    instance_id=inst.instance_id,
-                    task_type=inst.task_type.name,
-                    workflow=inst.task_type.workflow,
-                    timestamp=timestamp,
-                    input_size_mb=inst.input_size_mb,
-                    true_peak_mb=inst.peak_memory_mb,
-                    true_runtime_hours=inst.runtime_hours,
-                    first_allocation_mb=first_allocation,
-                    final_allocation_mb=allocation,
-                    n_attempts=attempt,
-                )
-            )
-
-        predictor.end_trace()
-        return SimulationResult(
-            workflow=source.workflow,
-            method=predictor.name,
-            time_to_failure=time_to_failure,
-            ledger=ledger,
-            predictions=logs,
-        )
+        result = SimulationKernel(
+            workload,
+            predictor,
+            manager,
+            time_to_failure,
+            driver=SerialDriver(),
+        ).run()
+        assert result is not None
+        return result

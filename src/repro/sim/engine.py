@@ -5,9 +5,9 @@ delegates the actual execution semantics to a
 :class:`~repro.sim.backends.base.SimulatorBackend`:
 
 - ``backend="replay"`` (default) — the paper's serialized per-task
-  replay loop, bit-for-bit identical to the original engine.
-- ``backend="event"`` — a discrete-event engine where tasks genuinely
-  overlap on nodes, adding queueing wait, makespan, and per-node
+  replay: the simulation kernel with one task in flight.
+- ``backend="event"`` — the same kernel with tasks genuinely
+  overlapping on nodes, adding queueing wait, makespan, and per-node
   utilization to the result; DAG-aware scheduling runs through it too.
 
 The two names come from :data:`repro.sim.backends.BACKENDS`; any other
@@ -157,8 +157,8 @@ class OnlineSimulator:
         if options:
             if not isinstance(backend, EventDrivenBackend):
                 raise ConfigError(
-                    f"options {', '.join(options)} need a kernel-driven "
-                    f"backend (the event backend); got {backend.name!r}"
+                    f"options {', '.join(options)} need the event "
+                    f"backend; got {backend.name!r}"
                 )
             backend = dataclasses.replace(backend, **options)
         self.backend = backend
@@ -188,8 +188,8 @@ class OnlineSimulator:
             )
         if not isinstance(self.backend, EventDrivenBackend):
             raise ConfigError(
-                f"checkpoint/stop_after require a kernel-driven backend "
-                f"(the event backend); got {self.backend.name!r}"
+                f"checkpoint/stop_after require the event backend; got "
+                f"{self.backend.name!r}"
             )
         from repro.sim.kernel.checkpoint import drive_kernel
 

@@ -6,16 +6,19 @@ all methods play under identical rules: they see a
 receive a :class:`~repro.provenance.records.TaskRecord` after each
 attempt, and are asked for a new allocation after a failure.
 
-API v2 adds two optional seams on top of the original per-task contract,
-both with backwards-compatible defaults so every existing predictor
-keeps working unchanged:
+API v2 adds two seams on top of the original per-task contract, both
+with backwards-compatible defaults so every existing predictor keeps
+working unchanged:
 
 - **Batch prediction** — :meth:`MemoryPredictor.predict_batch` sizes a
-  whole group of submissions in one call.  The default implementation
-  loops over :meth:`~MemoryPredictor.predict`; predictors with real
-  models (Sizey, the Witt baselines, Tovar) override it with vectorized
-  model queries grouped by pool key, which the event-driven backend
-  exploits when several tasks become schedulable at the same instant.
+  whole group of submissions in one call, and it is the one sizing
+  path every simulator calls.  A predictor implements either method
+  and the base class derives the other: the default ``predict_batch``
+  loops over :meth:`~MemoryPredictor.predict`, and the default
+  ``predict`` sizes a batch of one.  Sizey and every baseline
+  implement only ``predict_batch``, with model queries vectorized per
+  pool key, which the event backend exploits when several tasks become
+  schedulable at the same instant.
 - **Trace lifecycle hooks** — the simulator calls
   :meth:`~MemoryPredictor.begin_trace` with a :class:`TraceContext`
   before the first submission of a trace and
@@ -27,7 +30,7 @@ The full v2 lifecycle, driven by the simulator backend::
 
     predictor.begin_trace(context)
     for each scheduling round:
-        allocs = predictor.predict_batch(ready_tasks)   # or predict(task)
+        allocs = predictor.predict_batch(ready_tasks)
         while an attempt fails:
             predictor.observe(failure_record)
             alloc = predictor.on_failure(task, alloc, attempt)
@@ -37,7 +40,6 @@ The full v2 lifecycle, driven by the simulator backend::
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,21 +137,21 @@ class TraceContext:
 
     Passed to :meth:`MemoryPredictor.begin_trace` by every simulation
     backend.  Contains only simulation-harness facts — never ground
-    truth about individual tasks.
+    truth about individual tasks.  ``n_tasks`` is -1 for a streaming
+    source that cannot report its length.
     """
 
     workflow: str
     n_tasks: int
     time_to_failure: float
-    backend: str = "replay"
 
 
-class MemoryPredictor(ABC):
+class MemoryPredictor:
     """Interface every memory-sizing method implements.
 
     Lifecycle per task instance, driven by the simulator::
 
-        alloc = predictor.predict(task)
+        alloc = predictor.predict_batch([task, ...])[0]
         while attempt fails:
             predictor.observe(failure_record)
             alloc = predictor.on_failure(task, alloc, attempt)
@@ -158,29 +160,44 @@ class MemoryPredictor(ABC):
     ``observe`` is the online-learning hook (paper Phase 3); predictors
     that do not learn online simply ignore it.
 
-    API v2 additions (all optional to implement):
-    :meth:`predict_batch` for vectorized group sizing, and the
-    :meth:`begin_trace` / :meth:`end_trace` lifecycle pair bracketing
-    each simulated trace.
+    A subclass implements :meth:`predict` or :meth:`predict_batch`
+    (or both); the base class derives the one it leaves out, and one
+    that implements neither cannot be instantiated (``TypeError``).
+    :meth:`begin_trace` / :meth:`end_trace` bracket each simulated
+    trace.
     """
 
     #: Human-readable method name used in result tables.
     name: str = "predictor"
 
-    @abstractmethod
+    def __new__(cls, *args, **kwargs):
+        if (
+            cls.predict is MemoryPredictor.predict
+            and cls.predict_batch is MemoryPredictor.predict_batch
+        ):
+            raise TypeError(
+                f"cannot instantiate {cls.__name__}: a MemoryPredictor "
+                f"implements predict or predict_batch"
+            )
+        return super().__new__(cls)
+
     def predict(self, task: TaskSubmission) -> float:
-        """Memory allocation (MB) for the first attempt of ``task``."""
+        """Memory allocation (MB) for the first attempt of ``task``.
+
+        The default sizes a batch of one with :meth:`predict_batch`.
+        """
+        return float(self.predict_batch([task])[0])
 
     def predict_batch(self, tasks: Sequence[TaskSubmission]) -> np.ndarray:
         """First-attempt allocations (MB) for a group of submissions.
 
         Returns an array of shape ``(len(tasks),)`` whose ``i``-th entry
-        is the allocation for ``tasks[i]``.  The default delegates to
-        :meth:`predict` one task at a time, so overriding is purely an
-        optimisation: a batch call must be equivalent to the loop of
-        single calls (no observations happen between the two).
-        Predictors backed by real models override this with model
-        queries vectorized per pool key.
+        is the allocation for ``tasks[i]``; every simulator sizes
+        through this method.  The default delegates to :meth:`predict`
+        one task at a time, so a predictor that implements only
+        ``predict`` keeps working.  A batch call must be equivalent to
+        the loop of single calls (no observations happen between the
+        two).
         """
         return np.array(
             [float(self.predict(t)) for t in tasks], dtype=np.float64
@@ -190,7 +207,7 @@ class MemoryPredictor(ABC):
         """Lifecycle hook: called once before a trace starts replaying.
 
         ``context`` describes the upcoming trace (workflow, task count,
-        time-to-failure, backend name).  Default: no-op.
+        time-to-failure).  Default: no-op.
         """
 
     def end_trace(self) -> None:

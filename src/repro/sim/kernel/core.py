@@ -1,7 +1,8 @@
 """The unified discrete-event simulation kernel.
 
-One event loop serves every execution mode.  The kernel owns what the
-flat event backend and the DAG scheduling engine used to duplicate:
+One event loop serves every execution mode — the paper's serial
+replay, the flat event backend and the DAG scheduling engine.  The
+kernel owns what they share:
 
 - the **clock and typed event heap** (:mod:`repro.sim.kernel.events`)
   with deterministic three-level tie-breaking, and the FCFS
@@ -20,13 +21,17 @@ flat event backend and the DAG scheduling engine used to duplicate:
 
 What still differs between modes lives in a :class:`KernelDriver`: how
 work *arrives* (per-task arrival times vs. whole workflow instances)
-and how completions *release* more work (a flat stream releases nothing;
-a DAG driver releases successor tasks).  Drivers only say what becomes
-ready and when: the kernel pushes every state they return onto its one
-:class:`ReadyQueue`, in the order returned, and dispatches strictly
-FCFS from its head.
-:class:`~repro.sim.backends.event.EventDrivenBackend` is the one place
-that picks the driver and collectors and builds a kernel.
+and how completions *release* more work (the serial replay releases the
+next task; a flat stream releases nothing; a DAG driver releases
+successor tasks).  Drivers only say what becomes ready and when: the
+kernel pushes every state they return onto its one :class:`ReadyQueue`,
+in the order returned, and dispatches strictly FCFS from its head.
+Two backends build kernels:
+:class:`~repro.sim.backends.event.EventDrivenBackend` picks the flat or
+DAG driver and its collectors, and
+:class:`~repro.sim.backends.replay.ReplayBackend` runs the
+:class:`~repro.sim.backends.replay.SerialDriver` with the wastage
+collector alone.
 """
 
 from __future__ import annotations
@@ -200,7 +205,8 @@ class KernelDriver(Protocol):
     """Mode-specific behaviour plugged into the kernel.
 
     After :meth:`seed` the driver exposes ``n_tasks`` (total task
-    instances of the run, reported to the predictor's trace context).
+    instances of the run, reported to the predictor's trace context;
+    -1 when the source cannot report its length).
     The kernel pushes the states :meth:`on_arrival` and
     :meth:`on_success` return onto its :class:`ReadyQueue`, in order.
     """
@@ -273,7 +279,7 @@ class SimulationKernel:
     PREDICTION_CHUNK` at a time, so online learning from earlier
     completions still reaches later tasks, and re-sizes a killed task
     to at least :data:`~repro.sim.backends.base.DOUBLING_FACTOR` times
-    its failed allocation.  Both go through the replay backend's clamp,
+    its failed allocation.  Both go through the one clamp,
     :func:`~repro.sim.backends.base.clamp_allocation_checked`, which
     refuses a task no node can host and a NaN request.  Placement goes
     through :meth:`ResourceManager.try_place` and each attempt's
@@ -426,8 +432,6 @@ class SimulationKernel:
                 workflow=self.source.workflow,
                 n_tasks=self.driver.n_tasks,
                 time_to_failure=self.time_to_failure,
-                # Only the event backend builds kernels.
-                backend="event",
             )
         )
         for collector in self.collectors:

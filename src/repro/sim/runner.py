@@ -258,8 +258,7 @@ def run_sharded(
         backend = EventDrivenBackend()
     if not isinstance(backend, EventDrivenBackend):
         raise ConfigError(
-            f"sharded runs require a kernel-driven backend (the event "
-            f"backend); got {backend!r}"
+            f"sharded runs require the event backend; got {backend!r}"
         )
     for field, why in (
         ("node_outage", "node ids are renumbered within each shard's "

@@ -69,45 +69,14 @@ class TestResourceManager:
         assert rm.clamp_allocation(-5.0) == 1.0
         assert rm.clamp_allocation(512.0) == 512.0
 
-    def test_success_iff_allocation_covers_peak(self):
-        rm = ResourceManager()
-        ok = rm.execute_attempt(
-            allocated_mb=1000.0, true_peak_mb=900.0, runtime_hours=1.0
-        )
-        assert ok.success and ok.occupied_hours == 1.0
-        bad = rm.execute_attempt(
-            allocated_mb=800.0, true_peak_mb=900.0, runtime_hours=1.0
-        )
-        assert not bad.success
-
-    def test_time_to_failure_scales_occupancy(self):
-        rm = ResourceManager()
-        v = rm.execute_attempt(
-            allocated_mb=100.0,
-            true_peak_mb=200.0,
-            runtime_hours=2.0,
-            time_to_failure=0.5,
-        )
-        assert v.occupied_hours == pytest.approx(1.0)
-
-    def test_invalid_ttf(self):
-        rm = ResourceManager()
-        with pytest.raises(ValueError, match="time_to_failure"):
-            rm.execute_attempt(
-                allocated_mb=1.0,
-                true_peak_mb=2.0,
-                runtime_hours=1.0,
-                time_to_failure=0.0,
-            )
-
     def test_nodes_freed_after_attempts(self):
         rm = ResourceManager(n_nodes=2)
         for _ in range(10):
-            rm.execute_attempt(
-                allocated_mb=rm.max_allocation_mb,
-                true_peak_mb=1.0,
-                runtime_hours=0.1,
-            )
+            node = rm.try_place(rm.max_allocation_mb)
+            task_id = rm.next_task_id()
+            node.allocate(task_id, rm.max_allocation_mb)
+            node.release(task_id)
+        assert rm.next_task_id() == 10
         assert all(n.allocated_mb == 0.0 for n in rm.nodes)
 
     def test_invalid_n_nodes(self):

@@ -109,20 +109,19 @@ class TestHeterogeneousManager:
 
     def test_big_task_lands_on_big_node(self):
         rm = ResourceManager.from_spec("64g:2,256g:1")
-        node = rm.place(100 * 1024)  # fits only the 256g node
+        node = rm.try_place(100 * 1024)  # fits only the 256g node
         assert node.config.memory_mb == 256 * 1024
 
     def test_rejects_nonpositive_pool_count(self):
         with pytest.raises(ValueError, match="pool count"):
             ResourceManager(pools=[(MachineConfig("t", 1024.0), 0)])
 
-    def test_execute_attempt_on_hetero_cluster(self):
+    def test_try_place_on_hetero_cluster(self):
         rm = ResourceManager.from_spec("1g:1,4g:1")
-        verdict = rm.execute_attempt(
-            allocated_mb=2048.0, true_peak_mb=2000.0, runtime_hours=1.0
-        )
-        assert verdict.success
-        assert verdict.node_id == 1  # only the 4g node fits 2 GB
+        node = rm.try_place(2048.0)
+        assert node.node_id == 1  # only the 4g node fits 2 GB
+        node.allocate(rm.next_task_id(), 2048.0)
+        assert rm.try_place(2049.0) is None  # 2 GB left on the 4g node
 
 
 class TestPlacementPolicies:

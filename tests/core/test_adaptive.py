@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.adaptive import DEFAULT_ALPHA_CANDIDATES, AdaptiveAlphaSizey
 from repro.core.config import SizeyConfig
+from repro.core.predictor import SizeyPredictor
 from repro.provenance.records import TaskRecord
+from repro.sim import EventDrivenBackend, result_to_dict
 from repro.sim.engine import OnlineSimulator
 from repro.sim.interface import TaskSubmission
 from repro.workflow.nfcore import build_workflow_trace
@@ -87,3 +89,40 @@ class TestAdaptiveAlpha:
         assert res.method == "Sizey-AdaptiveAlpha"
         assert res.total_wastage_gbh > 0
         assert res.num_tasks == len(trace)
+
+
+class TestOneSizingPath:
+    """Both backends size through ``predict_batch``, so the alpha switch
+    runs on each (iwd, scale 0.2, trace seed 0)."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return build_workflow_trace("iwd", seed=0, scale=0.2)
+
+    def test_event_backend_switches_alpha(self, trace):
+        # Staggered arrivals let completions teach the pools before
+        # later tasks are sized; with the whole trace submitted at t = 0
+        # every choice is the first candidate, Sizey's own alpha of 0.
+        backend = EventDrivenBackend(arrival="fixed:0.002")
+        adaptive = AdaptiveAlphaSizey()
+        switched = OnlineSimulator(trace, backend=backend).run(adaptive)
+        plain = OnlineSimulator(trace, backend=backend).run(
+            SizeyPredictor(SizeyConfig(training_mode="incremental"))
+        )
+        choices = [a for per_type in adaptive.alpha_choices.values()
+                   for a in per_type]
+        assert len(choices) > 0 and set(choices) != {0.0}
+        assert result_to_dict(switched)["predictions"] != (
+            result_to_dict(plain)["predictions"]
+        )
+
+    def test_replay_result_unchanged(self, trace):
+        # Recorded on the serial replay loop the kernel driver replaced;
+        # killed attempts' hours may move in the last bits.
+        adaptive = AdaptiveAlphaSizey()
+        res = OnlineSimulator(trace, backend="replay").run(adaptive)
+        assert res.total_wastage_gbh == pytest.approx(
+            0.7488054034017412, rel=1e-9
+        )
+        assert res.num_failures == 46
+        assert sum(len(v) for v in adaptive.alpha_choices.values()) == 327

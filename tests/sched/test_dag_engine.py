@@ -272,7 +272,7 @@ class TestMultiWorkflow:
 class TestPlumbing:
     def test_replay_backend_rejects_dag_options(self):
         trace = make_trace([("a", 100.0, 1.0)])
-        with pytest.raises(ValueError, match="kernel-driven"):
+        with pytest.raises(ValueError, match="dag need the event backend"):
             OnlineSimulator(trace, backend="replay", dag="linear")
 
     def test_flat_event_backend_has_no_workflow_metrics(self):

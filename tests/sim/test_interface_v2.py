@@ -135,8 +135,55 @@ class TestLifecycleDefaults:
         predictor.end_trace()
 
     def test_trace_context_fields(self):
-        ctx = TraceContext(
-            workflow="wf", n_tasks=5, time_to_failure=0.5, backend="event"
+        ctx = TraceContext(workflow="wf", n_tasks=5, time_to_failure=0.5)
+        assert (ctx.workflow, ctx.n_tasks, ctx.time_to_failure) == (
+            "wf", 5, 0.5
         )
-        assert ctx.backend == "event"
-        assert ctx.n_tasks == 5
+
+
+class TestSizingContract:
+    """Every simulator sizes through ``predict_batch``; a predictor
+    implements it or ``predict`` and the base class derives the other."""
+
+    def test_predict_defaults_to_a_batch_of_one(self):
+        calls = []
+
+        class BatchOnly(MemoryPredictor):
+            name = "BatchOnly"
+
+            def predict_batch(self, tasks):
+                calls.append([t.instance_id for t in tasks])
+                return np.array([t.input_size_mb * 2.0 for t in tasks])
+
+        predictor = BatchOnly()
+        sub = make_submission(3, input_size=21.5)
+        single = predictor.predict(sub)
+        assert type(single) is float
+        assert single == predictor.predict_batch([sub])[0] == 43.0
+        assert calls == [[3], [3]]
+
+    def test_implementing_neither_method_is_a_type_error(self):
+        class Neither(MemoryPredictor):
+            name = "Neither"
+
+            def observe(self, record):
+                pass
+
+        with pytest.raises(TypeError, match="predict or predict_batch"):
+            Neither()
+
+    @pytest.mark.parametrize("backend", ["replay", "event"])
+    def test_predict_only_predictor_runs_on_both_backends(self, backend):
+        from repro.sim import OnlineSimulator
+        from repro.workflow.nfcore import build_workflow_trace
+
+        class FixedPredictor(MemoryPredictor):
+            name = "Fixed"
+
+            def predict(self, task):
+                return 2048.0
+
+        trace = build_workflow_trace("iwd", seed=0, scale=0.05)
+        result = OnlineSimulator(trace, backend=backend).run(FixedPredictor())
+        assert result.num_tasks == len(trace)
+        assert {p.first_allocation_mb for p in result.predictions} == {2048.0}

@@ -204,5 +204,7 @@ class TestBothModes:
 
     def test_replay_backend_rejects_node_outage(self):
         trace = make_trace([("a", 100.0, 1.0)])
-        with pytest.raises(ValueError, match="kernel-driven"):
+        with pytest.raises(
+            ValueError, match="node_outage need the event backend"
+        ):
             OnlineSimulator(trace, backend="replay", node_outage="0:1:0")

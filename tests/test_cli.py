@@ -512,6 +512,15 @@ class TestUsageErrors:
                     "--shard-workers", "0"], "--shard-workers: must be >= 1"),
             (SIM + ["--scale", "0.05", "--backend", "event", "--shards", "2",
                     "--shard-workers", "-3"], "--shard-workers: must be >= 1"),
+            # Worker and repeat counts below 1 would run sequentially or
+            # profile once instead.
+            (["compare", "--workflows", "iwd", "--scale", "0.05",
+              "--workers", "0"], "--workers: must be >= 1"),
+            (["compare", "--workers", "-2"], "--workers: must be >= 1"),
+            (["scorecard", "--out", "{missing}", "--workers", "0"],
+             "--workers: must be >= 1"),
+            (["profile", "--workflow", "iwd", "--scale", "0.05",
+              "--repeat", "0"], "--repeat: must be >= 1"),
         ],
     )
     def test_exit_2_before_any_run(
