@@ -113,14 +113,17 @@ def _workers(value: str) -> int:
     return workers
 
 
-class _Store(argparse.Action):
-    """argparse's ``store`` action that also notes its dest in
-    ``args.given``: a flag set to its default reads the same as one
-    left out, and ``--resume`` refuses both alike."""
+def _noting(action: type[argparse.Action]) -> type[argparse.Action]:
+    """``action`` that also notes its dest in ``args.given``: a flag set
+    to its default reads the same as one left out, and ``--resume``
+    refuses both alike."""
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = (*getattr(namespace, "given", ()), self.dest)
+    class Noting(action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            super().__call__(parser, namespace, values, option_string)
+            namespace.given = (*getattr(namespace, "given", ()), self.dest)
+
+    return Noting
 
 
 def _spec(parse):
@@ -154,12 +157,13 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
                      default="first-fit",
                      help="node-placement policy")
     sub.add_argument("--arrival", type=_spec(parse_arrival), default=None,
-                     help="arrival model for the event backend: "
+                     help="arrival model of the flat event stream: "
                           "'fixed:H' (one task every H hours), "
                           "'poisson:0.5', or 'bursty:8x0.5' "
-                          "(default: batch submission at t=0)")
+                          "(default: batch submission at t=0; replay "
+                          "submits each task when the last one succeeds)")
     sub.add_argument("--dag", choices=("trace", "linear"), default=None,
-                     help="DAG-aware scheduling (event backend only): "
+                     help="DAG-aware scheduling (not with replay): "
                           "release tasks as dependencies resolve, using "
                           "the trace's generated DAG ('trace') or a "
                           "linear task-type chain ('linear')")
@@ -174,8 +178,8 @@ def _add_cluster_options(sub: argparse.ArgumentParser) -> None:
                      help="schedule a node drain 'START:DURATION:NODE' "
                           "(hours, hours, node id): placement on the node "
                           "pauses and its running tasks are preempted and "
-                          "re-queued; repeatable; works in flat and DAG "
-                          "modes (event backend)")
+                          "re-queued; repeatable; works with every "
+                          "backend, flat and DAG")
 
 
 def _add_run_options(sub: argparse.ArgumentParser, workload_spec):
@@ -235,7 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[log_parent],
                          help="replay one workload with one method")
-    sim.register("action", None, _Store)
+    for kind in (None, "store_true", "append"):
+        sim.register(
+            "action", kind, _noting(sim._registry_get("action", kind))
+        )
     which = _add_run_options(sim, workload_spec)
     which.add_argument("--resume", metavar="PATH", default=None,
                        help="continue a checkpointed run (bit-for-bit "
@@ -251,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "per-phase table after the run summary")
     _add_cluster_options(sim)
     scale_grp = sim.add_argument_group(
-        "scale-out (event backend only)",
-        "streaming collectors, kernel checkpoint/resume, sharded fan-out",
+        "scale-out",
+        "streaming collectors, kernel checkpoint/resume and sharded "
+        "fan-out (a replay run takes neither checkpoints nor shards)",
     )
     scale_grp.add_argument("--stream-collectors", action="store_true",
                            help="bounded-memory online aggregates instead "
@@ -301,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--json", dest="json_out", default=None, metavar="PATH",
                       help="write the profile as JSON ('-' for stdout)")
     _add_cluster_options(prof)
-    # The profiler lives in the kernel, so this command is always
-    # event-backend, exactly like `simulate --backend event`.
+    # This command profiles the flat event stream, exactly like
+    # `simulate --backend event --profile`.
     prof.set_defaults(backend="event")
 
     fig = sub.add_parser("figures", parents=[log_parent],
@@ -433,58 +441,40 @@ def _add_serve_parsers(sub, log_parent, workload_spec) -> None:
                     help="also write the report as JSON here")
 
 
-#: The flags only an event-backend run reads, by dest, with their
-#: defaults: a flag is given when its value differs from its default.
-_EVENT_FLAGS = {
-    **dict.fromkeys(("arrival", "dag", "workflow_arrival", "node_outage")),
-    "stream_collectors": False, "spill": None, "shards": 1,
-    **dict.fromkeys(("checkpoint", "checkpoint_every", "stop_after")),
-    "summary_json": None, "profile": False, "trace": None, "trace_limit": None,
-}
 _CHECKPOINT_FLAGS = ("checkpoint", "checkpoint_every", "stop_after")
-#: All a resumed run takes besides its checkpoint.
-_RESUME_FLAGS = (*_CHECKPOINT_FLAGS, "summary_json")
+#: All a resumed run takes: its checkpoint, where to pause next, and
+#: where to write its summary.
+_RESUME_FLAGS = ("resume", *_CHECKPOINT_FLAGS, "summary_json")
 
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _given(args: argparse.Namespace, dests) -> list[str]:
-    """The flags among ``dests`` that this command line sets."""
-    return [
-        _flag(dest)
-        for dest in dests
-        if getattr(args, dest, _EVENT_FLAGS[dest]) != _EVENT_FLAGS[dest]
-    ]
-
-
 def _check_flags(args: argparse.Namespace) -> None:
     """The rules about flags that reach no layer; the layers check the rest.
 
-    Without ``--backend event`` no event backend is built, so its flags
-    would be ignored; a resumed run is configured by its checkpoint.
+    A resumed run is configured by its checkpoint, a sharded run is
+    not checkpointed, and only a sharded run has a process pool to size.
     """
     if getattr(args, "resume", None) is not None:
-        # ``simulate``'s store flags note themselves in ``args.given``;
-        # its switches and ``--node-outage`` show by their value.
-        allowed = {_flag(dest) for dest in ("resume", *_RESUME_FLAGS)}
-        given = _given(args, _EVENT_FLAGS) + [_flag(d) for d in args.given]
-        fresh = [f for f in dict.fromkeys(given) if f not in allowed]
+        # Every ``simulate`` flag notes itself in ``args.given``.
+        fresh = [
+            _flag(dest)
+            for dest in dict.fromkeys(args.given)
+            if dest not in _RESUME_FLAGS
+        ]
         if fresh:
             raise ConfigError(
                 f"--resume continues the run its checkpoint configures; "
                 f"drop {', '.join(fresh)}"
             )
-    elif getattr(args, "backend", "replay") != "event":
-        given = _given(args, _EVENT_FLAGS)
-        if given:
-            raise ConfigError(
-                f"{', '.join(given)} only shape the event backend; add "
-                f"--backend event"
-            )
     if getattr(args, "shards", 1) != 1:
-        checkpointing = _given(args, _CHECKPOINT_FLAGS)
+        checkpointing = [
+            _flag(dest)
+            for dest in _CHECKPOINT_FLAGS
+            if getattr(args, dest) is not None
+        ]
         if checkpointing:
             raise ConfigError(
                 f"--shards cannot be combined with "
@@ -508,15 +498,17 @@ def _resolve_cli_workload(args: argparse.Namespace):
     return parse_workload(spec, seed=args.seed, scale=args.scale)
 
 
-def _resolve_cli_backend(args: argparse.Namespace, **options):
-    """The replay backend's name, or the event backend the flags configure.
+def _resolve_cli_backend(
+    args: argparse.Namespace, **options
+) -> EventDrivenBackend:
+    """The backend the flags configure; ``--backend replay`` is its
+    serial run, which refuses the flags that pick another driver.
 
     ``options`` are further :class:`EventDrivenBackend` fields that only
     some commands have flags for (``--profile``, ``--trace``, ...).
     """
-    if args.backend != "event":
-        return args.backend
     return EventDrivenBackend(
+        serial=args.backend == "replay",
         arrival=args.arrival,
         seed=args.seed,
         dag=args.dag,

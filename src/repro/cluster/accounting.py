@@ -79,27 +79,14 @@ class WastageLedger:
         allocated_mb: float,
         peak_memory_mb: float,
         runtime_hours: float,
-    ) -> AttemptOutcome:
+    ) -> float:
+        """Account one successful attempt; returns its wastage (GBh)."""
         if allocated_mb < peak_memory_mb - 1e-9:
             raise ValueError(
                 "successful attempt cannot have allocated < peak "
                 f"({allocated_mb:.1f} < {peak_memory_mb:.1f} MB)"
             )
         wastage = (allocated_mb - peak_memory_mb) / _MB_PER_GB * runtime_hours
-        # Constructed via __dict__ rather than the generated __init__:
-        # the frozen dataclass pays one object.__setattr__ per field.
-        out = object.__new__(AttemptOutcome)
-        out.__dict__.update(
-            task_type=task_type,
-            workflow=workflow,
-            instance_id=instance_id,
-            attempt=attempt,
-            allocated_mb=allocated_mb,
-            peak_memory_mb=peak_memory_mb,
-            runtime_hours=runtime_hours,
-            success=True,
-            wastage_gbh=wastage,
-        )
         if self.keep_outcomes:
             self._outcomes.append(
                 (
@@ -118,7 +105,7 @@ class WastageLedger:
         self._total_wastage += wastage
         self._runtime_hours += runtime_hours
         self._n_attempts += 1
-        return out
+        return wastage
 
     def record_failure(
         self,
@@ -129,7 +116,8 @@ class WastageLedger:
         allocated_mb: float,
         peak_memory_mb: float,
         time_to_failure_hours: float,
-    ) -> AttemptOutcome:
+    ) -> float:
+        """Account one killed attempt; returns its wastage (GBh)."""
         if allocated_mb >= peak_memory_mb:
             raise ValueError(
                 "failed attempt requires allocated < peak "
@@ -137,18 +125,6 @@ class WastageLedger:
             )
         # The whole allocation was wasted for as long as the task ran.
         wastage = allocated_mb / _MB_PER_GB * time_to_failure_hours
-        out = object.__new__(AttemptOutcome)
-        out.__dict__.update(
-            task_type=task_type,
-            workflow=workflow,
-            instance_id=instance_id,
-            attempt=attempt,
-            allocated_mb=allocated_mb,
-            peak_memory_mb=peak_memory_mb,
-            runtime_hours=time_to_failure_hours,
-            success=False,
-            wastage_gbh=wastage,
-        )
         if self.keep_outcomes:
             self._outcomes.append(
                 (
@@ -168,7 +144,7 @@ class WastageLedger:
         self._runtime_hours += time_to_failure_hours
         self._n_attempts += 1
         self._failures_by_type[task_type] += 1
-        return out
+        return wastage
 
     # ------------------------------------------------------------------
     # aggregates

@@ -9,13 +9,14 @@ that environment:
   (Sizey and all baselines) implements — including the API v2 batch
   prediction and trace-lifecycle hooks — and the task-submission view
   that hides ground truth from predictors.
-- :mod:`repro.sim.backends` -- execution semantics behind the
-  :class:`SimulatorBackend` protocol, named in :data:`BACKENDS`.  Both
-  run the one simulation kernel: ``"replay"`` with one task in flight
-  (the paper's serialized evaluation loop), and the discrete-``"event"``
-  engine, where tasks overlap on nodes, that measures queueing wait,
-  makespan, and node utilization.  :class:`EventDrivenBackend` is a
-  frozen dataclass holding every event option.
+- :mod:`repro.sim.backends` -- execution semantics:
+  :class:`EventDrivenBackend`, a frozen dataclass holding every
+  simulation option, builds the one simulation kernel.  :data:`BACKENDS`
+  names its two stock configurations: ``"replay"``
+  (``serial=True``: one task in flight, the paper's serialized
+  evaluation loop), and the discrete-``"event"`` engine, where tasks
+  overlap on nodes, that measures queueing wait, makespan, and node
+  utilization.
 - :mod:`repro.sim.kernel` -- the unified discrete-event simulation
   kernel: one clock, typed event heap, and sizing lifecycle shared by
   the serial replay, the flat event backend and the DAG engine, with
@@ -35,7 +36,7 @@ that environment:
 - :mod:`repro.sim.errors` -- typed simulator errors such as
   :class:`UnschedulableTaskError`.
 
-The event backend additionally supports DAG-aware multi-workflow
+The event engine additionally supports DAG-aware multi-workflow
 scheduling (``dag=`` / ``workflow_arrival=``): :mod:`repro.sched`
 supplies the driver it plugs into the same kernel, which populates
 :class:`WorkflowMetrics` (per-workflow makespan, critical-path lower
@@ -51,12 +52,7 @@ from repro.sim.arrivals import (
     parse_arrival,
     parse_workflow_arrival,
 )
-from repro.sim.backends import (
-    BACKENDS,
-    EventDrivenBackend,
-    ReplayBackend,
-    SimulatorBackend,
-)
+from repro.sim.backends import BACKENDS, EventDrivenBackend
 from repro.sim.engine import OnlineSimulator
 from repro.sim.errors import UnschedulableTaskError
 from repro.sim.kernel import (
@@ -85,9 +81,7 @@ __all__ = [
     "TaskSubmission",
     "TraceContext",
     "OnlineSimulator",
-    "SimulatorBackend",
     "BACKENDS",
-    "ReplayBackend",
     "EventDrivenBackend",
     "SimulationResult",
     "ClusterMetrics",

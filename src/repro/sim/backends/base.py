@@ -1,34 +1,21 @@
-"""The simulation-backend seam: protocol, shared constants and helpers.
+"""Shared constants and helpers of the simulation backend.
 
-A backend owns the execution semantics of one trace replay — how tasks
-move through time and occupy the cluster — while the predictor contract,
-wastage accounting, and result schema stay identical across backends.
-Two implementations ship, addressable by name through
-:data:`repro.sim.backends.BACKENDS`, and both run the one simulation
-kernel (:mod:`repro.sim.kernel`):
-
-- :class:`~repro.sim.backends.replay.ReplayBackend` (``"replay"``): the
-  paper's serialized evaluation, one task in flight at a time.
-- :class:`~repro.sim.backends.event.EventDrivenBackend` (``"event"``): a
-  discrete-event engine where tasks concurrently occupy nodes, exposing
-  queueing wait, makespan, and per-node utilization.
-
-Any other object satisfying :class:`SimulatorBackend` can be passed to
-:class:`~repro.sim.engine.OnlineSimulator` as an instance.
+The kernel (:mod:`repro.sim.kernel`) and
+:class:`~repro.sim.backends.event.EventDrivenBackend` read the attempt
+cap, the doubling factor and the prediction chunk from here, clamp
+every allocation through :func:`clamp_allocation_checked`, and build
+:class:`~repro.sim.results.ClusterMetrics` with
+:func:`build_cluster_metrics`.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 from repro.cluster.manager import ResourceManager
 from repro.sim.errors import UnschedulableTaskError
-from repro.sim.interface import MemoryPredictor
-from repro.sim.results import ClusterMetrics, SimulationResult
-from repro.workflow.task import TaskInstance, WorkflowTrace
+from repro.sim.results import ClusterMetrics
+from repro.workflow.task import TaskInstance
 
 __all__ = [
-    "SimulatorBackend",
     "clamp_allocation_checked",
     "build_cluster_metrics",
     "MAX_ATTEMPTS",
@@ -52,35 +39,6 @@ DOUBLING_FACTOR = 2.0
 #: tasks, so tasks deep in the queue are sized *after* earlier
 #: completions were observed — online learning survives the batching.
 PREDICTION_CHUNK = 32
-
-
-@runtime_checkable
-class SimulatorBackend(Protocol):
-    """What :class:`~repro.sim.engine.OnlineSimulator` delegates to.
-
-    A backend replays a workload against ``predictor`` on ``manager``
-    under the given ``time_to_failure`` and returns a fully populated
-    :class:`~repro.sim.results.SimulationResult`.  ``workload`` is
-    anything :func:`~repro.workload.base.as_source` accepts — a
-    :class:`~repro.workload.base.WorkloadSource`, a materialized
-    :class:`~repro.workflow.task.WorkflowTrace`, or a workload spec
-    string — and implementations pull tasks from it lazily.
-    Implementations must call the predictor's
-    ``begin_trace``/``end_trace`` lifecycle hooks and reset the
-    manager's bookkeeping at the start of each run.
-    """
-
-    #: Name of the backend (its key in ``BACKENDS``, the CLI choice).
-    name: str
-
-    def run(
-        self,
-        workload: "object | WorkflowTrace",
-        predictor: MemoryPredictor,
-        manager: ResourceManager,
-        time_to_failure: float,
-    ) -> SimulationResult:
-        ...
 
 
 def clamp_allocation_checked(

@@ -1,42 +1,47 @@
-"""Flat-stream event backend: a thin driver over the simulation kernel.
+"""The simulation backend: a thin layer of drivers over the kernel.
 
-The replay backend keeps one task in flight, which makes cluster-level
-quantities — queueing delay, makespan, node utilization — unobservable.
-This backend runs the same unified discrete-event kernel
-(:mod:`repro.sim.kernel`) with every task arriving on its own schedule:
+:class:`EventDrivenBackend` holds every simulation option and builds
+the one discrete-event kernel (:mod:`repro.sim.kernel`) with one of
+three drivers:
 
-- every task *arrives* at the time assigned by a pluggable
-  :class:`~repro.sim.arrivals.ArrivalModel` — a fixed inter-arrival
-  gap (the default of 0 models a batch submission of the whole trace),
-  a Poisson process, or bursty scatter-gather submissions, with all
-  stochastic draws taken from the backend's seeded RNG;
-- arrived tasks wait in the kernel's FCFS ready queue, in
-  submission-index order;
-- the kernel's scheduling pass sizes each dispatch wave via
-  :meth:`~repro.sim.interface.MemoryPredictor.predict_batch` (in chunks
-  of :data:`~repro.sim.backends.base.PREDICTION_CHUNK`), places onto
-  :class:`~repro.cluster.manager.ResourceManager` nodes via the
-  manager's placement policy, kills under-allocated tasks at
-  ``time_to_failure`` of their runtime, and re-queues them re-sized
-  with the doubling-factor escalation floor;
-- :class:`~repro.sim.kernel.collectors.ClusterMetricsCollector` records
-  every dispatch's queue wait, per-node allocation timelines, and the
-  makespan into :class:`~repro.sim.results.ClusterMetrics`;
-- scheduled node drains (``node_outage="start:duration:node"``) pause
-  placement on a node and preempt its running tasks — a kernel-level
-  scenario shared verbatim with the DAG engine.
+- ``serial=True`` (``backend="replay"``, the default of
+  :class:`~repro.sim.engine.OnlineSimulator`) is the paper's
+  serialized evaluation (§III-A/§IV): :class:`SerialDriver` keeps one
+  task in flight, so a task is sized, run under strict limits with the
+  configured time-to-failure, re-sized and re-run after each kill, and
+  its success is observed for online learning before the next task is
+  sized.  Only the wastage collector measures it, so the result carries
+  no cluster metrics;
+- the flat stream (the default, ``backend="event"``):
+  :class:`FlatStreamDriver` makes every task *arrive* at the time
+  assigned by a pluggable :class:`~repro.sim.arrivals.ArrivalModel` —
+  a fixed inter-arrival gap (the default of 0 models a batch
+  submission of the whole trace), a Poisson process, or bursty
+  scatter-gather submissions, with all stochastic draws taken from the
+  backend's seeded RNG;
+- DAG-aware scheduling (``dag`` / ``workflow_arrival``): the driver of
+  :mod:`repro.sched.engine` releases tasks as their predecessors
+  succeed.
 
-Wastage is accounted by the same kernel collector as in the replay
-backend; for a predictor that does not learn online the two backends
-produce the same ledger totals, while the event backend additionally
-reports the cluster-level metrics.
+In every mode arrived tasks wait in the kernel's FCFS ready queue, in
+submission-index order, and the kernel's scheduling pass sizes each
+dispatch wave via
+:meth:`~repro.sim.interface.MemoryPredictor.predict_batch` (in chunks
+of :data:`~repro.sim.backends.base.PREDICTION_CHUNK`), places onto
+:class:`~repro.cluster.manager.ResourceManager` nodes via the manager's
+placement policy, kills under-allocated tasks at ``time_to_failure`` of
+their runtime, and re-queues them re-sized with the doubling-factor
+escalation floor.  The flat and DAG modes add
+:class:`~repro.sim.kernel.collectors.ClusterMetricsCollector`, which
+records every dispatch's queue wait, per-node allocation timelines, and
+the makespan into :class:`~repro.sim.results.ClusterMetrics`.  The
+kernel-level options apply to every mode: scheduled node drains
+(``node_outage="start:duration:node"``), streaming collectors, the
+JSONL spill, the phase profiler and the Chrome trace.
 
-All of the execution semantics live in
-:class:`~repro.sim.kernel.core.SimulationKernel`; this module
-contributes the *flat* notion of arrival via :class:`FlatStreamDriver`,
-and :class:`EventDrivenBackend`, which holds every event option and
-builds the kernel for both the flat and the DAG
-(:mod:`repro.sched.engine`) driver.
+Wastage is accounted by the same kernel collector in every mode; for a
+predictor that does not learn online a serial and a flat run produce
+the same ledger totals.
 """
 
 from __future__ import annotations
@@ -68,7 +73,49 @@ from repro.sim.results import SimulationResult
 from repro.workflow.task import TaskInstance, WorkflowTrace
 from repro.workload.base import WorkloadSource, as_source
 
-__all__ = ["EventDrivenBackend", "FlatStreamDriver"]
+__all__ = ["EventDrivenBackend", "FlatStreamDriver", "SerialDriver"]
+
+
+class SerialDriver:
+    """Kernel driver with one task in flight: the paper's serial replay.
+
+    :meth:`seed` pushes task 0's arrival at t = 0, and each success
+    returns the next task's state, read lazily from
+    ``source.iter_tasks()`` — a streaming source is never materialized,
+    and reports ``n_tasks`` as -1 when it cannot know its length.  The
+    cluster is empty whenever a task is dispatched, so every clamped
+    allocation finds a node unless a drain holds it.
+    """
+
+    def __init__(self) -> None:
+        self.n_tasks = 0
+        self._tasks: Iterator[TaskInstance] | None = None
+        self._submitted = 0
+
+    def seed(self, kernel: SimulationKernel) -> None:
+        source = kernel.source
+        self.n_tasks = -1 if source.n_tasks is None else source.n_tasks
+        self._tasks = iter(source.iter_tasks())
+        for state in self._next(0.0):
+            kernel.events.push(0.0, ARRIVAL, state)
+
+    def _next(self, now: float) -> tuple[TaskState, ...]:
+        """The next task's state, submitted at ``now``; ``()`` at the end."""
+        inst = next(self._tasks, None)
+        if inst is None:
+            return ()
+        index = self._submitted
+        self._submitted = index + 1
+        return (TaskState(inst, inst.instance_id, index, arrival=now),)
+
+    def on_arrival(self, payload: object, now: float) -> Iterable[TaskState]:
+        return (payload,)
+
+    def on_success(self, state: TaskState, now: float) -> Iterable[TaskState]:
+        return self._next(now)
+
+    def finish(self, kernel: SimulationKernel) -> None:
+        pass
 
 
 class FlatStreamDriver:
@@ -213,15 +260,26 @@ class FlatStreamDriver:
 
 @dataclass(frozen=True)
 class EventDrivenBackend:
-    """Concurrent execution on a shared cluster with FCFS queueing.
+    """Execution on a shared cluster with FCFS queueing.
 
-    The one place event-simulation options live: every field below is
+    The one place simulation options live: every field below is
     validated and normalized once, here, and :meth:`build_kernel` builds
-    every event :class:`~repro.sim.kernel.core.SimulationKernel`, flat
-    or DAG.  Derive a variant with :func:`dataclasses.replace`.
+    every :class:`~repro.sim.kernel.core.SimulationKernel` — serial,
+    flat or DAG.  Derive a variant with :func:`dataclasses.replace`.
+    :data:`~repro.sim.backends.BACKENDS` names the two stock instances:
+    ``"replay"`` (``serial=True``) and ``"event"`` (the defaults).
 
     Parameters
     ----------
+    serial:
+        The paper's serialized replay: one task in flight, the next one
+        submitted when the last one succeeds, and no cluster metrics.
+        It picks its own driver, so it refuses ``arrival``, ``dag``,
+        ``workflow_arrival`` and ``shards > 1``; the kernel-level
+        options below (``node_outage``, ``stream_collectors``,
+        ``spill``, ``profile``, ``trace``) apply to it as to any run.
+        :class:`~repro.sim.engine.OnlineSimulator` refuses to
+        checkpoint it.
     arrival:
         Arrival model: a spec string (``"fixed:0.25"``,
         ``"poisson:0.5"``, ``"bursty:8x0.5"``) or an
@@ -255,7 +313,7 @@ class EventDrivenBackend:
         (``"start:duration:node"``), a
         :class:`~repro.sim.kernel.outage.NodeOutage`, or a list of
         either; stored as a tuple of :class:`NodeOutage`.  Applied
-        identically in flat and DAG modes.
+        identically in every mode.
     stream_collectors:
         Streaming-collector mode: collectors keep online aggregates and
         quantile sketches instead of per-task logs, timelines, and
@@ -285,10 +343,8 @@ class EventDrivenBackend:
     The kernel sizes queued tasks :data:`~repro.sim.backends.base.
     PREDICTION_CHUNK` at a time and re-sizes a killed task to at least
     :data:`~repro.sim.backends.base.DOUBLING_FACTOR` times its failed
-    allocation, as it does for the replay backend.
+    allocation, in every mode.
     """
-
-    name = "event"
 
     arrival: str | ArrivalModel | None = None
     seed: int = 0
@@ -302,6 +358,12 @@ class EventDrivenBackend:
     profile: bool = False
     trace: str | None = None
     trace_limit: int | None = None
+    serial: bool = False
+
+    @property
+    def name(self) -> str:
+        """``"replay"`` for a serial run, else ``"event"``."""
+        return "replay" if self.serial else "event"
 
     def __post_init__(self) -> None:
         if self.shards < 1 or not 0 <= self.shard < self.shards:
@@ -317,14 +379,35 @@ class EventDrivenBackend:
             if self.workflow_arrival is None
             else parse_workflow_arrival(self.workflow_arrival)
         )
+        # The default batch submission is the only arrival model a
+        # driver other than the flat stream tolerates.
+        timed = not (
+            isinstance(arrival, FixedArrivals)
+            and arrival.interval_hours == 0.0
+        )
+        if self.serial:
+            # The serial driver releases the next task on each success;
+            # every option that picks another driver would be ignored.
+            picked = [
+                name
+                for name, given in (
+                    ("arrival", timed),
+                    ("dag", self.dag is not None),
+                    ("workflow_arrival", workflow_arrival is not None),
+                    ("shards", self.shards > 1),
+                )
+                if given
+            ]
+            if picked:
+                raise ConfigError(
+                    f"a serial (replay) run keeps one task in flight in "
+                    f"trace order; drop {', '.join(picked)}"
+                )
         if self.dag is not None or workflow_arrival is not None:
             # DAG scheduling releases tasks as dependencies resolve;
             # a task-level arrival model would be silently ignored, so
             # reject the combination instead of picking a winner.
-            if not (
-                isinstance(arrival, FixedArrivals)
-                and arrival.interval_hours == 0.0
-            ):
+            if timed:
                 raise ConfigError(
                     "dag/workflow_arrival replace the per-task arrival "
                     "model; drop arrival (workflow arrivals carry their "
@@ -354,10 +437,15 @@ class EventDrivenBackend:
         :func:`repro.sim.kernel.checkpoint.drive_kernel` instead of
         calling :meth:`run`.
         """
-        collectors: list = [
-            ClusterMetricsCollector(stream=self.stream_collectors)
-        ]
-        if self.dag is None and self.workflow_arrival is None:
+        # The paper's replay measures no cluster: one task in flight.
+        collectors: list = (
+            []
+            if self.serial
+            else [ClusterMetricsCollector(stream=self.stream_collectors)]
+        )
+        if self.serial:
+            driver = SerialDriver()
+        elif self.dag is None and self.workflow_arrival is None:
             driver = FlatStreamDriver(
                 self.arrival, self.seed, shard=self.shard, shards=self.shards
             )

@@ -1,17 +1,19 @@
 """The online simulator facade.
 
 :class:`OnlineSimulator` pairs a workload with a cluster model and
-delegates the actual execution semantics to a
-:class:`~repro.sim.backends.base.SimulatorBackend`:
+delegates the actual execution semantics to an
+:class:`~repro.sim.backends.event.EventDrivenBackend`, named or given:
 
 - ``backend="replay"`` (default) — the paper's serialized per-task
-  replay: the simulation kernel with one task in flight.
+  replay: ``EventDrivenBackend(serial=True)``, the simulation kernel
+  with one task in flight.
 - ``backend="event"`` — the same kernel with tasks genuinely
   overlapping on nodes, adding queueing wait, makespan, and per-node
   utilization to the result; DAG-aware scheduling runs through it too.
 
-The two names come from :data:`repro.sim.backends.BACKENDS`; any other
-object satisfying the backend protocol can be passed as an instance.
+The two names come from :data:`repro.sim.backends.BACKENDS`.  Every
+option is the backend's to check; the only rule kept here is that a
+serial run cannot be checkpointed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import dataclasses
 from repro.cluster.manager import ResourceManager
 from repro.cluster.policies import PlacementPolicy
 from repro.errors import ConfigError
-from repro.sim.backends import BACKENDS, EventDrivenBackend, SimulatorBackend
+from repro.sim.backends import EventDrivenBackend, resolve_backend
 from repro.sim.interface import MemoryPredictor
 from repro.sim.results import SimulationResult
 from repro.workflow.task import WorkflowTrace
@@ -49,7 +51,8 @@ class OnlineSimulator:
         is killed (paper parameter; 1.0 in Fig. 8a, 0.5 in Fig. 8b).
     backend:
         Execution semantics: a backend name (``"replay"`` or
-        ``"event"``) or a ready-made backend instance.
+        ``"event"``) or an
+        :class:`~repro.sim.backends.event.EventDrivenBackend`.
     cluster:
         Convenience shorthand for ``manager``: a cluster spec string
         such as ``"128g:4,256g:4"`` (see
@@ -60,37 +63,37 @@ class OnlineSimulator:
         used when the manager is built here — an explicit ``manager``
         carries its own policy.
     dag:
-        Switch to DAG-aware scheduling (event backend only): ``"trace"``
-        (the DAG exported on the trace), ``"linear"``, or a
+        Switch to DAG-aware scheduling: ``"trace"`` (the DAG exported
+        on the trace), ``"linear"``, or a
         :class:`~repro.workflow.dag.WorkflowDAG`.  See
-        :class:`~repro.sim.backends.event.EventDrivenBackend`.
+        :class:`~repro.sim.backends.event.EventDrivenBackend`; a serial
+        (replay) backend refuses it, as it does ``workflow_arrival``.
     workflow_arrival:
-        Multi-workflow injection spec (event backend only), e.g.
-        ``"4@poisson:2"`` — implies DAG-aware scheduling.
+        Multi-workflow injection spec, e.g. ``"4@poisson:2"`` — implies
+        DAG-aware scheduling.
     node_outage:
-        Scheduled node drain windows (event backend only, flat or DAG):
-        one ``"start:duration:node"`` spec or a list of them — the named
+        Scheduled node drain windows, in every mode: one
+        ``"start:duration:node"`` spec or a list of them — the named
         node stops accepting placements for the window and its running
         tasks are preempted and re-queued.
     stream_collectors:
-        Streaming-collector mode (event backend only): bounded-memory
-        online aggregates and sketches instead of per-task logs; the
-        result carries a ``summary`` but no raw logs.
+        Streaming-collector mode: bounded-memory online aggregates and
+        sketches instead of per-task logs; the result carries a
+        ``summary`` but no raw logs.
     spill:
-        Optional JSONL path (event backend only): prediction logs are
-        appended there in completion order.
+        Optional JSONL path: prediction logs are appended there in
+        completion order.
     profile:
-        Enable the kernel phase profiler (event backend only): the
-        result's ``profile`` attribute carries a
-        :class:`~repro.obs.profile.KernelProfile` with per-phase
-        wall-time/call counters.  Measurement only.
+        Enable the kernel phase profiler: the result's ``profile``
+        attribute carries a :class:`~repro.obs.profile.KernelProfile`
+        with per-phase wall-time/call counters.  Measurement only.
     trace_path / trace_limit:
         Write a Chrome ``trace_event`` JSON timeline of the run to
-        ``trace_path`` (event backend only); ``trace_limit`` bounds the
-        retained events with a ring buffer.
+        ``trace_path``; ``trace_limit`` bounds the retained events with
+        a ring buffer.
 
-    The event-backend options override the backend's own fields of the
-    same name (``trace_path`` is its ``trace``) when given; ``None`` and
+    These options override the backend's own fields of the same name
+    (``trace_path`` is its ``trace``) when given; ``None`` and
     ``False`` keep what the backend already says.
     """
 
@@ -99,7 +102,7 @@ class OnlineSimulator:
         workload: WorkloadSource | WorkflowTrace | str,
         manager: ResourceManager | None = None,
         time_to_failure: float = 1.0,
-        backend: str | SimulatorBackend = "replay",
+        backend: str | EventDrivenBackend = "replay",
         cluster: str | None = None,
         placement: str | PlacementPolicy = "first-fit",
         dag: object | None = None,
@@ -127,19 +130,7 @@ class OnlineSimulator:
         else:
             self.manager = ResourceManager(placement=placement)
         self.time_to_failure = time_to_failure
-        if isinstance(backend, str):
-            try:
-                backend = BACKENDS[backend]()
-            except KeyError:
-                raise ConfigError(
-                    f"unknown backend {backend!r}; choose from "
-                    f"{sorted(BACKENDS)}"
-                ) from None
-        elif not isinstance(backend, SimulatorBackend):
-            raise TypeError(
-                f"backend must be a name or SimulatorBackend, got "
-                f"{type(backend)!r}"
-            )
+        backend = resolve_backend(backend)
         options = {
             name: value
             for name, value in (
@@ -155,11 +146,6 @@ class OnlineSimulator:
             if value is not None
         }
         if options:
-            if not isinstance(backend, EventDrivenBackend):
-                raise ConfigError(
-                    f"options {', '.join(options)} need the event "
-                    f"backend; got {backend.name!r}"
-                )
             backend = dataclasses.replace(backend, **options)
         self.backend = backend
 
@@ -173,23 +159,24 @@ class OnlineSimulator:
     ) -> SimulationResult | None:
         """Replay the whole workload; returns the filled-in result object.
 
-        The checkpoint keywords (event backend only) drive the run in
-        pausable slices via
+        The checkpoint keywords drive the run in pausable slices via
         :func:`repro.sim.kernel.checkpoint.drive_kernel`: ``checkpoint``
         names the file overwritten at each pause (the other two need
         it), ``checkpoint_every`` the slice length in simulation hours,
         and ``stop_after`` stops the run for good at that simulation
         time — returning ``None`` with the checkpoint holding the paused
-        state.  Resume with :meth:`resume`.
+        state.  Resume with :meth:`resume`.  A serial (replay) run is
+        refused: nothing needs a paused replay yet, and its driver's
+        task iterator does not pickle for a streaming JSONL source.
         """
         if checkpoint is None and checkpoint_every is None and stop_after is None:
             return self.backend.run(
                 self.source, predictor, self.manager, self.time_to_failure
             )
-        if not isinstance(self.backend, EventDrivenBackend):
+        if self.backend.serial:
             raise ConfigError(
-                f"checkpoint/stop_after require the event backend; got "
-                f"{self.backend.name!r}"
+                "a serial (replay) run cannot be checkpointed; drop "
+                "checkpoint/checkpoint_every/stop_after"
             )
         from repro.sim.kernel.checkpoint import drive_kernel
 

@@ -1,9 +1,9 @@
 """The unified discrete-event simulation kernel.
 
-One event loop for every execution mode.  The event backend
+One event loop for every execution mode.  The backend
 (:class:`~repro.sim.backends.event.EventDrivenBackend`) builds every
-kernel, plugging in its flat-stream driver or the DAG scheduling driver
-(:mod:`repro.sched.engine`):
+kernel, plugging in its serial replay driver, its flat-stream driver or
+the DAG scheduling driver (:mod:`repro.sched.engine`):
 
 - :mod:`repro.sim.kernel.events` — the kernel's one typed event heap
   with deterministic three-level tie-breaking (time, kind, push
@@ -21,7 +21,7 @@ kernel, plugging in its flat-stream driver or the DAG scheduling driver
   ledger, cluster metrics, per-workflow metrics), which fold buffered
   rows in completion order;
 - :mod:`repro.sim.kernel.outage` — scheduled node drain windows, a
-  kernel-level scenario available identically in flat and DAG modes.
+  kernel-level scenario available identically in every mode.
 """
 
 from repro.sim.kernel.collectors import (

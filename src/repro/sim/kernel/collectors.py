@@ -231,8 +231,6 @@ class WastageCollector(BaseCollector):
             return
         self._rows = []
         ledger = self.ledger
-        keep_outcomes = ledger.keep_outcomes
-        wastage_by_type = ledger._wastage_by_type
         keep_rows = self.keep_logs or self.spill is not None
         wastages: list[float] = []
         turnarounds: list[float] = []
@@ -242,16 +240,17 @@ class WastageCollector(BaseCollector):
                 state, attempt, allocated_mb, occupied_hours = row
                 inst = state.inst
                 task_type = inst.task_type
-                out = ledger.record_failure(
-                    task_type.name,
-                    task_type.workflow,
-                    state.instance_id,
-                    attempt,
-                    allocated_mb,
-                    inst.peak_memory_mb,
-                    occupied_hours,
+                wastages.append(
+                    ledger.record_failure(
+                        task_type.name,
+                        task_type.workflow,
+                        state.instance_id,
+                        attempt,
+                        allocated_mb,
+                        inst.peak_memory_mb,
+                        occupied_hours,
+                    )
                 )
-                wastages.append(out.wastage_gbh)
                 continue
             state, now, allocated_mb = row
             inst = state.inst
@@ -259,34 +258,17 @@ class WastageCollector(BaseCollector):
             name = task_type.name
             peak = inst.peak_memory_mb
             runtime = inst.runtime_hours
-            # Inlined :meth:`WastageLedger.record_success` — same
-            # validation, same columnar row, same aggregate updates,
-            # without building an outcome object per task.
-            if allocated_mb < peak - 1e-9:
-                raise ValueError(
-                    "successful attempt cannot have allocated < peak "
-                    f"({allocated_mb:.1f} < {peak:.1f} MB)"
+            wastages.append(
+                ledger.record_success(
+                    name,
+                    task_type.workflow,
+                    state.instance_id,
+                    state.attempt,
+                    allocated_mb,
+                    peak,
+                    runtime,
                 )
-            wastage = (allocated_mb - peak) / _MB_PER_GB * runtime
-            if keep_outcomes:
-                ledger._outcomes.append(
-                    (
-                        name,
-                        task_type.workflow,
-                        state.instance_id,
-                        state.attempt,
-                        allocated_mb,
-                        peak,
-                        runtime,
-                        True,
-                        wastage,
-                    )
-                )
-            wastage_by_type[name] += wastage
-            ledger._total_wastage += wastage
-            ledger._runtime_hours += runtime
-            ledger._n_attempts += 1
-            wastages.append(wastage)
+            )
             turnarounds.append(now - state.arrival)
             first = state.first_allocation
             if first is not None and first >= peak:

@@ -26,12 +26,10 @@ next task; a flat stream releases nothing; a DAG driver releases
 successor tasks).  Drivers only say what becomes ready and when: the
 kernel pushes every state they return onto its one :class:`ReadyQueue`,
 in the order returned, and dispatches strictly FCFS from its head.
-Two backends build kernels:
-:class:`~repro.sim.backends.event.EventDrivenBackend` picks the flat or
-DAG driver and its collectors, and
-:class:`~repro.sim.backends.replay.ReplayBackend` runs the
-:class:`~repro.sim.backends.replay.SerialDriver` with the wastage
-collector alone.
+One backend builds every kernel:
+:class:`~repro.sim.backends.event.EventDrivenBackend` picks the serial
+(:class:`~repro.sim.backends.event.SerialDriver`, with the wastage
+collector alone), flat or DAG driver and its collectors.
 """
 
 from __future__ import annotations
@@ -245,8 +243,9 @@ class SimulationKernel:
         also names the workflow in results and the predictor's trace
         context.
     predictor / manager / time_to_failure:
-        The standard backend contract
-        (:class:`~repro.sim.backends.base.SimulatorBackend`).
+        What :meth:`~repro.sim.backends.event.EventDrivenBackend.run`
+        takes: the method under test, the cluster (reset at the start
+        of the run) and the kill fraction of a task's runtime.
     driver:
         Mode-specific arrival/release behaviour (:class:`KernelDriver`).
     collectors:
@@ -282,8 +281,9 @@ class SimulationKernel:
     its failed allocation.  Both go through the one clamp,
     :func:`~repro.sim.backends.base.clamp_allocation_checked`, which
     refuses a task no node can host and a NaN request.  Placement goes
-    through :meth:`ResourceManager.try_place` and each attempt's
-    reservation through :meth:`Machine.allocate`.
+    through :meth:`ResourceManager.try_place`, and each attempt's
+    reservation through :meth:`Machine.allocate` and
+    :meth:`Machine.release`.
     """
 
     def __init__(
@@ -713,11 +713,8 @@ class SimulationKernel:
         """
         node, task_id, allocated, start = state.running
         state.running = None
-        # Inlined Machine.release: ``task_id`` is always present (the
-        # state carried a live running tuple) and the stored reservation
-        # equals ``allocated`` — the tuple and the node never disagree.
-        del node.running[task_id]
-        node.allocated_mb -= allocated
+        # The node stored ``allocated`` for ``task_id`` at dispatch.
+        node.release(task_id)
         del self._running[task_id]
         occupied = now - start
         for collector in self._end_collectors:

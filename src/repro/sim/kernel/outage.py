@@ -11,7 +11,8 @@ count as a prediction failure; the occupied memory-hours still show up
 in the cluster utilization metrics, because the memory really was held.
 
 Because outages are kernel-level events, the scenario works identically
-in the flat event backend and the DAG scheduling engine.
+in the serial replay, the flat event stream and the DAG scheduling
+engine.
 
 Spec strings (CLI ``--node-outage``, repeatable)::
 

@@ -24,7 +24,7 @@ from repro.cluster.accounting import WastageLedger
 from repro.cluster.machine import parse_cluster_spec
 from repro.errors import ConfigError
 from repro.obs.log import get_logger, log_context
-from repro.sim.backends import EventDrivenBackend, SimulatorBackend
+from repro.sim.backends import EventDrivenBackend, resolve_backend
 from repro.sim.engine import OnlineSimulator
 from repro.sim.interface import MemoryPredictor
 from repro.sim.results import (
@@ -108,7 +108,7 @@ def run_cell(
     workload: WorkloadSource | WorkflowTrace | str,
     factory: PredictorFactory,
     time_to_failure: float = 1.0,
-    backend: str | SimulatorBackend = "replay",
+    backend: str | EventDrivenBackend = "replay",
     cluster: str | None = None,
     placement: str = "first-fit",
     shards: int = 1,
@@ -119,11 +119,11 @@ def run_cell(
     ``cluster`` is a spec string (``"128g:4,256g:4"``; ``None``
     = the paper's 8-node 128 GB cluster) and ``placement`` the
     node-placement policy name — both are plain strings so cells stay
-    picklable for the process pool.  Event options (arrivals, DAG
+    picklable for the process pool.  Simulation options (arrivals, DAG
     scheduling, node drains, streaming collectors, the profiler) are
-    fields of an :class:`~repro.sim.backends.event.EventDrivenBackend`
-    passed as ``backend``.  Any ``shards`` but 1 runs the cell as a
-    sharded fan-out via :func:`run_sharded`.
+    fields of the :class:`~repro.sim.backends.event.EventDrivenBackend`
+    passed or named as ``backend``.  Any ``shards`` but 1 runs the cell
+    as a sharded fan-out via :func:`run_sharded`.
     """
     if shards != 1:
         return run_sharded(
@@ -158,12 +158,10 @@ def _run_shard(
     backend: EventDrivenBackend,
     cluster: str,
     placement: str,
-    shard: int,
-    shards: int,
-    spill: str | None,
 ) -> "tuple[RunSummary, object | None]":
     """Worker body of :func:`run_sharded`: one shard, summary (+ profile) out.
 
+    ``backend`` already names the shard and streams its collectors.
     Only the compact :class:`~repro.sim.results.RunSummary` — and, when
     profiling, the shard's :class:`~repro.obs.profile.KernelProfile` —
     crosses the process boundary; sketches and counters, never per-task
@@ -172,20 +170,14 @@ def _run_shard(
     sim = OnlineSimulator(
         workload,
         time_to_failure=time_to_failure,
-        backend=dataclasses.replace(
-            backend,
-            stream_collectors=True,
-            spill=spill,
-            shard=shard,
-            shards=shards,
-        ),
+        backend=backend,
         cluster=cluster,
         placement=placement,
     )
-    with log_context(shard=shard):
+    with log_context(shard=backend.shard):
         _log.info(
             "shard starting",
-            extra={"shards": shards, "shard_cluster": cluster},
+            extra={"shards": backend.shards, "shard_cluster": cluster},
         )
         result = sim.run(factory())
         assert result is not None and result.summary is not None
@@ -223,7 +215,7 @@ def run_sharded(
     *,
     shards: int,
     time_to_failure: float = 1.0,
-    backend: str | SimulatorBackend = "event",
+    backend: str | EventDrivenBackend = "event",
     cluster: str | None = None,
     placement: str = "first-fit",
     n_workers: int | None = None,
@@ -242,24 +234,21 @@ def run_sharded(
     ``workflows`` / ``predictions`` stay empty — totals, counts, and
     quantile sketches survive the merge).
 
-    ``backend`` is the event backend every shard runs (``"event"`` =
-    its defaults); its arrival, DAG and profiler fields apply per
-    shard.  Fields that name one node or one file cannot be split and
-    are refused before any shard starts: ``node_outage`` (node ids are
-    renumbered per shard), ``spill`` and ``trace``.  ``spill_dir``
-    gives each shard its own ``shard-<i>.jsonl`` spill file there.
+    ``backend`` is the backend every shard runs, or its name
+    (``"event"`` = its defaults); its arrival, DAG and profiler fields
+    apply per shard.  Each shard's backend is derived before any shard
+    starts, so a backend that refuses ``shards`` (a serial one) fails
+    here.  Fields that name one node or one file cannot be split and
+    are refused too: ``node_outage`` (node ids are renumbered per
+    shard), ``spill`` and ``trace``.  ``spill_dir`` gives each shard its
+    own ``shard-<i>.jsonl`` spill file there.
 
     Caveats: online-learning predictors learn from their own shard's
     completions only, and cross-shard queueing contention is not
     modeled — sharding trades those for memory and wall-clock; use
     ``shards=1`` when they matter.
     """
-    if backend == "event":
-        backend = EventDrivenBackend()
-    if not isinstance(backend, EventDrivenBackend):
-        raise ConfigError(
-            f"sharded runs require the event backend; got {backend!r}"
-        )
+    backend = resolve_backend(backend)
     for field, why in (
         ("node_outage", "node ids are renumbered within each shard's "
                         "sub-cluster"),
@@ -272,30 +261,33 @@ def run_sharded(
             )
     spec = cluster if cluster is not None else DEFAULT_CLUSTER_SPEC
     shard_specs = partition_cluster(spec, shards)
+    cells = [
+        (
+            workload,
+            factory,
+            time_to_failure,
+            dataclasses.replace(
+                backend,
+                stream_collectors=True,
+                spill=(
+                    os.path.join(spill_dir, f"shard-{i}.jsonl")
+                    if spill_dir is not None
+                    else None
+                ),
+                shard=i,
+                shards=shards,
+            ),
+            shard_specs[i],
+            placement,
+        )
+        for i in range(shards)
+    ]
     _log.info(
         "sharded run starting",
         extra={"shards": shards, "cluster": spec, "workload": str(workload)},
     )
     if spill_dir is not None:
         os.makedirs(spill_dir, exist_ok=True)
-    cells = [
-        (
-            workload,
-            factory,
-            time_to_failure,
-            backend,
-            shard_specs[i],
-            placement,
-            i,
-            shards,
-            (
-                os.path.join(spill_dir, f"shard-{i}.jsonl")
-                if spill_dir is not None
-                else None
-            ),
-        )
-        for i in range(shards)
-    ]
     if shards == 1 or (n_workers is not None and n_workers <= 1):
         shard_results = [_run_shard_star(c) for c in cells]
     else:
@@ -331,7 +323,7 @@ def run_grid(
     factories: Mapping[str, PredictorFactory],
     time_to_failure: float = 1.0,
     n_workers: int = 1,
-    backend: str | SimulatorBackend = "replay",
+    backend: str | EventDrivenBackend = "replay",
     cluster: str | None = None,
     placement: str = "first-fit",
     shards: int = 1,
@@ -344,8 +336,8 @@ def run_grid(
     factories must then be picklable (spec strings always are; the
     built-in sources drop their caches on pickling).  ``backend``
     selects the simulation backend for every cell — a backend name, or
-    a backend instance (picklable when fanning out over processes)
-    whose fields carry the event options.  ``cluster``, ``placement``
+    an :class:`~repro.sim.backends.event.EventDrivenBackend` whose
+    fields carry the simulation options.  ``cluster``, ``placement``
     and ``shards`` apply per cell exactly as in :func:`run_cell`;
     prefer ``n_workers=1`` when sharding cells, so the shard fan-out is
     the only process-level parallelism.

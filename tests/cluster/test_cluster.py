@@ -99,15 +99,15 @@ class TestWastageLedger:
 
     def test_success_wastage_formula(self):
         led = WastageLedger()
-        out = led.record_success(**self.kwargs(), runtime_hours=2.0)
+        wastage = led.record_success(**self.kwargs(), runtime_hours=2.0)
         # (2048 - 1024) MB = 1 GB over 2 h -> 2 GBh
-        assert out.wastage_gbh == pytest.approx(2.0)
+        assert wastage == led.outcomes[-1].wastage_gbh == pytest.approx(2.0)
         assert led.total_wastage_gbh == pytest.approx(2.0)
         assert led.total_runtime_hours == pytest.approx(2.0)
 
     def test_failure_wastage_formula(self):
         led = WastageLedger()
-        out = led.record_failure(
+        wastage = led.record_failure(
             task_type="t",
             workflow="w",
             instance_id=0,
@@ -117,7 +117,7 @@ class TestWastageLedger:
             time_to_failure_hours=0.5,
         )
         # whole 1 GB allocation wasted for 0.5 h
-        assert out.wastage_gbh == pytest.approx(0.5)
+        assert wastage == led.outcomes[-1].wastage_gbh == pytest.approx(0.5)
         assert led.num_failures == 1
 
     def test_success_requires_coverage(self):
@@ -169,5 +169,5 @@ class TestWastageLedger:
 
     def test_over_allocation_property(self):
         led = WastageLedger()
-        out = led.record_success(**self.kwargs(), runtime_hours=1.0)
-        assert out.over_allocation_mb == pytest.approx(1024.0)
+        led.record_success(**self.kwargs(), runtime_hours=1.0)
+        assert led.outcomes[-1].over_allocation_mb == pytest.approx(1024.0)

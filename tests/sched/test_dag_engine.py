@@ -272,8 +272,12 @@ class TestMultiWorkflow:
 class TestPlumbing:
     def test_replay_backend_rejects_dag_options(self):
         trace = make_trace([("a", 100.0, 1.0)])
-        with pytest.raises(ValueError, match="dag need the event backend"):
+        with pytest.raises(
+            ValueError, match=r"serial \(replay\) run .* drop dag$"
+        ):
             OnlineSimulator(trace, backend="replay", dag="linear")
+        with pytest.raises(ValueError, match="drop workflow_arrival$"):
+            OnlineSimulator(trace, backend="replay", workflow_arrival="2")
 
     def test_flat_event_backend_has_no_workflow_metrics(self):
         trace = make_trace([("a", 100.0, 1.0)])

@@ -1,6 +1,7 @@
 """The serial oracle: the paper's one-task-at-a-time replay as a plain loop.
 
-``ReplayBackend`` runs the simulation kernel with one task in flight.
+``backend="replay"`` (``EventDrivenBackend(serial=True)``) runs the
+simulation kernel with one task in flight.
 This module writes the same evaluation out directly, with no events,
 queue or placement, so the kernel can be checked against it:
 

@@ -1,5 +1,7 @@
 """Tests for the simulation backends."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,11 @@ from repro.sim import (
     EventDrivenBackend,
     NodeOutage,
     OnlineSimulator,
-    ReplayBackend,
     UnschedulableTaskError,
     WorkflowMetricsCollector,
 )
 from repro.sim.backends.base import clamp_allocation_checked
-from repro.sim.backends.event import FlatStreamDriver
+from repro.sim.backends.event import FlatStreamDriver, SerialDriver
 from repro.sim.interface import MemoryPredictor, TaskSubmission, TraceContext
 from repro.workflow.dag import WorkflowDAG
 from repro.workflow.nfcore import build_workflow_trace
@@ -66,7 +67,13 @@ class FixedPredictor(MemoryPredictor):
 
 class TestBackendResolution:
     def test_backend_names(self):
-        assert BACKENDS == {"replay": ReplayBackend, "event": EventDrivenBackend}
+        # Two configurations of the one backend, named by their key.
+        assert {name: b.name for name, b in BACKENDS.items()} == {
+            "replay": "replay",
+            "event": "event",
+        }
+        assert BACKENDS["replay"].serial and not BACKENDS["event"].serial
+        assert OnlineSimulator(make_trace([100.0])).backend is BACKENDS["replay"]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -79,8 +86,27 @@ class TestBackendResolution:
         assert sim.backend.name == "event"
 
     def test_rejects_non_backend(self):
-        with pytest.raises(TypeError, match="SimulatorBackend"):
+        with pytest.raises(TypeError, match="EventDrivenBackend"):
             OnlineSimulator(make_trace([100.0]), backend=42)
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            (dict(arrival="poisson:2"), "arrival"),
+            (dict(dag="trace"), "dag"),
+            (dict(workflow_arrival="2"), "workflow_arrival"),
+            (dict(shards=2), "shards"),
+            (dict(arrival="fixed:0.5", dag="linear"), "arrival, dag"),
+        ],
+    )
+    def test_serial_refuses_what_picks_another_driver(self, options, named):
+        with pytest.raises(ConfigError, match=f"one task in flight.*drop {named}$"):
+            EventDrivenBackend(serial=True, **options)
+
+    def test_serial_accepts_the_batch_arrival_it_derives_from(self):
+        # dataclasses.replace hands the parsed default arrival back in.
+        backend = dataclasses.replace(BACKENDS["replay"], profile=True)
+        assert backend.serial and backend.profile
 
 
 class TestBuildKernel:
@@ -135,6 +161,39 @@ class TestBuildKernel:
         result = kernel.run()
         # Shard 1 of 2: two of the 4 tasks, or two of the 4 instances.
         assert result.summary.n_tasks == (2 if mode == "flat" else 8)
+        assert result.profile is kernel.profile
+
+    def test_serial_builds_the_replay_kernel(self, tmp_path):
+        # One task in flight and no cluster metrics; the kernel-level
+        # options reach it as they reach a flat or DAG kernel.
+        trace = make_trace([100.0, 200.0, 300.0, 400.0])
+        plain = BACKENDS["replay"].build_kernel(
+            trace, FixedPredictor(1024.0), ResourceManager(), 1.0
+        )
+        assert type(plain.driver) is SerialDriver
+        assert plain.collectors == (plain.wastage,)
+        assert plain.outages == () and plain.profile is None
+        spill = str(tmp_path / "spill.jsonl")
+        trace_path = str(tmp_path / "trace.json")
+        kernel = EventDrivenBackend(
+            serial=True,
+            node_outage="0.5:1:1",
+            stream_collectors=True,
+            spill=spill,
+            profile=True,
+            trace=trace_path,
+            trace_limit=64,
+        ).build_kernel(trace, FixedPredictor(1024.0), ResourceManager(), 1.0)
+        assert type(kernel.driver) is SerialDriver
+        wastage, tracer = kernel.collectors
+        assert wastage is kernel.wastage
+        assert not wastage.keep_logs and wastage.spill == spill
+        assert type(tracer) is TraceCollector
+        assert (tracer.path, tracer.limit) == (trace_path, 64)
+        assert kernel.outages == (NodeOutage(0.5, 1.0, 1),)
+        result = kernel.run()
+        assert result.summary.n_tasks == 4 and result.cluster is None
+        assert result.summary.makespan_hours == 4.0
         assert result.profile is kernel.profile
 
 

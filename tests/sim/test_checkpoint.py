@@ -186,6 +186,21 @@ def test_a_pause_needs_a_checkpoint_path(pause):
         sim.run(predictor, **{pause: 0.1})
 
 
+@pytest.mark.parametrize(
+    "pause",
+    [{}, {"checkpoint_every": 0.1}, {"stop_after": 0.1}],
+    ids=["checkpoint", "checkpoint_every", "stop_after"],
+)
+def test_a_serial_run_is_never_checkpointed(tmp_path, pause):
+    # Refused before the run starts, so no checkpoint file is written.
+    sim, predictor = build_sim("sizey_replay")
+    assert sim.backend.serial
+    ck = tmp_path / "replay.ckpt"
+    with pytest.raises(ConfigError, match="serial .* cannot be checkpointed"):
+        sim.run(predictor, checkpoint=str(ck), **pause)
+    assert not ck.exists()
+
+
 def test_checkpoint_requires_started_kernel(tmp_path):
     sim, predictor = build_sim("flat_event_pr2")
     kernel = sim.backend.build_kernel(

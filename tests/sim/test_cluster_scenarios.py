@@ -11,7 +11,7 @@ doubling factor on both backends.
 import pytest
 
 from repro.cluster.manager import ResourceManager
-from repro.sim import EventDrivenBackend, OnlineSimulator, ReplayBackend
+from repro.sim import BACKENDS, EventDrivenBackend, OnlineSimulator
 from repro.sim.backends.base import DOUBLING_FACTOR
 from repro.sim.interface import MemoryPredictor, TaskSubmission
 from repro.workflow.task import TaskInstance, TaskType, WorkflowTrace
@@ -193,7 +193,7 @@ class TestDoublingFactor:
         # A stubborn predictor re-proposes the failed allocation, so the
         # escalation floor drives growth: 1000 -> 2000 -> 4000 -> 8000.
         trace = make_trace([7000.0])
-        for backend in (ReplayBackend(), EventDrivenBackend()):
+        for backend in BACKENDS.values():
             res = OnlineSimulator(trace, backend=backend).run(
                 StubbornPredictor(1000.0)
             )

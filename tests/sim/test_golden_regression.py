@@ -9,9 +9,10 @@ the simulation layer must keep these outputs *identical to the last
 bit*: the ledger's attempt sequence, every prediction log, the cluster
 metrics including per-node timelines, and the per-workflow metrics.
 
-Sizey itself is pinned twice: a simulation with incremental Sizey (its
-allocations depend on every model output, offset and gating weight),
-and, because a full-retrain simulation is too slow for the suite, one
+Sizey itself is pinned three times: incremental Sizey on the event
+backend and on the paper's serial replay (the path the scorecard runs)
+— its allocations depend on every model output, offset and gating
+weight — and, because a full-retrain simulation is too slow for the suite, one
 :class:`~repro.core.pool.ModelPool` per training mode driven over a
 fixed update stream with every :class:`~repro.core.pool.PoolPrediction`
 field recorded after each update.  Learning goldens pin float results
@@ -45,7 +46,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 #: name -> (method, backend kwargs, simulator kwargs).  Scenarios are
 #: chosen to exercise kills/re-queues under contention on heterogeneous
 #: nodes; the engine pins use cheap non-learning predictors so they stay
-#: fast and failure-prone, the last one pins the paper's method.
+#: fast and failure-prone, the last two pin the paper's method.
 SCENARIOS = {
     "flat_event_pr2": dict(
         workflow="iwd",
@@ -99,6 +100,18 @@ SCENARIOS = {
         trace_seed=3,
         method="Sizey",
         backend=dict(arrival="poisson:600", seed=7),
+        sim=dict(
+            time_to_failure=0.7, cluster="4g:1,6g:1", placement="best-fit"
+        ),
+    ),
+    # The same run on the paper's serial replay: one task in flight, so
+    # every success is observed before the next task is sized.
+    "sizey_replay": dict(
+        workflow="iwd",
+        scale=0.2,
+        trace_seed=3,
+        method="Sizey",
+        backend=dict(serial=True),
         sim=dict(
             time_to_failure=0.7, cluster="4g:1,6g:1", placement="best-fit"
         ),
@@ -227,6 +240,11 @@ def test_goldens_have_coverage():
     # One pool slides its MLP window and refits the forest >= 4 times.
     assert busiest > cfg.mlp_window
     assert busiest // cfg.rf_refit_interval >= 4
+    replay = run_scenario("sizey_replay")
+    assert replay["cluster"] is None
+    assert any(not a["success"] for a in replay["attempts"]), (
+        "Sizey replay golden no longer produces kills"
+    )
 
     full = run_pool_stream("sizey_pool_full")
     assert len(full["rounds"]) >= 2 * cfg.hpo_interval

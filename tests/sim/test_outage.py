@@ -202,9 +202,39 @@ class TestBothModes:
         res = sim.run(FixedPredictor(200.0))
         assert res.cluster.makespan_hours == pytest.approx(3.0)
 
-    def test_replay_backend_rejects_node_outage(self):
+    def test_replay_waits_out_a_drain(self):
+        # The only node is down for [0, 2): the replay's one task starts
+        # when the drain lifts.  A drain is not a sizing fault, so the
+        # ledger is the plain replay's.
         trace = make_trace([("a", 100.0, 1.0)])
-        with pytest.raises(
-            ValueError, match="node_outage need the event backend"
-        ):
-            OnlineSimulator(trace, backend="replay", node_outage="0:1:0")
+        plain = OnlineSimulator(trace, manager=one_node_manager()).run(
+            FixedPredictor(200.0)
+        )
+        res = OnlineSimulator(
+            trace, manager=one_node_manager(), backend="replay",
+            node_outage="0:2:0",
+        ).run(FixedPredictor(200.0))
+        assert res.cluster is None  # replay measures no cluster
+        assert res.summary.makespan_hours == pytest.approx(3.0)
+        assert plain.summary.makespan_hours == pytest.approx(1.0)
+        assert res.total_wastage_gbh == plain.total_wastage_gbh
+        assert res.total_runtime_hours == plain.total_runtime_hours
+        assert res.num_failures == plain.num_failures == 0
+
+    def test_replay_preempts_and_requeues_its_running_task(self):
+        # The 1 h task starts at t = 0; node 0 drains at t = 0.5 for 1 h,
+        # preempting it.  It reruns from scratch at t = 1.5 with its
+        # allocation and attempt budget intact, and the next task waits.
+        trace = make_trace([("a", 100.0, 1.0), ("a", 150.0, 1.0)])
+        plain = OnlineSimulator(trace, manager=one_node_manager()).run(
+            FixedPredictor(200.0)
+        )
+        res = OnlineSimulator(
+            trace, manager=one_node_manager(), backend="replay",
+            node_outage="0.5:1:0",
+        ).run(FixedPredictor(200.0))
+        assert res.summary.makespan_hours == pytest.approx(3.5)
+        assert [p.n_attempts for p in res.predictions] == [1, 1]
+        assert [o.success for o in res.ledger.outcomes] == [True, True]
+        assert res.total_wastage_gbh == plain.total_wastage_gbh
+        assert res.total_runtime_hours == plain.total_runtime_hours

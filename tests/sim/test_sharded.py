@@ -238,6 +238,27 @@ class TestShardedGuards:
             )
         assert not list(tmp_path.iterdir())
 
+    def test_serial_backend_refuses_shards_before_any_shard(
+        self, monkeypatch
+    ):
+        # The serial driver reads the whole workload in order; the
+        # backend itself refuses a slice of it.
+        from repro.errors import ConfigError
+
+        def no_shard(*args, **kwargs):
+            raise AssertionError("a refused fan-out must start no shard")
+
+        monkeypatch.setattr("repro.sim.runner._run_shard", no_shard)
+        with pytest.raises(ConfigError, match="drop shards$"):
+            run_sharded(
+                build_workflow_trace("iwd", seed=0, scale=0.05),
+                method_factories()["Witt-LR"],
+                shards=2,
+                backend="replay",
+                cluster="64g:4",
+                n_workers=1,
+            )
+
     def test_requires_workload_and_factory(self):
         with pytest.raises(TypeError, match="factory"):
             run_sharded("synthetic:iwd", shards=2)

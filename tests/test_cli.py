@@ -77,10 +77,13 @@ class TestParser:
             )
 
     def test_arrival_requires_event_backend(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["simulate", "--workflow", "iwd",
                   "--arrival", "poisson:0.5"])
-        assert "--backend event" in capsys.readouterr().err
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "serial (replay) run keeps one task in flight" in err
+        assert err.rstrip().endswith("drop arrival")
 
     def test_dag_options_default_off(self):
         args = build_parser().parse_args(["simulate", "--workflow", "iwd"])
@@ -129,9 +132,12 @@ class TestParser:
         assert f"argument {flag}:" in capsys.readouterr().err
 
     def test_dag_requires_event_backend(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["simulate", "--workflow", "iwd", "--dag", "trace"])
-        assert "--backend event" in capsys.readouterr().err
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "serial (replay) run keeps one task in flight" in err
+        assert err.rstrip().endswith("drop dag")
 
     def test_workflow_arrival_conflicts_with_task_arrival(self, capsys):
         with pytest.raises(SystemExit):
@@ -387,10 +393,42 @@ class TestWorkloadOption:
 
 
 class TestScaleOptions:
-    def test_scale_flags_require_event_backend(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--workflow", "iwd", "--stream-collectors"])
-        assert "--backend event" in capsys.readouterr().err
+    def test_replay_refuses_checkpoints(self, tmp_path, capsys):
+        ck = tmp_path / "replay.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--workflow", "iwd", "--scale", "0.05",
+                  "--method", "Witt-LR", "--checkpoint", str(ck),
+                  "--stop-after", "0.01"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "serial (replay) run cannot be checkpointed" in err
+        assert not ck.exists()
+
+    def test_kernel_options_apply_to_replay(self, tmp_path, capsys):
+        # Profile, trace, spill and summary files come from the kernel,
+        # whichever driver runs it; the metric rows stay the replay's.
+        run = ["simulate", "--workflow", "iwd", "--scale", "0.05",
+               "--method", "Witt-LR"]
+        assert main(run) == 0
+        plain = capsys.readouterr().out
+        paths = {name: tmp_path / name
+                 for name in ("trace.json", "spill.jsonl", "summary.json")}
+        assert main([*run, "--backend", "replay", "--profile",
+                     "--trace", str(paths["trace.json"]),
+                     "--spill", str(paths["spill.jsonl"]),
+                     "--summary-json", str(paths["summary.json"])]) == 0
+        out = capsys.readouterr().out
+        metrics, profile = out.split("\n\n", 1)
+        assert metrics + "\n" == plain
+        assert profile.startswith("kernel phases:")
+        assert all(path.stat().st_size > 0 for path in paths.values())
+        summary = json.loads(paths["summary.json"].read_text())
+        assert summary["tasks"]["n_tasks"] == 83
+        assert summary["cluster"] is None
+        spilled = paths["spill.jsonl"].read_text().splitlines()
+        assert len(spilled) == 83
+        events = json.loads(paths["trace.json"].read_text())["traceEvents"]
+        assert any(e["ph"] == "X" for e in events)
 
     def test_resume_excludes_workload(self, capsys):
         with pytest.raises(SystemExit):
@@ -521,6 +559,18 @@ class TestUsageErrors:
              "--workers: must be >= 1"),
             (["profile", "--workflow", "iwd", "--scale", "0.05",
               "--repeat", "0"], "--repeat: must be >= 1"),
+            # A replay run picks its own driver; the backend refuses the
+            # flags that pick another.
+            (SIM + ["--scale", "0.05", "--arrival", "fixed:0.5"],
+             "drop arrival"),
+            (SIM + ["--scale", "0.05", "--workflow-arrival", "2"],
+             "drop workflow_arrival"),
+            (SIM + ["--scale", "0.05", "--shards", "2"], "drop shards"),
+            (SIM + ["--scale", "0.05", "--dag", "linear",
+                    "--workflow-arrival", "2"],
+             "drop dag, workflow_arrival"),
+            (["compare", "--workflows", "iwd", "--scale", "0.05",
+              "--arrival", "poisson:2"], "drop arrival"),
         ],
     )
     def test_exit_2_before_any_run(
@@ -546,30 +596,6 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
-
-    def test_summary_json_needs_event_backend_before_the_run(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        import repro.cli as cli
-
-        def no_workload(args):
-            raise AssertionError("the workload must not be built")
-
-        monkeypatch.setattr(cli, "_resolve_cli_workload", no_workload)
-        out = tmp_path / "summary.json"
-        with pytest.raises(SystemExit) as exc:
-            main(self.SIM + ["--scale", "0.05", "--summary-json", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--summary-json" in err and "--backend event" in err
-        assert not out.exists()
-
-    def test_gate_names_every_event_flag_given(self, capsys):
-        with pytest.raises(SystemExit):
-            main(self.SIM + ["--profile", "--trace", "t.json",
-                             "--spill", "s.jsonl"])
-        err = capsys.readouterr().err
-        assert "--spill, --profile, --trace only shape" in err
 
     def test_resume_takes_only_checkpoint_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
