@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.config import SizeyConfig
 from repro.core.gating import gate
+from repro.core.pool import PoolQuery
 from repro.core.predictor import SizeyPredictor
 from repro.core.scores import raq_scores
 from repro.sim.interface import TaskSubmission
@@ -63,24 +64,35 @@ class AdaptiveAlphaSizey(SizeyPredictor):
             return self.alpha_candidates[0]
         return self.alpha_candidates[int(np.argmin(waste))]
 
-    def _raw_estimate(self, key, task: TaskSubmission, pp) -> float:
-        """Gate the row once per candidate alpha and use the preferred one.
+    def _raw_estimates(
+        self, key: tuple[str, str], group: list[TaskSubmission], query: PoolQuery
+    ) -> np.ndarray:
+        """Gate the query once per candidate alpha and use the preferred one.
 
-        Every candidate's estimate stays pending until the task's
-        success scores it; :meth:`SizeyPredictor.predict_batch` pads the
-        chosen one with the pool's offset.
+        Every row's candidate estimates stay pending until the task's
+        success scores them; :meth:`SizeyPredictor.predict_batch` pads
+        the chosen column with the pool's offset.
         """
-        estimates = np.empty(len(self.alpha_candidates))
-        for i, a in enumerate(self.alpha_candidates):
-            raq = raq_scores(pp.accuracy, pp.efficiency, a)
-            estimates[i] = gate(
-                pp.predictions, raq, self.config.gating, self.config.beta
-            ).estimate
-        self._pending_candidates[task.instance_id] = (key, estimates)
+        c = self.config
+        candidates = np.stack(
+            [
+                gate(
+                    query.predictions,
+                    raq_scores(query.accuracy, query.efficiency, a),
+                    c.gating,
+                    c.beta,
+                )[1]
+                for a in self.alpha_candidates
+            ],
+            axis=1,
+        )
+        for task, estimates in zip(group, candidates):
+            self._pending_candidates[task.instance_id] = (key, estimates)
 
         alpha = self.current_alpha(key)
-        self.alpha_choices[task.task_type].append(alpha)
-        return float(estimates[self.alpha_candidates.index(alpha)])
+        for task in group:
+            self.alpha_choices[task.task_type].append(alpha)
+        return candidates[:, self.alpha_candidates.index(alpha)]
 
     def observe(self, record) -> None:
         if record.success:

@@ -5,77 +5,60 @@ Two strategies, mirroring a mixture-of-experts gating network:
 - **Argmax** — trust the model with the highest RAQ score exclusively.
 - **Interpolation** — a softmax consensus over RAQ scores (Eq. 4) with
   sharpness ``beta``; as ``beta -> inf`` it converges to Argmax.
+
+:func:`gate` gates a whole pool query in one pass: rows are tasks,
+columns are models.  Every reduction runs along a C-contiguous row, so
+each row's result equals the same reduction over that row alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["GateDecision", "argmax_gate", "interpolation_gate", "gate"]
-
-
-@dataclass(frozen=True)
-class GateDecision:
-    """Result of gating: the estimate, per-model weights, and the winner."""
-
-    estimate: float
-    weights: np.ndarray
-    selected_index: int
-
-
-def _validate(predictions: np.ndarray, raq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    preds = np.asarray(predictions, dtype=np.float64)
-    scores = np.asarray(raq, dtype=np.float64)
-    if preds.ndim != 1 or preds.size == 0:
-        raise ValueError("predictions must be a non-empty 1-D array")
-    if preds.shape != scores.shape:
-        raise ValueError(f"shape mismatch: {preds.shape} vs {scores.shape}")
-    return preds, scores
-
-
-def argmax_gate(predictions: np.ndarray, raq: np.ndarray) -> GateDecision:
-    """Weight the highest-RAQ model 1, everything else 0.
-
-    Ties resolve to the lowest index (deterministic).
-    """
-    preds, scores = _validate(predictions, raq)
-    idx = int(np.argmax(scores))
-    weights = np.zeros_like(preds)
-    weights[idx] = 1.0
-    return GateDecision(estimate=float(preds[idx]), weights=weights, selected_index=idx)
-
-
-def interpolation_gate(
-    predictions: np.ndarray, raq: np.ndarray, beta: float
-) -> GateDecision:
-    """Eq. 4: softmax weights ``w_i = exp(beta RAQ_i) / sum_j exp(beta RAQ_j)``.
-
-    ``selected_index`` reports the argmax-RAQ model — the model class
-    "selected" for diagnostics like Fig. 11 — even though all models
-    contribute to the estimate.
-    """
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    preds, scores = _validate(predictions, raq)
-    z = beta * scores
-    z -= z.max()  # stabilise exp
-    w = np.exp(z)
-    w /= w.sum()
-    return GateDecision(
-        estimate=float(w @ preds),
-        weights=w,
-        selected_index=int(np.argmax(scores)),
-    )
+__all__ = ["gate"]
 
 
 def gate(
-    predictions: np.ndarray, raq: np.ndarray, strategy: str, beta: float = 10.0
-) -> GateDecision:
-    """Dispatch on the configured gating strategy."""
+    predictions: np.ndarray,
+    raq: np.ndarray,
+    strategy: str,
+    beta: float = 10.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate every row: ``(weights, estimates, selected)``.
+
+    ``predictions`` and ``raq`` are ``(n_rows, n_models)``.  ``weights``
+    has their shape, ``estimates`` holds one gated estimate per row and
+    ``selected`` each row's argmax-RAQ model index — the model class
+    "selected" for diagnostics like Fig. 11, even when Interpolation
+    lets every model contribute.  Ties resolve to the lowest index.
+
+    Argmax weights the selected model 1 and every other 0.
+    Interpolation is Eq. 4, ``w_i = exp(beta RAQ_i) / sum_j exp(beta
+    RAQ_j)``, with ``beta >= 1``.
+    """
+    if strategy not in ("argmax", "interpolation"):
+        raise ValueError(f"unknown gating strategy {strategy!r}")
+    if strategy == "interpolation" and beta < 1.0:
+        raise ValueError(f"beta must be >= 1, got {beta}")
+    preds = np.ascontiguousarray(predictions, dtype=np.float64)
+    scores = np.ascontiguousarray(raq, dtype=np.float64)
+    if preds.ndim != 2 or preds.size == 0:
+        raise ValueError(
+            "predictions must be a non-empty (n_rows, n_models) array"
+        )
+    if preds.shape != scores.shape:
+        raise ValueError(f"shape mismatch: {preds.shape} vs {scores.shape}")
+    selected = scores.argmax(axis=1)
     if strategy == "argmax":
-        return argmax_gate(predictions, raq)
-    if strategy == "interpolation":
-        return interpolation_gate(predictions, raq, beta)
-    raise ValueError(f"unknown gating strategy {strategy!r}")
+        rows = np.arange(preds.shape[0])
+        weights = np.zeros_like(preds)
+        weights[rows, selected] = 1.0
+        return weights, preds[rows, selected], selected
+    z = beta * scores
+    z -= z.max(axis=1, keepdims=True)  # stabilise exp
+    weights = np.exp(z, out=z)
+    weights /= weights.sum(axis=1, keepdims=True)
+    # One (1, n) @ (n, 1) product per row: the dot of each row's own
+    # 1-D ``weights @ preds``.
+    estimates = np.matmul(weights[:, None, :], preds[:, :, None])[:, 0, 0]
+    return weights, estimates, selected

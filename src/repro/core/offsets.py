@@ -17,11 +17,16 @@ whose padded prediction covers the actual peak wastes the over-allocation
 for the task's runtime; one that does not wastes its whole allocation for
 ``time_to_failure`` of the runtime plus a retry at the maximum observed
 peak.
+
+The window statistics equal ``np.std`` and ``np.median`` to the last
+bit without importing ``numpy.ma`` (see :mod:`repro.core._window`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core._window import window_median, window_std
 
 __all__ = ["OFFSET_STRATEGIES", "compute_offset", "OffsetTracker"]
 
@@ -50,13 +55,13 @@ def compute_offset(
 def _statistic(strategy: str, errors: np.ndarray, under: np.ndarray) -> float:
     """One strategy's offset from the errors and their positive part."""
     if strategy == "std":
-        return float(np.std(errors))
+        return window_std(errors)
     if strategy == "std_under":
-        return float(np.std(under)) if under.size else 0.0
+        return window_std(under) if under.size else 0.0
     if strategy == "median":
-        return float(np.median(np.abs(errors)))
+        return window_median(np.abs(errors))
     if strategy == "median_under":
-        return float(np.median(under)) if under.size else 0.0
+        return window_median(under) if under.size else 0.0
     raise ValueError(
         f"unknown offset strategy {strategy!r}; choose from {OFFSET_STRATEGIES}"
     )

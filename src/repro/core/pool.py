@@ -3,12 +3,22 @@
 One pool per task-machine configuration (the paper's finest granularity,
 Fig. 4): it owns the four model slots, their prequential accuracy
 scores, and the pool-local training history.  ``update`` is Phase 3 of
-Fig. 3 (online learning); ``predict`` is Phase 2 steps 2.1-2.2
-(individual predictions, RAQ scoring, gating).
+Fig. 3 (online learning); ``predict_batch`` is Phase 2 steps 2.1-2.2
+(individual predictions, RAQ scoring, gating) for a batch of
+submissions.
+
+A query is columnar: each fitted slot answers all rows in one call, and
+the answers are scored and gated as ``(n_rows, n_models)`` arrays in a
+:class:`PoolQuery`, rows being tasks and columns models.  Rows are the
+contiguous axis, so every per-row reduction (max, sum, argmax, dot)
+runs over the same memory as on that row alone and gives the same bits.
+:class:`PoolPrediction` is a one-row copy for readers that want a
+record per task; ``predict`` is row 0 of a one-row query.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from dataclasses import dataclass
@@ -24,12 +34,12 @@ from repro.core.scores import (
     raq_scores,
 )
 
-__all__ = ["PoolPrediction", "ModelPool"]
+__all__ = ["PoolPrediction", "PoolQuery", "ModelPool"]
 
 
 @dataclass(frozen=True)
 class PoolPrediction:
-    """Full transparency record of one gated pool prediction."""
+    """Full transparency record of one gated pool prediction (one row)."""
 
     model_names: tuple[str, ...]
     predictions: np.ndarray
@@ -44,6 +54,69 @@ class PoolPrediction:
     def selected_model(self) -> str:
         """The argmax-RAQ model class (Fig. 11 counts these)."""
         return self.model_names[self.selected_index]
+
+
+@dataclass(frozen=True)
+class PoolQuery:
+    """One gated pool query: rows are tasks, columns are models.
+
+    ``predictions``, ``efficiency``, ``raq`` and ``weights`` are
+    C-contiguous ``(n_rows, n_models)`` arrays; ``accuracy`` holds the
+    pool's score per model, ``estimates`` and ``selected`` one gated
+    estimate and argmax-RAQ model index per row.  ``len()``, iteration
+    and indexing give :class:`PoolPrediction` rows as copies.
+    """
+
+    model_names: tuple[str, ...]
+    accuracy: np.ndarray
+    predictions: np.ndarray
+    efficiency: np.ndarray
+    raq: np.ndarray
+    weights: np.ndarray
+    estimates: np.ndarray
+    selected: np.ndarray
+
+    @classmethod
+    def gated(
+        cls,
+        model_names: tuple[str, ...],
+        accuracy: np.ndarray,
+        predictions: np.ndarray,
+        alpha: float,
+        gating: str,
+        beta: float,
+    ) -> PoolQuery:
+        """Score (Eqs. 2-3) and gate (Eq. 4) every row at once."""
+        efficiency = efficiency_scores(predictions)
+        raq = raq_scores(accuracy, efficiency, alpha)
+        weights, estimates, selected = gate(predictions, raq, gating, beta)
+        return cls(
+            model_names, accuracy, predictions, efficiency, raq, weights,
+            estimates, selected,
+        )
+
+    def selected_models(self) -> list[str]:
+        """Each row's argmax-RAQ model class, in row order (Fig. 11)."""
+        return [self.model_names[i] for i in self.selected.tolist()]
+
+    def __len__(self) -> int:
+        return self.predictions.shape[0]
+
+    def __getitem__(self, row: int) -> PoolPrediction:
+        j = operator.index(row)
+        return PoolPrediction(
+            model_names=self.model_names,
+            predictions=self.predictions[j].copy(),
+            accuracy=self.accuracy.copy(),
+            efficiency=self.efficiency[j].copy(),
+            raq=self.raq[j].copy(),
+            weights=self.weights[j].copy(),
+            estimate=float(self.estimates[j]),
+            selected_index=int(self.selected[j]),
+        )
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
 
 
 class _History:
@@ -238,41 +311,20 @@ class ModelPool:
     # Phase 2: prediction
     # ------------------------------------------------------------------
     def predict(self, x: np.ndarray) -> PoolPrediction:
-        """Gated prediction for feature vector ``x`` (shape ``(1, d)``)."""
-        with self._lock:
-            if not self._active:
-                raise RuntimeError(
-                    "pool has no fitted models; call update() first"
-                )
-            x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-            names = self._active_names
-            preds = np.array([slot.predict_one(x) for slot in self._active])
-            # Copy: PoolPrediction is a transparency record callers may
-            # hold onto; handing out the cache itself would let them
-            # corrupt it.
-            acc = self._active_accuracy.copy()
-        eff = efficiency_scores(preds)
-        raq = raq_scores(acc, eff, self.alpha)
-        decision = gate(preds, raq, self.gating, self.beta)
-        return PoolPrediction(
-            model_names=names,
-            predictions=preds,
-            accuracy=acc,
-            efficiency=eff,
-            raq=raq,
-            weights=decision.weights,
-            estimate=decision.estimate,
-            selected_index=decision.selected_index,
-        )
+        """Gated prediction for feature vector ``x`` (shape ``(1, d)``):
+        row 0 of a one-row :meth:`predict_batch`."""
+        return self.predict_batch(
+            np.asarray(x, dtype=np.float64).reshape(1, -1)
+        )[0]
 
-    def predict_batch(self, X: np.ndarray) -> list[PoolPrediction]:
+    def predict_batch(self, X: np.ndarray) -> PoolQuery:
         """Gated predictions for a feature matrix ``X`` (shape ``(n, d)``).
 
-        Equivalent to ``[self.predict(x) for x in X]`` but issues exactly
-        one query per fitted model slot (the expensive part — e.g. the
-        whole random forest traverses once for all ``n`` rows) instead of
-        ``n`` queries per slot.  Scoring and gating stay per-row because
-        efficiency scores compare the models within one submission.
+        Issues exactly one query per fitted model slot (the expensive
+        part — e.g. the whole random forest traverses once for all ``n``
+        rows), then scores and gates all rows as ``(n, n_models)``
+        arrays.  Efficiency compares the models within each row, so a
+        row's result does not depend on the other rows.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -283,28 +335,12 @@ class ModelPool:
                     "pool has no fitted models; call update() first"
                 )
             names = self._active_names
-            # (n_models, n_rows): the single vectorized query per slot.
-            pred_matrix = np.stack([slot.predict(X) for slot in self._active])
+            preds = np.empty((X.shape[0], len(names)), dtype=np.float64)
+            for j, slot in enumerate(self._active):
+                preds[:, j] = slot.predict(X)
+            # Copy: the query is a transparency record callers may hold
+            # onto; handing out the cache itself would let them corrupt it.
             acc = self._active_accuracy.copy()
-        out: list[PoolPrediction] = []
-        for j in range(X.shape[0]):
-            # Copies: rows must not be views into the shared matrix (a
-            # retained PoolPrediction would pin it alive and expose it
-            # to mutation), and rows must not share one accuracy array.
-            preds = np.ascontiguousarray(pred_matrix[:, j])
-            eff = efficiency_scores(preds)
-            raq = raq_scores(acc, eff, self.alpha)
-            decision = gate(preds, raq, self.gating, self.beta)
-            out.append(
-                PoolPrediction(
-                    model_names=names,
-                    predictions=preds,
-                    accuracy=acc.copy(),
-                    efficiency=eff,
-                    raq=raq,
-                    weights=decision.weights,
-                    estimate=decision.estimate,
-                    selected_index=decision.selected_index,
-                )
-            )
-        return out
+        return PoolQuery.gated(
+            names, acc, preds, self.alpha, self.gating, self.beta
+        )

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.config import SizeyConfig
 from repro.core.failure import FailureHandler
 from repro.core.offsets import OffsetTracker
-from repro.core.pool import ModelPool, PoolPrediction
+from repro.core.pool import ModelPool, PoolQuery
 from repro.provenance.database import ProvenanceDatabase
 from repro.provenance.records import TaskRecord
 from repro.sim.interface import (
@@ -93,13 +93,13 @@ class SizeyPredictor(MemoryPredictor):
 
         Submissions sharing a pool key are stacked into one feature
         matrix and answered by a single :meth:`ModelPool.predict_batch`
-        call — one model query per slot instead of one per task.  A pool
-        that is missing or below ``min_history`` falls back to each
-        task's preset ("submitted directly to the resource manager,
-        resorting to the user-provided ... estimate").  Every row counts
-        its selected model, keeps its raw estimate pending until the
-        task's success is observed, and is padded by the pool's current
-        offset.
+        call — one model query per slot instead of one per task, scored
+        and gated as columns.  A pool that is missing or below
+        ``min_history`` falls back to each task's preset ("submitted
+        directly to the resource manager, resorting to the user-provided
+        ... estimate").  Every row counts its selected model, keeps its
+        raw estimate pending until the task's success is observed, and
+        is padded by the pool's current offset.
         """
         def sizer(key, group):
             pool = self.pools.get(key)
@@ -108,27 +108,26 @@ class SizeyPredictor(MemoryPredictor):
             ):
                 self.preset_fallbacks += len(group)
                 return None
-            X = np.vstack([task.features for task in group])
+            X = np.concatenate([task.features for task in group])
             tracker = self.offsets.get(key)
             offset = tracker.current_offset()[0] if tracker is not None else 0.0
-            estimates = np.empty(len(group), dtype=np.float64)
-            for j, (task, pp) in enumerate(zip(group, pool.predict_batch(X))):
-                self.selection_counts[pp.selected_model] += 1
-                raw = self._raw_estimate(key, task, pp)
-                self._pending[task.instance_id] = (key, raw)
-                estimates[j] = max(raw + offset, 1.0)
-            return estimates
+            query = pool.predict_batch(X)
+            self.selection_counts.update(query.selected_models())
+            raw = self._raw_estimates(key, group, query)
+            for task, estimate in zip(group, raw.tolist()):
+                self._pending[task.instance_id] = (key, estimate)
+            return np.maximum(raw + offset, 1.0)
 
         return batch_by_group(
             tasks, lambda t: self._key(t.task_type, t.machine), sizer
         )
 
-    def _raw_estimate(
-        self, key: tuple[str, str], task: TaskSubmission, pp: PoolPrediction
-    ) -> float:
-        """The un-offset estimate for one row of a pool query: the
-        pool's gated estimate."""
-        return pp.estimate
+    def _raw_estimates(
+        self, key: tuple[str, str], group: list[TaskSubmission], query: PoolQuery
+    ) -> np.ndarray:
+        """The un-offset estimate of each row of a pool query: the
+        pool's gated estimates."""
+        return query.estimates
 
     # ------------------------------------------------------------------
     # API v2 lifecycle

@@ -9,11 +9,18 @@ then does the model train on the point.  This matches the paper's "the
 prediction accuracy of individual models is permanently assessed" while
 costing O(1) per update.  A retrospective mode (re-scoring the whole
 history with the current model) is available for ablation.
+
+Efficiency and RAQ score a whole pool query at once: rows are tasks,
+columns are models, so one call scores every submission of a batch.
+Accuracy is a property of the pool, one score per model, and
+broadcasts over the rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core._window import window_mean
 
 __all__ = [
     "accuracy_term",
@@ -100,36 +107,53 @@ class RunningAccuracy:
             return self._sum / self._count
         if not self._terms:
             return 0.0
-        return float(np.mean(self._terms))
+        return window_mean(self._terms)
 
 
 def efficiency_scores(predictions: np.ndarray) -> np.ndarray:
-    """Eq. 2: ``ES_i = 1 - yhat_i / max_j yhat_j``.
+    """Eq. 2 per row: ``ES_ij = 1 - yhat_ij / max_k yhat_ik``.
 
-    Predictions must be positive (callers clamp model outputs to a small
-    positive floor first).  The largest estimate always scores 0; with a
-    single model the score is 0 as well, consistent with Eq. 2.
+    ``predictions`` is ``(n_rows, n_models)``: each row holds one
+    submission's per-model estimates, which must be positive (callers
+    clamp model outputs to a small positive floor first).  The largest
+    estimate of a row always scores 0; with a single model the score is
+    0 as well, consistent with Eq. 2.
     """
     preds = np.asarray(predictions, dtype=np.float64)
-    if preds.ndim != 1 or preds.size == 0:
-        raise ValueError("predictions must be a non-empty 1-D array")
-    if np.any(preds <= 0):
+    if preds.ndim != 2 or preds.size == 0:
+        raise ValueError(
+            "predictions must be a non-empty (n_rows, n_models) array"
+        )
+    # fmin skips NaN, as an elementwise ``<= 0`` test would.
+    if np.fmin.reduce(preds, axis=None) <= 0:
         raise ValueError("predictions must be positive (clamp before scoring)")
-    return 1.0 - preds / preds.max()
+    return 1.0 - preds / preds.max(axis=1, keepdims=True)
 
 
 def raq_scores(
     accuracy: np.ndarray, efficiency: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Eq. 3: ``RAQ_i = (1 - alpha) * AS_i + alpha * ES_i``."""
+    """Eq. 3 per row: ``RAQ_ij = (1 - alpha) * AS_j + alpha * ES_ij``.
+
+    ``accuracy`` holds one score per model, ``efficiency`` is
+    ``(n_rows, n_models)``; the result has the efficiency's shape.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     acc = np.asarray(accuracy, dtype=np.float64)
     eff = np.asarray(efficiency, dtype=np.float64)
-    if acc.shape != eff.shape:
-        raise ValueError(f"shape mismatch: {acc.shape} vs {eff.shape}")
-    if np.any((acc < -1e-12) | (acc > 1 + 1e-12)) or np.any(
-        (eff < -1e-12) | (eff > 1 + 1e-12)
-    ):
+    if eff.ndim != 2 or acc.shape != eff.shape[1:]:
+        raise ValueError(
+            f"shape mismatch: accuracy {acc.shape} vs efficiency {eff.shape}"
+        )
+    if _outside_unit_interval(acc) or _outside_unit_interval(eff):
         raise ValueError("scores must lie in [0, 1]")
     return (1.0 - alpha) * acc + alpha * eff
+
+
+def _outside_unit_interval(scores: np.ndarray) -> bool:
+    """Whether any score lies outside [0, 1] (1e-12 slack); NaN does not."""
+    return scores.size > 0 and bool(
+        np.fmin.reduce(scores, axis=None) < -1e-12
+        or np.fmax.reduce(scores, axis=None) > 1 + 1e-12
+    )

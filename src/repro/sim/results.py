@@ -327,13 +327,16 @@ def summary_to_dict(summary: RunSummary) -> dict[str, object]:
 
     Deterministic ordering, floats untouched — resumed-after-interrupt
     runs must produce a dict *equal* to the uninterrupted run's, which
-    the checkpoint tests and the CI scale-smoke step assert.
+    the checkpoint tests and the CI scale-smoke step assert.  The
+    kernel's makespan is written once, at the top level, for every run;
+    ``cluster`` is ``None`` unless a cluster collector ran.
     """
     out: dict[str, object] = {
         "format": "repro-summary",
         "workflow": summary.workflow,
         "method": summary.method,
         "time_to_failure": summary.time_to_failure,
+        "makespan_hours": summary.makespan_hours,
         "tasks": {
             "n_tasks": summary.n_tasks,
             "n_attempts": summary.n_attempts,
@@ -360,7 +363,6 @@ def summary_to_dict(summary: RunSummary) -> dict[str, object]:
     if summary.n_nodes is not None:
         out["cluster"] = {
             "n_nodes": summary.n_nodes,
-            "makespan_hours": summary.makespan_hours,
             "n_dispatches": summary.queue_wait.n,
             "total_queue_wait_hours": summary.queue_wait.total,
             "mean_queue_wait_hours": summary.queue_wait.mean,

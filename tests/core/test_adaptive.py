@@ -1,5 +1,7 @@
 """Tests for the adaptive-alpha extension (paper future work, §III-E)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -117,12 +119,13 @@ class TestOneSizingPath:
         )
 
     def test_replay_result_unchanged(self, trace):
-        # Recorded on the serial replay loop the kernel driver replaced;
-        # killed attempts' hours may move in the last bits.
+        # Recorded on the kernel's serial replay; exact, so a sizing
+        # change that moves any estimate or alpha choice shows here.
         adaptive = AdaptiveAlphaSizey()
         res = OnlineSimulator(trace, backend="replay").run(adaptive)
-        assert res.total_wastage_gbh == pytest.approx(
-            0.7488054034017412, rel=1e-9
-        )
+        assert res.total_wastage_gbh == 0.7488054034017418
         assert res.num_failures == 46
-        assert sum(len(v) for v in adaptive.alpha_choices.values()) == 327
+        choices = Counter(
+            a for per_type in adaptive.alpha_choices.values() for a in per_type
+        )
+        assert dict(choices) == {0.0: 213, 0.25: 53, 0.75: 2, 1.0: 59}

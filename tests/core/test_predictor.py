@@ -1,10 +1,15 @@
 """Tests for the SizeyPredictor end-to-end behaviour."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.config import SizeyConfig
 from repro.core.predictor import SizeyPredictor
 from repro.provenance.records import TaskRecord
@@ -224,3 +229,33 @@ class TestPickleMidRun:
         resumed = self.drive(copy, mid, stop)
         assert resumed == self.drive(s, mid, stop)
         assert all(len(pool._active) == 4 for pool in copy.pools.values())
+
+
+_MASKED_ARRAY_SCRIPT = """
+import sys
+from repro.experiments.factories import make_sizey
+from repro.sim.engine import OnlineSimulator
+from repro.workflow.nfcore import build_workflow_trace
+
+trace = build_workflow_trace("iwd", seed=0, scale=0.05)
+result = OnlineSimulator(trace, backend="replay").run(make_sizey())
+assert result.num_tasks == len(trace)
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+class TestSizingPathImports:
+    def test_sizey_never_loads_numpy_ma(self):
+        # np.median imports numpy.ma.core and numpy.ma.extras on its
+        # first call (~1.8 MB of peak RSS); the offset statistics run
+        # the reductions it wraps instead.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _MASKED_ARRAY_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -78,36 +78,40 @@ class TestRunningAccuracy:
 
 class TestEfficiencyScores:
     def test_largest_estimate_scores_zero(self):
-        es = efficiency_scores(np.array([100.0, 200.0, 400.0]))
-        assert es[2] == 0.0
+        es = efficiency_scores(np.array([[100.0, 200.0, 400.0]]))
+        assert es[0, 2] == 0.0
 
     def test_smaller_estimates_score_higher(self):
-        es = efficiency_scores(np.array([100.0, 200.0, 400.0]))
+        es = efficiency_scores(np.array([[100.0, 200.0, 400.0]]))[0]
         assert es[0] > es[1] > es[2]
         assert es[0] == pytest.approx(0.75)
         assert es[1] == pytest.approx(0.5)
 
     def test_single_model_scores_zero(self):
-        assert efficiency_scores(np.array([123.0]))[0] == 0.0
+        assert efficiency_scores(np.array([[123.0]]))[0, 0] == 0.0
 
     def test_equal_estimates_all_zero(self):
-        es = efficiency_scores(np.array([5.0, 5.0, 5.0]))
+        es = efficiency_scores(np.array([[5.0, 5.0, 5.0]]))
         assert np.allclose(es, 0.0)
+
+    def test_each_row_against_its_own_max(self):
+        es = efficiency_scores(np.array([[100.0, 400.0], [50.0, 25.0]]))
+        assert es.tolist() == [[0.75, 0.0], [0.0, 0.5]]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
-            efficiency_scores(np.array([1.0, 0.0]))
+            efficiency_scores(np.array([[1.0, 0.0]]))
 
-    def test_rejects_empty_and_2d(self):
+    def test_rejects_empty_and_1d(self):
         with pytest.raises(ValueError):
-            efficiency_scores(np.array([]))
+            efficiency_scores(np.empty((1, 0)))
         with pytest.raises(ValueError):
-            efficiency_scores(np.ones((2, 2)))
+            efficiency_scores(np.ones(2))
 
     @given(st.lists(pos_floats, min_size=1, max_size=10))
     @settings(max_examples=50, deadline=None)
     def test_property_unit_interval(self, preds):
-        es = efficiency_scores(np.array(preds))
+        es = efficiency_scores(np.array([preds]))
         assert np.all(es >= 0.0) and np.all(es <= 1.0)
         assert es.min() == 0.0  # the max prediction always scores 0
 
@@ -115,29 +119,33 @@ class TestEfficiencyScores:
 class TestRAQ:
     def test_alpha_zero_is_pure_accuracy(self):
         acc = np.array([0.9, 0.5])
-        eff = np.array([0.1, 0.8])
-        assert np.allclose(raq_scores(acc, eff, 0.0), acc)
+        eff = np.array([[0.1, 0.8]])
+        assert np.allclose(raq_scores(acc, eff, 0.0), [acc])
 
     def test_alpha_one_is_pure_efficiency(self):
         acc = np.array([0.9, 0.5])
-        eff = np.array([0.1, 0.8])
+        eff = np.array([[0.1, 0.8]])
         assert np.allclose(raq_scores(acc, eff, 1.0), eff)
 
     def test_blend(self):
-        got = raq_scores(np.array([1.0]), np.array([0.0]), 0.25)
-        assert got[0] == pytest.approx(0.75)
+        got = raq_scores(np.array([1.0]), np.array([[0.0]]), 0.25)
+        assert got[0, 0] == pytest.approx(0.75)
+
+    def test_accuracy_broadcasts_over_rows(self):
+        got = raq_scores(np.array([1.0, 0.0]), np.array([[0.0, 1.0]] * 3), 0.5)
+        assert got.tolist() == [[0.5, 0.5]] * 3
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError, match="alpha"):
-            raq_scores(np.array([0.5]), np.array([0.5]), 1.5)
+            raq_scores(np.array([0.5]), np.array([[0.5]]), 1.5)
 
     def test_score_domain_checked(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            raq_scores(np.array([2.0]), np.array([0.5]), 0.5)
+            raq_scores(np.array([2.0]), np.array([[0.5]]), 0.5)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            raq_scores(np.array([0.5, 0.5]), np.array([0.5]), 0.5)
+            raq_scores(np.array([0.5, 0.5]), np.array([[0.5]]), 0.5)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=6),
@@ -146,5 +154,5 @@ class TestRAQ:
     @settings(max_examples=50, deadline=None)
     def test_property_output_in_unit_interval(self, scores, alpha):
         a = np.array(scores)
-        raq = raq_scores(a, 1.0 - a, alpha)
+        raq = raq_scores(a, np.array([1.0 - a]), alpha)
         assert np.all(raq >= -1e-12) and np.all(raq <= 1.0 + 1e-12)

@@ -118,11 +118,23 @@ SCENARIOS = {
     ),
 }
 
-#: name -> (training mode, number of updates) for the pinned pool
-#: streams.  The full stream crosses two HPO rounds (updates 25 and 50).
+#: name -> (training mode, number of updates, optional ``pool`` keyword
+#: arguments) for the pinned pool streams.  The full stream crosses two
+#: HPO rounds (updates 25 and 50); the last two pin the gating paths the
+#: defaults (interpolation at alpha 0, beta 10) leave out.
 POOL_STREAMS = {
     "sizey_pool_full": dict(training_mode="full", updates=60),
     "sizey_pool_incremental": dict(training_mode="incremental", updates=80),
+    "sizey_pool_argmax": dict(
+        training_mode="incremental",
+        updates=80,
+        pool=dict(gating="argmax", alpha=0.5),
+    ),
+    "sizey_pool_alpha1": dict(
+        training_mode="incremental",
+        updates=80,
+        pool=dict(alpha=1.0, beta=25.0),
+    ),
 }
 #: Rows every pool stream queries with predict_batch after each update:
 #: below, inside and beyond the stream's input range.
@@ -168,7 +180,11 @@ def pool_stream(n: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _run_pool_stream_json(name: str) -> str:
     spec = POOL_STREAMS[name]
-    pool = ModelPool(training_mode=spec["training_mode"], random_state=5)
+    pool = ModelPool(
+        training_mode=spec["training_mode"],
+        random_state=5,
+        **spec.get("pool", {}),
+    )
     x, y = pool_stream(spec["updates"])
     rounds = []
     for xi, yi in zip(x, y):
@@ -254,3 +270,11 @@ def test_goldens_have_coverage():
     # All four model classes answer by the end of both streams.
     for stream in (full, incremental):
         assert len(stream["rounds"][-1]["single"]["model_names"]) == 4
+    # Each gating stream selects every model class at least once.
+    for name in ("sizey_pool_argmax", "sizey_pool_alpha1"):
+        selected = {
+            p["model_names"][p["selected_index"]]
+            for r in run_pool_stream(name)["rounds"]
+            for p in (*r["batch"], r["single"])
+        }
+        assert len(selected) == 4, name

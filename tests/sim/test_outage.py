@@ -11,7 +11,7 @@ from repro.sim.kernel.outage import (
     parse_node_outage,
     parse_node_outages,
 )
-from repro.sim.results import result_to_dict
+from repro.sim.results import result_to_dict, summary_to_dict
 from repro.workflow.dag import WorkflowDAG
 
 from tests.sim.test_kernel import FixedPredictor, make_trace
@@ -216,6 +216,11 @@ class TestBothModes:
         ).run(FixedPredictor(200.0))
         assert res.cluster is None  # replay measures no cluster
         assert res.summary.makespan_hours == pytest.approx(3.0)
+        # The summary file carries the kernel's makespan without a
+        # cluster section.
+        summary = summary_to_dict(res.summary)
+        assert summary["cluster"] is None
+        assert summary["makespan_hours"] == res.summary.makespan_hours
         assert plain.summary.makespan_hours == pytest.approx(1.0)
         assert res.total_wastage_gbh == plain.total_wastage_gbh
         assert res.total_runtime_hours == plain.total_runtime_hours

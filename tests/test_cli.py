@@ -425,6 +425,7 @@ class TestScaleOptions:
         summary = json.loads(paths["summary.json"].read_text())
         assert summary["tasks"]["n_tasks"] == 83
         assert summary["cluster"] is None
+        assert summary["makespan_hours"] > 0
         spilled = paths["spill.jsonl"].read_text().splitlines()
         assert len(spilled) == 83
         events = json.loads(paths["trace.json"].read_text())["traceEvents"]
